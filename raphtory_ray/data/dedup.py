@@ -548,9 +548,10 @@ def clusters_from_pair_refs(pair_refs: list) -> tuple[np.ndarray, np.ndarray]:
     touched = np.sort(np.concatenate(parts))   # hash-disjoint → no dups
     tref = ray.put(touched)
     remapped = [_remap_pair_block.remote(r, tref) for r in pair_refs]
-    from raphtory_ray.state.shards import (BspGraph, _shuffle_pairs,
-                                           default_blocks)
-    refs = _shuffle_pairs(remapped, default_blocks(), key="dst")
+    from raphtory_ray.state.shards import (BspGraph, _cluster_cpus,
+                                           _shuffle_pairs, num_partitions)
+    refs = _shuffle_pairs(remapped, num_partitions(total, _cluster_cpus()),
+                          key="dst")
     g = BspGraph(len(touched), refs, total)
     labels_c = g.wcc()                 # min compact idx per component
     return touched, touched[labels_c]  # touched sorted → min idx ≡ min id

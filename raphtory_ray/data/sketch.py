@@ -270,7 +270,8 @@ def hll_group_estimates(ds, col: str = "text", group_col: str = "lang",
     parts = [t for t in _r.get(regs.materialize().to_arrow_refs())
              if t.num_rows]
     if not parts:
-        return pa.table({group_col: pa.array([], pa.string()),
+        gtype = ds.schema().base_schema.field(group_col).type
+        return pa.table({group_col: pa.array([], gtype),
                          "distinct_est": pa.array([], pa.float64())})
     t = pa.concat_tables(parts)
     groups = t[group_col].to_numpy(zero_copy_only=False)

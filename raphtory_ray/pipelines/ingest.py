@@ -4,9 +4,10 @@ Raphtory's bulk loaders, SURVEY §3.2).
 Stages (round 3: ONE streaming pass over the corpus, never materialized):
 
 1. ``read_corpus``       — read_parquet with column pruning.
-2. ``FusedIngestStage``  — actor-pool map_batches doing sha256-hash AND
-   import-extract in the same pass; ``content`` is decoded once and the
-   output is a slim kind-tagged union of file rows + gid-form edge events.
+2. ``_fused_ingest_batch`` — plain-task map_batches running
+   ``FusedIngestStage`` (sha256-hash AND import-extract in the same pass,
+   cached per worker process); ``content`` is decoded once and the output
+   is a slim kind-tagged union of file rows + gid-form edge events.
 3. grouped task waves over the pinned union blocks split it into the files
    dimension table and the edge events (a Dataset execution per split
    costs ~0.5s of streaming-executor setup; ~16 plain tasks don't).

@@ -338,9 +338,33 @@ def _balance_partial(block: pa.Table, n: int, wcol: str):
             np.bincount(s, weights=w, minlength=n))   # outgoing
 
 
-def default_blocks() -> int:
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(4, min(64, cpus))
+# The one partition rule of this module. R rows per partition is chosen so
+# that sf0.1 (567,452 edges) on 32 CPUs keeps the layout rounds 3-5
+# measured: 32 topology blocks, 8 superstep groups, a 16-way triangle grid.
+# A graph below R rows is one partition, so its superstep is one task.
+ROWS_PER_PARTITION = 16_000
+
+
+def num_partitions(rows: int, cpus: int) -> int:
+    """ceil(rows / ROWS_PER_PARTITION), at least 1, at most min(cpus, 64)."""
+    return max(1, min(64, cpus, -(-int(rows) // ROWS_PER_PARTITION)))
+
+
+def round_groups(blocks: int, cpus: int) -> int:
+    """Groups the blocks of a synchronous superstep round are coalesced
+    into: ~cpus/4 (round 3), at least 1, at most the block count."""
+    return max(1, min(blocks, cpus // 4))
+
+
+def triangle_grid(edges: int, cpus: int) -> int:
+    """Side P of the P×P wedge/probe grid: half the partitions of the
+    edge count, so each triangle partition holds ~2R oriented edges
+    (wedge expansion is the hot step)."""
+    return max(1, num_partitions(edges, cpus) // 2)
+
+
+def _cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 8))
 
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -348,9 +372,10 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 @ray.remote
 def _split_pairs(block: pa.Table, P: int, key: str):
-    """Map side of the explicit hash shuffle: local dedup (combiner), then
-    route each pair to bucket hash(key-endpoint) % P. num_returns=P — piece
-    p goes only to merger p (no all-to-all over-shipping)."""
+    """Map side of the explicit hash shuffle (P > 1): local dedup
+    (combiner), then route each pair to bucket hash(key-endpoint) % P.
+    num_returns=P — piece p goes only to merger p (no all-to-all
+    over-shipping)."""
     s, d = _sd(block)
     s, d = K.dedup_pairs(s, d)
     kv = (d if key == "dst" else s).astype(np.uint64)
@@ -363,15 +388,14 @@ def _split_pairs(block: pa.Table, P: int, key: str):
         lo, hi = int(bounds[p]), int(bounds[p + 1])
         out.append(pa.table({"src": pa.array(s[lo:hi]),
                              "dst": pa.array(d[lo:hi])}))
-    return tuple(out) if P > 1 else out[0]
+    return tuple(out)
 
 
 @ray.remote
 def _merge_bucket(*pieces: pa.Table) -> pa.Table:
-    s = np.concatenate([_np(t["src"]) for t in pieces]) \
-        if pieces else np.empty(0, np.int64)
-    d = np.concatenate([_np(t["dst"]) for t in pieces]) \
-        if pieces else np.empty(0, np.int64)
+    sd = [_sd(t) for t in pieces]
+    s = np.concatenate([p[0] for p in sd]) if sd else np.empty(0, np.int64)
+    d = np.concatenate([p[1] for p in sd]) if sd else np.empty(0, np.int64)
     s, d = K.dedup_pairs(s, d)
     return pa.table({"src": pa.array(s), "dst": pa.array(d)})
 
@@ -399,11 +423,14 @@ def _shuffle_pairs(block_refs: list, P: int, key: str) -> list:
     cost is O(rows), and pre-dedup in the map side bounds rows by distinct
     pairs; at 10^12 scale add a second salt level for buckets whose row
     count exceeds a threshold (split u's rows, second combine round —
-    documented, not needed at sandbox scale)."""
-    splits = [_split_pairs.options(num_returns=P if P > 1 else 1)
-              .remote(r, P, key) for r in block_refs]
+    documented, not needed at sandbox scale).
+
+    With P == 1 the blocks go straight to one merge task: a map-side
+    split would only add a task per block, since the merge dedups all."""
     if P == 1:
-        return [_merge_bucket.remote(*splits)]
+        return [_merge_bucket.remote(*block_refs)]
+    splits = [_split_pairs.options(num_returns=P).remote(r, P, key)
+              for r in block_refs]
     return [_merge_bucket.remote(*[sp[p] for sp in splits])
             for p in range(P)]
 
@@ -449,10 +476,15 @@ class BspGraph:
     """Simple-graph engine: dedup'd directed edge blocks (+ lazily derived
     undirected neighbour blocks) in the object store."""
 
-    # above this edge count lpa/wcc route through the actor-sharded
+    # above this edge count lpa routes through the actor-sharded
     # owned-slice sparse-delta engine (state/sharded_algos) instead of the
-    # driver-broadcast task rounds — the crossover where pool init
-    # (~40 ms) amortizes against the per-superstep O(V) driver ray.put
+    # driver-broadcast task rounds. Pool start is not cheap: on a 1-core
+    # host with 2 logical Ray CPUs an empty actor took 0.8-1.0 s to start
+    # and a one-actor AlgoShard pool 1.1-1.5 s to start and initialize, so
+    # on the perfbench edge-algos graph sharded LPA took 1.3-1.5 s against
+    # 0.45-0.55 s for the task rounds. The routing stays because round 5
+    # measured the sharded engine 2.5x faster at sf0.1 on 32 CPUs, where
+    # the per-superstep O(V) driver ray.put dominates.
     _SHARDED_EDGE_THRESHOLD = 50_000
 
     def __init__(self, n: int, refs: list, num_edges: int):
@@ -476,25 +508,23 @@ class BspGraph:
         make progress while the pool is resident."""
         if self._sharded is None:
             from raphtory_ray.state.sharded_algos import ShardedAlgos
-            cpus = int(ray.cluster_resources().get("CPU", 8))
             self._sharded = ShardedAlgos(
-                self, num_workers=max(1, min(16, cpus - 2)))
+                self, num_workers=max(1, min(16, _cluster_cpus() - 2)))
         return self._sharded
 
     @property
     def csr_refs(self) -> list:
         """Dst-sorted CSR slices, built once (superstep hot path).
 
-        COALESCED to ~cpus/4 partitions (round 3): a superstep is a
-        synchronous task round, so at sandbox edge counts 32 micro-blocks
-        pay ~2x pure scheduling latency over 8 merged ones (measured
-        0.37-0.57s vs 0.29-0.33s per 10 supersteps at sf0.1). Merging
-        dst-hash buckets preserves disjoint dst-ownership. Topology blocks
-        (self.refs) stay fine-grained for the throughput-bound wedge/probe
-        paths."""
+        COALESCED to round_groups(blocks, cpus) slices (round 3): a
+        superstep is a synchronous task round, so at sandbox edge counts
+        32 micro-blocks pay ~2x pure scheduling latency over 8 merged ones
+        (measured 0.37-0.57s vs 0.29-0.33s per 10 supersteps at sf0.1).
+        Merging dst-hash buckets preserves disjoint dst-ownership. Topology
+        blocks (self.refs) stay fine-grained for the throughput-bound
+        wedge/probe paths."""
         if self._csr_refs is None:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            G = max(4, min(len(self.refs), cpus // 4))
+            G = round_groups(len(self.refs), _cluster_cpus())
             k = -(-len(self.refs) // G)
             groups = [self.refs[i:i + k] for i in range(0, len(self.refs), k)]
             self._csr_refs = [_csr_by_dst.remote(*g) for g in groups]
@@ -508,9 +538,12 @@ class BspGraph:
     @classmethod
     def from_edges(cls, edges_ds, n: int, num_blocks: int | None = None) -> "BspGraph":
         """Directed simple-edge blocks partitioned by hash(dst) — dst
-        ownership makes every message-combine (groupby dst) task-local."""
-        nb = num_blocks or default_blocks()
-        mat = (edges_ds.select_columns(["src", "dst"]).materialize())
+        ownership makes every message-combine (groupby dst) task-local.
+        Blocks go to the shuffle with all their columns: the split tasks
+        read only src/dst, and a column-select stage would start a fresh
+        Dataset execution even on materialized input."""
+        mat = edges_ds.materialize()
+        nb = num_blocks or num_partitions(mat.count(), _cluster_cpus())
         refs = _shuffle_pairs(mat.to_arrow_refs(), nb, key="dst")
         num_edges = int(sum(ray.get([_block_rows.remote(r) for r in refs])))
         return cls(n, refs, num_edges)
@@ -534,25 +567,25 @@ class BspGraph:
     def und_refs(self) -> list:
         """Blocks of deduplicated undirected neighbour pairs (u, v): both
         orientations present, self-loop once — SURVEY §1.3 rules. Built once
-        via a second groupby-dedup shuffle."""
+        via a second groupby-dedup shuffle, into as many blocks as the
+        directed topology."""
         if self._und_refs is None:
-            nb = max(4, len(self.refs))
             both = [_both_dirs.remote(r) for r in self.refs]
-            self._und_refs = _shuffle_pairs(both, nb, key="src")
+            self._und_refs = _shuffle_pairs(both, len(self.refs), key="src")
         return self._und_refs
 
     @property
     def und_step_refs(self) -> list:
-        """und_refs coalesced to ~cpus/4 groups for the SYNCHRONOUS round
-        loops (wcc/lpa/kcore): merging src-hash buckets preserves
-        src-ownership disjointness while quartering per-round scheduling
-        latency (same round-3 rationale as csr_refs). Throughput-bound
-        consumers (wedge/probe shuffles, degrees) keep the fine blocks."""
+        """und_refs coalesced to round_groups(blocks, cpus) groups for the
+        SYNCHRONOUS round loops (wcc/lpa/kcore): merging src-hash buckets
+        preserves src-ownership disjointness while cutting per-round
+        scheduling latency (same round-3 rationale as csr_refs).
+        Throughput-bound consumers (wedge/probe shuffles, degrees) keep the
+        fine blocks."""
         if self._und_step_refs is None:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            G = max(4, min(len(self.und_refs), cpus // 4))
+            G = round_groups(len(self.und_refs), _cluster_cpus())
             k = -(-len(self.und_refs) // G)
-            self._und_step_refs = [
+            self._und_step_refs = self.und_refs if k == 1 else [
                 _merge_concat.remote(*self.und_refs[i:i + k])
                 for i in range(0, len(self.und_refs), k)]
         return self._und_step_refs
@@ -755,16 +788,14 @@ class BspGraph:
         probes are O(rows) streaming, so cost stays linear in that bucket's
         wedge count.
 
-        Adaptive task grid: the P×P wedge fan is sized to the edge count
-        (~35k oriented edges per partition — wedge expansion is the hot
-        step, and on a warm Ray session a 16-way grid on a 600k-edge graph
-        measured 10-20x faster than the old 4-way floor), capped by the
-        cluster CPU count and the block count; at 10^9+ edges the grid
-        grows back to the full block count."""
+        Adaptive task grid: the P×P wedge fan is triangle_grid(edges,
+        cpus), sized from the edge count alone (on a warm Ray session a
+        16-way grid on a 600k-edge graph measured 10-20x faster than the
+        old 4-way floor); _orient_split routes to any P, so the grid does
+        not depend on the block count. A graph of at most 3R edges is one
+        wedge task and one probe task."""
         assert self.n < (1 << 31)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        P = min(len(self.und_refs),
-                max(4, min(cpus, self.num_edges // 35_000)))
+        P = triangle_grid(self.num_edges, _cluster_cpus())
         S = self._oriented_split("src", P)
         D = self._oriented_split("dst", P)
         if P == 1:

@@ -1289,6 +1289,19 @@ def test_hll_group_estimates(ray_session):
         assert abs(r["distinct_est"] - true) / true < 0.15
 
 
+def test_hll_group_estimates_empty_keeps_group_type(ray_session):
+    """Empty input: the group column keeps the input's type (here int64),
+    not a hardcoded string column."""
+    import ray.data as rd
+    from raphtory_ray.data.sketch import hll_group_estimates
+    t = pa.table({"text": pa.array([], pa.string()),
+                  "lang": pa.array([], pa.int64())})
+    est = hll_group_estimates(rd.from_arrow(t))
+    assert est.num_rows == 0
+    assert est.schema.field("lang").type == pa.int64()
+    assert est.schema.field("distinct_est").type == pa.float64()
+
+
 def test_line_stats_duplicate_lines(ray_session):
     """round-5 duplicate-line signal: exact total/distinct line counts,
     empty string = one empty line (split semantics mirror the oracle)."""

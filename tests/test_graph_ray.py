@@ -187,6 +187,62 @@ def test_determinism_across_block_counts(rand_gf, ray_session):
     assert g2.triangle_counts()[0] == g7.triangle_counts()[0]
 
 
+def test_partition_rule_layouts():
+    """The BspGraph partition rule is pure (no Ray cluster): a small graph
+    is one partition, and sf0.1 (567,452 edges) on 32 CPUs keeps the
+    32-block / 8-group / 16-way-triangle layout."""
+    from raphtory_ray.state.shards import (num_partitions, round_groups,
+                                           triangle_grid)
+    assert num_partitions(5_000, 2) == 1
+    assert round_groups(num_partitions(5_000, 2), 2) == 1
+    assert triangle_grid(5_000, 2) == 1
+    blocks = num_partitions(567_452, 32)
+    assert blocks == 32
+    assert round_groups(blocks, 32) == 8
+    assert triangle_grid(567_452, 32) == 16
+    assert num_partitions(0, 8) == 1                 # at least one
+    assert num_partitions(10**9, 8) == 8             # CPU cap
+    assert num_partitions(10**9, 256) == 64          # absolute cap
+
+
+def test_single_partition_parity(ray_session):
+    """A graph below one partition's rows builds as ONE block, one
+    undirected block and one CSR group, and every algorithm still matches
+    the numpy kernels on that path."""
+    import ray.data as rd
+    from raphtory_ray.graph.graph_frame import GraphFrame
+    from raphtory_ray.state.shards import ROWS_PER_PARTITION, BspGraph
+    rng = np.random.default_rng(23)
+    n, m = 300, 2_000
+    assert m < ROWS_PER_PARTITION
+    s = rng.integers(0, n, m)
+    d = rng.integers(0, n, m)
+    ds = rd.from_arrow(pa.table({
+        "src": pa.array(s), "dst": pa.array(d),
+        "t": pa.array(rng.integers(0, 100, m)),
+        "event_id": pa.array(np.arange(m, dtype=np.int64))})).repartition(3)
+    g = BspGraph.from_graph(GraphFrame(ds, n=n))
+    assert len(g.refs) == 1
+    assert len(g.und_refs) == 1
+    assert len(g.csr_refs) == 1
+    np.testing.assert_allclose(g.pagerank()[0], K.pagerank(s, d, n)[0],
+                               atol=1e-6)
+    np.testing.assert_array_equal(g.wcc(), K.wcc(s, d, n))
+    want_lpa = K.lpa(s, d, n)[0]
+    np.testing.assert_array_equal(g.lpa(engine="task")[0], want_lpa)
+    np.testing.assert_array_equal(g.sharded().lpa_owned()[0], want_lpa)
+    tot, loc = g.triangle_counts()
+    tot_k, loc_k = K.triangle_counts(s, d, n)
+    assert tot == tot_k
+    np.testing.assert_array_equal(loc, loc_k)
+    for k in (2, 3, 5):
+        np.testing.assert_array_equal(g.kcore_set(k), K.kcore_set(s, d, n, k))
+    hub, auth, _ = g.hits()
+    hub_k, auth_k, _ = K.hits(s, d, n)
+    np.testing.assert_allclose(hub, hub_k)
+    np.testing.assert_allclose(auth, auth_k)
+
+
 def test_local_clustering_batch_subset(rand_gf):
     """local_clustering_coefficient_batch.rs semantics: the subset form
     returns exactly the full result's rows for the requested ids, in
