@@ -46,6 +46,7 @@ def _write_nodestate(out_dir: str, names: list[str], arrays, n: int,
 
 
 def main() -> None:
+    from raphtory_ray.state.actor_engine import GATHER_MODES
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--input", default=None,
                     help="corpus parquet dir (repo,path,commit,lang,"
@@ -63,12 +64,11 @@ def main() -> None:
                          "rounds, small/medium graphs) or 'sharded' "
                          "(state/actor_engine.ShardedPageRank — CSR pinned "
                          "in actors, the 10^9-edge path)")
-    ap.add_argument("--gather-mode", default="central-tiled",
-                    choices=["p2p", "p2p-owned", "p2p-tiled", "central",
-                             "central-tiled"],
-                    help="sharded-engine all-gather: p2p | p2p-owned | "
-                         "p2p-tiled | central | central-tiled "
-                         "(propagation-blocked)")
+    ap.add_argument("--gather-mode", default="central",
+                    choices=GATHER_MODES,
+                    help="sharded-engine all-gather: central (driver-"
+                         "assembled rank vector) | p2p-tiled (actor-"
+                         "published slices)")
     ap.add_argument("--sssp-source", type=int, default=0,
                     help="source vid for the 'sssp' algorithm "
                          "(delta-stepping, unit weights)")

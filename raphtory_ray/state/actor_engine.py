@@ -5,34 +5,37 @@ blocks held in stateful actor-pool partitions"): P actors each own
 
 - a dst-partitioned CSR edge block (rows sorted by dst, built once),
 - the rank slice for the vids they own (hash(v) % P == part_id),
-- per-row static factors (1/outdeg[src]) and src→(owner, index) routing
-  tables precomputed at init.
+- per-row static factors (1/outdeg[src]) precomputed at init.
 
-A superstep is ONE actor-call round: each actor zero-copy-reads every
-partition's rank-slice object from plasma (the all-gather), computes its
-owned vertices' new ranks, publishes the new slice with ray.put, and
-returns (slice_ref, sink_partial_for_next_iter, diff²_partial). The driver
-does O(P) work per superstep — no O(V) serialization through the driver,
-unlike the task path in state/shards.py (which stays for small graphs and
-the other algorithms).
+A superstep is ONE actor-call round. Two all-gather transports
+(``GATHER_MODES``; BASELINE.md's r5 tables measure why these two):
+
+- ``central`` (default): the driver assembles one rank vector and ray.puts
+  it; every actor gathers from it and returns its owned new ranks. O(V)
+  driver work, O(W) object resolutions per superstep.
+- ``p2p-tiled``: every actor publishes its per-partition rank slices and
+  all-gathers the P slices from plasma over rows blocked by (source
+  partition, dst). O(P) driver work per superstep — no O(V) data through
+  the driver; fastest when workers are pinned to cores.
 
 Compared against shards.BspGraph.pagerank in tests: same recurrence
 (pagerank.rs:55-179 incl. sink mass and the sqrt(Σd²) ≤ tol·n stop rule),
 identical scores to ~1e-12 (summation grouping differs).
 
 Fault tolerance / resume: every ``checkpoint_every`` iterations the driver
-gathers the P slices (parallel plasma reads) and writes the partitioned
-parquet + manifest of pipelines.checkpoint; ``pagerank(..., checkpoint=)``
-resumes from the latest complete manifest by re-seeding actor slices.
+writes the rank vector as the partitioned parquet + manifest of
+pipelines.checkpoint; ``pagerank(..., checkpoint=)`` resumes from the
+latest complete manifest by re-seeding actor slices.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 import ray
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
+
+GATHER_MODES = ("central", "p2p-tiled")
 
 
 def _part_of(v: np.ndarray, P: int) -> np.ndarray:
@@ -63,8 +66,7 @@ class PRShard:
     partitions on fewer/more workers)."""
 
     def __init__(self, part_ids: list, P: int, n: int, block_refs: list,
-                 outdeg_ref, pos_ref, dtype: str = "float64",
-                 tile_shift: int = 18):
+                 outdeg_ref, pos_ref, dtype: str = "float64"):
         blocks = ray.get(list(block_refs))
         outdeg = ray.get(outdeg_ref) if isinstance(outdeg_ref, ray.ObjectRef) else outdeg_ref
         pos = ray.get(pos_ref) if isinstance(pos_ref, ray.ObjectRef) else pos_ref
@@ -79,24 +81,13 @@ class PRShard:
                 ds.append(b["dst"].to_numpy(zero_copy_only=False))
         s = np.concatenate(ss) if ss else np.empty(0, np.int64)
         d = np.concatenate(ds) if ds else np.empty(0, np.int64)
-        # rows grouped by source partition (contiguous gather per q), with
-        # one permutation back into dst-sorted order for the combine
-        src_part = _part_of(s, P)
-        gorder = np.argsort(src_part, kind="stable")
-        self.gather_bounds = np.searchsorted(src_part[gorder],
-                                             np.arange(P + 1))
+        # rows ordered by (source partition, dst): the order within each
+        # dst run fixes the float summation order of both transports
+        gorder = np.argsort(_part_of(s, P), kind="stable")
         s_g, d_g = s[gorder], d[gorder]
-        # int32 index arrays when partition-local indices fit — halves
-        # per-superstep index traffic; fall back to int64 past 2^31
-        src_pos = pos[s_g]
-        self.src_idx_g = src_pos.astype(np.int32) \
-            if (len(src_pos) == 0 or src_pos.max() < 2**31) else src_pos
-        dorder = np.argsort(d_g, kind="stable")      # gathered → dst-sorted
-        self.perm = dorder.astype(np.int32) \
-            if len(d_g) < 2**31 else dorder
-        # global src vids in dst-sorted row order — the "central" all-gather
-        # path gathers straight from one driver-assembled rank vector,
-        # skipping both the per-partition loop and the permutation pass
+        dorder = np.argsort(d_g, kind="stable")
+        # global src vids in dst-sorted row order — "central" gathers
+        # straight from one driver-assembled rank vector
         self.s_sorted = s_g[dorder].astype(
             np.int32 if n < 2**31 else np.int64)
         d_sorted = d_g[dorder]
@@ -111,11 +102,10 @@ class PRShard:
         self.dtype = np.dtype(dtype)
         with np.errstate(divide="ignore"):
             f = 1.0 / outdeg[s_g]
-        self.factor_g = np.where(outdeg[s_g] > 0, f, 0.0).astype(self.dtype)
-        self.factor_sorted = self.factor_g[dorder]
+        self.factor_sorted = np.where(outdeg[s_g] > 0, f, 0.0).astype(
+            self.dtype)[dorder]
         self.sink_mask = outdeg[self.owned] == 0
         self.rank = np.full(len(self.owned), 1.0 / n, dtype=self.dtype)
-        self.tile_shift = tile_shift
         self._pos = pos          # zero-copy plasma view; used by p2p-tiled
 
     def _split_slices(self, full: np.ndarray) -> list:
@@ -133,116 +123,19 @@ class PRShard:
     def get_rank(self):
         return self.owned, self.rank
 
-    def step(self, slice_refs: list, sink_total: float, damping: float,
-             timings: bool = False):
-        """One superstep: all-gather the P rank slices (zero-copy plasma
-        reads, contiguous per-partition gathers), combine into owned new
-        ranks, publish. Returns ([refs], sink_partial_of_new, diff²[, times])."""
-        import time
-        t0 = time.perf_counter()
-        slices = ray.get(list(slice_refs))
-        t1 = time.perf_counter()
-        if not hasattr(self, "_w"):      # reuse step buffers — per-step
-            self._w = np.empty(len(self.src_idx_g), dtype=self.dtype)
-            self._w2 = np.empty(len(self.src_idx_g), dtype=self.dtype)
-            # (fresh large allocations each step churn THP/compaction)
-        w = self._w
-        for q in range(self.P):
-            lo, hi = self.gather_bounds[q], self.gather_bounds[q + 1]
-            if hi > lo:
-                w[lo:hi] = slices[q][self.src_idx_g[lo:hi]]
-        w *= self.factor_g
-        np.take(w, self.perm, out=self._w2)
-        w = self._w2
-        t2 = time.perf_counter()
-        base = (1.0 - damping) / self.n + damping * sink_total / self.n
-        new = np.full(len(self.owned), base, dtype=self.dtype)
-        if len(self.start):
-            new[self.dst_local] += (damping *
-                                    np.add.reduceat(w, self.start)).astype(
-                                        self.dtype, copy=False)
-        d = (new - self.rank).astype(np.float64, copy=False)
-        diff2 = float(np.square(d).sum())
-        self.rank = new
-        t3 = time.perf_counter()
-        out = (self._split_slices(new),
-               float(new[self.sink_mask].sum(dtype=np.float64)), diff2)
-        if timings:
-            t4 = time.perf_counter()
-            return out + ({"get": t1 - t0, "gather": t2 - t1,
-                           "combine": t3 - t2, "publish": t4 - t3},)
-        return out
-
-
-    def step_owned(self, *args):
-        """p2p superstep variant whose output slices are TASK RETURNS
-        (driver-owned plasma objects) instead of actor-side ray.puts: a
-        borrowed-ref ray.get then resolves ownership against the idle
-        driver rather than a busy peer actor — the O(W·P) owner-RPC storm
-        of `step` measured dominant at W=32 disappears, while the driver
-        still does only O(P) work (it never reads the slice data).
-
-        args = (*slice_refs, sink_total, damping). The slice refs are passed
-        as TOP-LEVEL task args, so Ray resolves them before the task runs
-        (raylet-prefetched, zero-copy) — no in-task ray.get at all. Returns
-        (*owned_slices, (sink_partial, diff²)) via num_returns."""
-        slices, sink_total, damping = \
-            list(args[:-2]), args[-2], args[-1]
-        if not hasattr(self, "_w"):
-            self._w = np.empty(len(self.src_idx_g), dtype=self.dtype)
-        w = self._w
-        for q in range(self.P):
-            lo, hi = self.gather_bounds[q], self.gather_bounds[q + 1]
-            if hi > lo:
-                w[lo:hi] = slices[q][self.src_idx_g[lo:hi]]
-        w *= self.factor_g
-        w = np.take(w, self.perm)
-        base = (1.0 - damping) / self.n + damping * sink_total / self.n
-        new = np.full(len(self.owned), base, dtype=self.dtype)
-        if len(self.start):
-            new[self.dst_local] += (damping *
-                                    np.add.reduceat(w, self.start)).astype(
-                                        self.dtype, copy=False)
-        d = (new - self.rank).astype(np.float64, copy=False)
-        diff2 = float(np.square(d).sum())
-        self.rank = new
-        outs = [new[self.slice_bounds[i]:self.slice_bounds[i + 1]]
-                for i in range(len(self.part_ids))]
-        tail = (float(new[self.sink_mask].sum(dtype=np.float64)), diff2)
-        return (*outs, tail) if outs else tail
-
     def _row_local(self) -> np.ndarray:
         """Per-row owned-local dst index (dst-sorted row order)."""
         run_len = np.diff(np.r_[self.start, len(self.s_sorted)])
         return np.repeat(self.dst_local, run_len)
 
-    def _build_tiled(self):
-        """Propagation-blocked row layout (Beamer/Asanović/Patterson,
-        "Reducing PageRank Communication via Propagation Blocking",
-        IPDPS'17 — public technique): rows grouped by src>>tile_shift
-        windows (2^shift × dtype bytes ≈ an L2-resident slice of the rank
-        vector). The full-vector gather then walks the rank vector window
-        by window (random only inside a cache-resident window), and the
-        combine is ONE bincount of the per-row owned-local dst indices
-        into the owned accumulator (random only inside the ~2 MB owned
-        vector) — no reduceat: window-splitting shatters dst runs to
-        length ~1, where per-run reduction is pure overhead. Unlike
-        `step_full`'s flat gather, no pass does random access over an
-        array larger than cache. Built lazily on first tiled superstep."""
-        b = self.s_sorted.astype(np.int64) >> self.tile_shift
-        order = np.argsort(b, kind="stable")
-        self.t_src = self.s_sorted[order]
-        self.t_factor = self.factor_sorted[order]
-        # np.intp so bincount takes the no-cast fast path every step
-        self.t_local = self._row_local()[order].astype(np.intp)
-
     def _build_tiled_p2p(self):
-        """p2p analogue of the propagation-blocked layout: rows ordered by
-        (src PARTITION, dst). The gather is contiguous per rank-slice (each
-        slice is owned-vids-sized, cache-resident at realistic P), and the
-        combine is one bincount of per-row owned-local dst indices into
-        the owned accumulator — `step`'s O(E) random permutation pass
-        (np.take over the whole row set) disappears."""
+        """Propagation-blocked row layout for the slice transport (Beamer/
+        Asanović/Patterson, IPDPS'17): rows ordered by (src PARTITION, dst).
+        The gather is contiguous per rank-slice (each slice is
+        owned-vids-sized, cache-resident at realistic P), and the combine
+        is one bincount of per-row owned-local dst indices into the owned
+        accumulator — no O(E) permutation back into dst order. Built
+        lazily on the first p2p-tiled superstep."""
         part = _part_of(self.s_sorted.astype(np.int64), self.P)
         order = np.argsort(part, kind="stable")
         self.t2_bounds = np.searchsorted(part[order], np.arange(self.P + 1))
@@ -254,8 +147,9 @@ class PRShard:
 
     def step_tiled(self, slice_refs: list, sink_total: float,
                    damping: float):
-        """p2p superstep over the (partition, dst)-blocked layout — same
-        recurrence as `step`, no O(E) permutation pass."""
+        """p2p-tiled superstep: all-gather the P published rank slices
+        (zero-copy plasma reads), combine over the (partition, dst)-blocked
+        rows, publish. Returns ([refs], sink_partial_of_new, diff²)."""
         slices = ray.get(list(slice_refs))
         if not hasattr(self, "t2_idx"):
             self._build_tiled_p2p()
@@ -278,26 +172,6 @@ class PRShard:
         return (self._split_slices(new),
                 float(new[self.sink_mask].sum(dtype=np.float64)), diff2)
 
-    def step_full_tiled(self, full_ref, sink_total: float, damping: float):
-        """Central superstep over the propagation-blocked layout — same
-        recurrence as `step_full`, different summation order (well inside
-        the 1e-6 score contract)."""
-        full = ray.get(full_ref) if isinstance(full_ref, ray.ObjectRef) \
-            else full_ref
-        if not hasattr(self, "t_src"):
-            self._build_tiled()
-        w = np.take(full, self.t_src)
-        w *= self.t_factor
-        base = (1.0 - damping) / self.n + damping * sink_total / self.n
-        acc = np.bincount(self.t_local, weights=w,
-                          minlength=len(self.owned)) if len(w) \
-            else np.zeros(len(self.owned))
-        new = (base + damping * acc).astype(self.dtype, copy=False)
-        d = (new - self.rank).astype(np.float64, copy=False)
-        diff2 = float(np.square(d).sum())
-        self.rank = new
-        return new, float(new[self.sink_mask].sum(dtype=np.float64)), diff2
-
     def step_full(self, full_ref, sink_total: float, damping: float):
         """One superstep against a single driver-assembled rank vector
         (central all-gather): ONE driver-owned plasma object per superstep
@@ -305,7 +179,7 @@ class PRShard:
         drop from O(W·P) to O(W) — measured dominant at W=32 on one box.
         Returns (owned_new_values, sink_partial, diff²). Scale note: the
         driver does O(V) assembly per superstep; beyond ~10^8 vertices
-        switch to the p2p slice path (`step`) or a tree-gather."""
+        switch to the slice transport (`step_tiled`) or a tree-gather."""
         full = ray.get(full_ref) if isinstance(full_ref, ray.ObjectRef) \
             else full_ref
         w = full[self.s_sorted]
@@ -334,8 +208,7 @@ class ShardedPageRank:
     """Driver handle over the PRShard pool."""
 
     def __init__(self, edge_block_refs: list, n: int, outdeg: np.ndarray,
-                 num_workers: int | None = None, dtype: str = "float64",
-                 tile_shift: int = 18):
+                 num_workers: int | None = None, dtype: str = "float64"):
         """edge_block_refs: dst-partitioned blocks (one per PARTITION) from
         shards._shuffle_pairs(key='dst') — partition p MUST hold exactly the
         edges whose dst hashes to p with this module's _part_of.
@@ -362,7 +235,7 @@ class ShardedPageRank:
             PRShard.options(num_cpus=1).remote(
                 stripe.tolist(), P, n,
                 [edge_block_refs[p] for p in stripe], od_ref, pos_ref,
-                dtype, tile_shift)
+                dtype)
             for stripe in self.stripes]
 
     @classmethod
@@ -376,126 +249,18 @@ class ShardedPageRank:
                                for p in stripe])
 
     def pagerank(self, damping: float = 0.85, iter_count: int = 20,
-                 tol: float = 1e-6, use_l2_norm: bool = True,
-                 checkpoint=None, checkpoint_every: int = 1,
-                 gather_mode: str = "p2p"):
+                 tol: float = 1e-6, checkpoint=None, checkpoint_every: int = 1,
+                 gather_mode: str = "central"):
         """Reference recurrence (pagerank.rs:55-179). Returns
         (scores, iterations, per-superstep seconds).
 
-        gather_mode:
-        - "p2p" (default): actors publish per-partition slices; every actor
-          all-gathers every slice from plasma. O(P) driver work, but O(W·P)
-          borrowed-object resolutions per superstep.
-        - "central": actors return owned values; the driver assembles ONE
-          rank vector and ray.puts it (O(V) driver work, O(W) resolutions).
-          Faster until driver assembly dominates (~10^8+ vertices).
-        - "central-tiled": central transport + propagation-blocked row
-          layout (see PRShard._build_tiled) — every random-access pass is
-          confined to a cache-resident window, trading one lazy re-sort at
-          first step for much lower DRAM latency sensitivity on
-          bandwidth-bound supersteps.
-        - "p2p-tiled": p2p slice transport + (partition, dst)-blocked rows
-          (PRShard._build_tiled_p2p) — `step`'s O(E) random permutation
-          pass disappears; gathers stay per-slice contiguous."""
+        gather_mode (one of GATHER_MODES, see the module docstring):
+        "central" (default; fastest free-floating) or "p2p-tiled" (O(P)
+        driver work; fastest with workers pinned to cores)."""
         import time
-        if gather_mode in ("central", "central-tiled"):
-            return self._pagerank_central(damping, iter_count, tol,
-                                          use_l2_norm, checkpoint,
-                                          checkpoint_every,
-                                          tiled=(gather_mode ==
-                                                 "central-tiled"))
-        if gather_mode == "p2p-owned":
-            return self._pagerank_p2p_owned(damping, iter_count, tol,
-                                            use_l2_norm, checkpoint,
-                                            checkpoint_every)
-        it0 = 0
-        if checkpoint is not None:
-            st = checkpoint.load_latest()
-            if st is not None:
-                it0 = st["iteration"]
-                self.seed_ranks(st["state"]["rank"])
-        pub = ray.get([s.publish.remote() for s in self.shards])
-        slice_refs = self._compose(p[0] for p in pub)
-        sink = float(sum(p[1] for p in pub))
-        step = (lambda s: s.step_tiled) if gather_mode == "p2p-tiled" \
-            else (lambda s: s.step)
-        times, it = [], it0
-        for it in range(it0 + 1, iter_count + 1):
-            t0 = time.perf_counter()
-            outs = ray.get([step(s).remote(slice_refs, sink, damping)
-                            for s in self.shards])
-            slice_refs = self._compose(o[0] for o in outs)
-            sink = float(sum(o[1] for o in outs))
-            diff2 = sum(o[2] for o in outs)
-            norm = float(np.sqrt(diff2)) if use_l2_norm else None
-            if not use_l2_norm:
-                raise NotImplementedError("L1 path uses shards.BspGraph")
-            times.append(time.perf_counter() - t0)
-            if checkpoint is not None and it % checkpoint_every == 0:
-                checkpoint.save(it, {"rank": self.gather()},
-                                metrics={"norm": norm})
-            if norm <= tol * self.n:
-                break
-        return self.gather(), it, times
-
-    def _pagerank_p2p_owned(self, damping, iter_count, tol, use_l2_norm,
-                            checkpoint, checkpoint_every):
-        """p2p all-gather with driver-owned slice objects (see
-        PRShard.step_owned). O(P) driver work per superstep; slice data
-        never moves through the driver."""
-        import time
-        it0 = 0
-        full0 = None
-        if checkpoint is not None:
-            st = checkpoint.load_latest()
-            if st is not None:
-                it0 = st["iteration"]
-                full0 = st["state"]["rank"].astype(self.dtype)
-                self.seed_ranks(full0)
-        # initial slices: driver-owned ray.puts
-        slice_refs = [None] * self.P
-        sink = 0.0
-        for stripe in self.stripes:
-            for p in stripe:
-                owned = _owned_vids(self.n, self.P, int(p))
-                vals = (np.full(len(owned), 1.0 / self.n, dtype=self.dtype)
-                        if full0 is None else full0[owned])
-                slice_refs[p] = ray.put(vals)
-        init_rank = (np.full(self.n, 1.0 / self.n, dtype=self.dtype)
-                     if full0 is None else full0)
-        sink = float(init_rank[self._sink_mask_full].sum(dtype=np.float64))
-        times, it = [], it0
-        for it in range(it0 + 1, iter_count + 1):
-            t0 = time.perf_counter()
-            rounds = []
-            for stripe, s in zip(self.stripes, self.shards):
-                nr = len(stripe) + 1
-                rounds.append(s.step_owned.options(num_returns=nr).remote(
-                    *slice_refs, sink, damping))
-            tails = []
-            for stripe, refs in zip(self.stripes, rounds):
-                refs = refs if isinstance(refs, list) else [refs]
-                for pid, r in zip(stripe, refs[:-1]):
-                    slice_refs[pid] = r
-                tails.append(refs[-1])
-            tails = ray.get(tails)
-            sink = float(sum(t[0] for t in tails))
-            diff2 = sum(t[1] for t in tails)
-            if not use_l2_norm:
-                raise NotImplementedError("L1 path uses shards.BspGraph")
-            norm = float(np.sqrt(diff2))
-            times.append(time.perf_counter() - t0)
-            if checkpoint is not None and it % checkpoint_every == 0:
-                checkpoint.save(it, {"rank": self.gather()},
-                                metrics={"norm": norm})
-            if norm <= tol * self.n:
-                break
-        return self.gather(), it, times
-
-    def _pagerank_central(self, damping, iter_count, tol, use_l2_norm,
-                          checkpoint, checkpoint_every, tiled=False):
-        import time
-        owned_per = [self._owned_concat(st) for st in self.stripes]
+        if gather_mode not in GATHER_MODES:
+            raise ValueError(f"gather_mode must be one of {GATHER_MODES}, "
+                             f"got {gather_mode!r}")
         full = np.full(self.n, 1.0 / self.n, dtype=self.dtype)
         it0 = 0
         if checkpoint is not None:
@@ -504,29 +269,46 @@ class ShardedPageRank:
                 it0 = st["iteration"]
                 full = st["state"]["rank"].astype(self.dtype)
                 self.seed_ranks(full)
-        sink = float(full[self._sink_mask_full].sum(dtype=np.float64))
+        if gather_mode == "central":
+            owned_per = [self._owned_concat(st) for st in self.stripes]
+            sink = float(full[self._sink_mask_full].sum(dtype=np.float64))
+
+            def superstep(sink):
+                ref = ray.put(full)
+                outs = ray.get([s.step_full.remote(ref, sink, damping)
+                                for s in self.shards])
+                for owned, o in zip(owned_per, outs):
+                    full[owned] = o[0]
+                return outs
+
+            def scores():
+                return full.astype(np.float64)
+        else:
+            pub = ray.get([s.publish.remote() for s in self.shards])
+            slice_refs = self._compose(p[0] for p in pub)
+            sink = float(sum(p[1] for p in pub))
+
+            def superstep(sink):
+                nonlocal slice_refs
+                outs = ray.get([s.step_tiled.remote(slice_refs, sink, damping)
+                                for s in self.shards])
+                slice_refs = self._compose(o[0] for o in outs)
+                return outs
+
+            scores = self.gather
         times, it = [], it0
         for it in range(it0 + 1, iter_count + 1):
             t0 = time.perf_counter()
-            ref = ray.put(full)
-            step = (lambda s: s.step_full_tiled) if tiled \
-                else (lambda s: s.step_full)
-            outs = ray.get([step(s).remote(ref, sink, damping)
-                            for s in self.shards])
-            for owned, (vals, _s, _d) in zip(owned_per, outs):
-                full[owned] = vals
+            outs = superstep(sink)
             sink = float(sum(o[1] for o in outs))
-            diff2 = sum(o[2] for o in outs)
-            if not use_l2_norm:
-                raise NotImplementedError("L1 path uses shards.BspGraph")
-            norm = float(np.sqrt(diff2))
+            norm = float(np.sqrt(sum(o[2] for o in outs)))
             times.append(time.perf_counter() - t0)
             if checkpoint is not None and it % checkpoint_every == 0:
-                checkpoint.save(it, {"rank": full.astype(np.float64)},
+                checkpoint.save(it, {"rank": scores()},
                                 metrics={"norm": norm})
             if norm <= tol * self.n:
                 break
-        return full.astype(np.float64), it, times
+        return scores(), it, times
 
     def _compose(self, per_actor_ref_lists) -> list:
         """Per-actor slice-ref lists (in stripe order) → refs indexed by
@@ -544,12 +326,8 @@ class ShardedPageRank:
         return out
 
     def seed_ranks(self, full: np.ndarray):
-        refs = []
-        for stripe, s in zip(self.stripes, self.shards):
-            owned = np.concatenate([_owned_vids(self.n, self.P, int(p))
-                                    for p in stripe])
-            refs.append(s.set_rank.remote(full[owned]))
-        ray.get(refs)
+        ray.get([s.set_rank.remote(full[self._owned_concat(stripe)])
+                 for stripe, s in zip(self.stripes, self.shards)])
 
     def shutdown(self):
         """Release the worker actors (and their CPUs) immediately."""

@@ -1,103 +1,66 @@
-"""Actor-sharded supersteps for WCC / LPA / k-core / HITS.
+"""Actor-sharded supersteps for WCC and LPA (owned-slice sparse deltas).
 
-Round-1 gap: only PageRank had the at-scale actor path; WCC/LPA/k-core/HITS
-``ray.put`` a full O(V) state array from the driver every superstep
-(state/shards.py). Here vertex state lives IN partition actors, exactly like
-``actor_engine.PRShard``:
+The task path (state/shards.py) ``ray.put``s a full O(V) state array from
+the driver every superstep. Here vertex state lives IN partition actors,
+as in ``actor_engine.PRShard``:
 
 - each worker actor owns a stripe of the P hash partitions
-  (``_part_of(v) % P``) and holds the label/alive/score slice for its vids;
-- topology is the same src-OWNED undirected blocks ``BspGraph.und_refs``
-  (HITS additionally uses both directed orientations), pinned once;
-- a superstep is one actor-call round: every actor zero-copy-reads the P
-  state slices from plasma, gathers neighbour values through a precomputed
-  (partition-grouped, int32) index, segment-reduces per owned vertex, and
-  publishes its new slice. The driver handles O(P) refs + scalar
-  convergence counters per superstep — never O(V) data.
+  (``_part_of(v) % P``) and holds the label slice for its vids;
+- topology is the src-OWNED undirected blocks ``BspGraph.und_refs``,
+  pinned once;
+- a superstep is one actor-call round whose outputs are driver-owned task
+  returns carrying only the CHANGED (vid, label) pairs; each actor keeps a
+  cache of its rows' neighbour labels and applies the deltas. The driver
+  handles O(W) refs + scalar change counters per superstep — never O(V)
+  data.
 
 Semantics are bit-identical to the task path (contract-tested in
 tests/test_sharded_algos.py):
 
-- wcc   — hash-min: new[u] = min(label[u], min label(nbrs)) until no change
-          (connected_components.rs contract: label = min vid in component).
-          No driver pointer-doubling: min labels propagate hop-by-hop, so
-          rounds = eccentricity of the min vertex instead of log(diameter);
-          final labels identical.
-- lpa   — synchronous votes incl. self-vote, ties by (count, largest label)
-          (label_propagation.rs:84-95).
-- k-core— iterate alive &= (#alive nbrs >= k) to fixpoint.
-- hits  — recv sums + sum-normalization + max-diff<=tol stop (hits.rs:53-158);
-          scores match the task path to float tolerance (summation grouping).
+- wcc — hash-min: new[u] = min(label[u], min label(nbrs)) until no change
+        (connected_components.rs contract: label = min vid in component).
+        No driver pointer-doubling: min labels propagate hop-by-hop, so
+        rounds = eccentricity of the min vertex instead of log(diameter);
+        final labels identical.
+- lpa — synchronous votes incl. self-vote, ties by (count, largest label)
+        (label_propagation.rs:84-95).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 import ray
 
-from raphtory_ray.state.actor_engine import (_index_in, _owned_vids,
-                                             _part_of, _pos_in_partition)
+from raphtory_ray.state.actor_engine import _index_in, _owned_vids
 
 
-class _GatherCombine:
-    """Static gather/combine structure over an actor's edge rows.
+class _OwnedRows:
+    """Static row structure over an actor's edge rows.
 
     Rows are (own, gth) pairs where every ``own`` endpoint is owned by this
-    actor. Per superstep: values of the ``gth`` endpoints are gathered from
-    the P published state slices (rows pre-grouped by gth's owner partition,
-    contiguous per-partition fancy-gathers), permuted back to own-sorted
-    order, and segment-reduced per owned vertex. Mirrors PRShard's layout
-    (actor_engine.py:83-103) with the roles parameterized."""
+    actor, sorted by ``own`` so each owned vertex's rows form one segment
+    (``uo``/``start``). Per-segment reductions (min, vote counts) do not
+    depend on the row order inside a segment."""
 
-    def __init__(self, own: np.ndarray, gth: np.ndarray, P: int,
-                 pos: np.ndarray, owned: np.ndarray):
-        self.P = P
-        g_part = _part_of(gth, P)
-        gorder = np.argsort(g_part, kind="stable")
-        self.gather_bounds = np.searchsorted(g_part[gorder], np.arange(P + 1))
-        o_g, g_g = own[gorder], gth[gorder]
-        gp = pos[g_g]
-        self.gth_idx_g = gp.astype(np.int32) \
-            if (len(gp) == 0 or gp.max(initial=0) < 2**31) else gp
-        oorder = np.argsort(o_g, kind="stable")
-        self.perm = oorder.astype(np.int32) if len(o_g) < 2**31 else oorder
-        o_sorted = o_g[oorder]
+    def __init__(self, own: np.ndarray, gth: np.ndarray, owned: np.ndarray):
+        oorder = np.argsort(own, kind="stable")
         # gathered-endpoint VIDs in own-sorted row order — seeds the
         # delta-path row cache locally (initial label ≡ vid), so the
         # owned-delta algorithms start with ZERO transport
-        self.gth_sorted = g_g[oorder]
-        self.uo, self.start = np.unique(o_sorted, return_index=True)
+        self.gth_sorted = gth[oorder]
+        self.uo, self.start = np.unique(own[oorder], return_index=True)
         self.own_local = _index_in(owned, self.uo) if len(self.uo) \
             else np.empty(0, np.int64)
         # per-row local index of the owning vertex (LPA vote keys)
         self._row_own_local = None
-        self._o_sorted = o_sorted
-        self._bufs: dict = {}
         self._dx = None
 
     @property
     def row_own_local(self) -> np.ndarray:
         if self._row_own_local is None:
-            seg_len = np.diff(np.r_[self.start, len(self._o_sorted)])
+            seg_len = np.diff(np.r_[self.start, len(self.gth_sorted)])
             self._row_own_local = np.repeat(self.own_local, seg_len)
         return self._row_own_local
-
-    def gather(self, slices: list, dtype) -> np.ndarray:
-        """Neighbour values for every row, own-sorted order. Buffers reused
-        across supersteps (one pair per dtype)."""
-        nrows = len(self.gth_idx_g)
-        key = np.dtype(dtype).str
-        if key not in self._bufs:
-            self._bufs[key] = (np.empty(nrows, dtype),
-                               np.empty(nrows, dtype))
-        w, w2 = self._bufs[key]
-        for q in range(self.P):
-            lo, hi = self.gather_bounds[q], self.gather_bounds[q + 1]
-            if hi > lo:
-                w[lo:hi] = slices[q][self.gth_idx_g[lo:hi]]
-        np.take(w, self.perm, out=w2)
-        return w2
 
     # ------------------------------------------------- sparse delta path
     def build_delta_index(self):
@@ -144,16 +107,13 @@ class _GatherCombine:
 
 @ray.remote
 class AlgoShard:
-    """Worker actor for undirected src-owned superstep algorithms
-    (WCC / LPA / k-core). Holds owned-vertex state + the gather structure."""
+    """Worker actor for the undirected src-owned owned-delta algorithms
+    (WCC / LPA). Holds owned-vertex state + the row structure."""
 
-    def __init__(self, part_ids: list, P: int, n: int, block_refs: list,
-                 pos_ref):
+    def __init__(self, part_ids: list, P: int, n: int, block_refs: list):
         blocks = ray.get(list(block_refs))
-        pos = ray.get(pos_ref) if isinstance(pos_ref, ray.ObjectRef) else pos_ref
-        self.part_ids, self.P, self.n = list(part_ids), P, n
-        owned_per = [_owned_vids(n, P, p) for p in self.part_ids]
-        self.slice_bounds = np.r_[0, np.cumsum([len(o) for o in owned_per])]
+        self.n = n
+        owned_per = [_owned_vids(n, P, p) for p in part_ids]
         self.owned = np.concatenate(owned_per) if owned_per \
             else np.empty(0, np.int64)
         us, vs = [], []
@@ -163,89 +123,18 @@ class AlgoShard:
                 vs.append(b["dst"].to_numpy(zero_copy_only=False))
         u = np.concatenate(us) if us else np.empty(0, np.int64)
         v = np.concatenate(vs) if vs else np.empty(0, np.int64)
-        self.gc = _GatherCombine(u, v, P, pos, self.owned)
+        self.gc = _OwnedRows(u, v, self.owned)
         self.state: np.ndarray = np.empty(0)
-
-    # ------------------------------------------------------------ state mgmt
-    def init_labels(self):
-        """label[v] = v (WCC / LPA initial labelling)."""
-        self.state = self.owned.copy()
-        return self._publish()
-
-    def init_alive(self, k: int):
-        """k-core seed: alive = degree >= k. Degree = per-owned row count
-        (und blocks hold every neighbour row of owned u, dedup'd)."""
-        deg = np.zeros(len(self.owned), dtype=np.int64)
-        seg_len = np.diff(np.r_[self.gc.start, len(self.gc.gth_idx_g)])
-        deg[self.gc.own_local] = seg_len
-        self.state = deg >= k
-        return self._publish()
-
-    def set_state(self, values: np.ndarray):
-        self.state = np.asarray(values)
 
     def get_state(self):
         return self.owned, self.state
 
-    def _publish(self) -> list:
-        return [ray.put(self.state[self.slice_bounds[i]:self.slice_bounds[i + 1]])
-                for i in range(len(self.part_ids))]
-
-    # ------------------------------------------------------------ supersteps
-    def wcc_step(self, slice_refs: list):
-        slices = ray.get(list(slice_refs))
-        new = self.state.copy()
-        if len(self.gc.uo):
-            lv = self.gc.gather(slices, np.int64)
-            m = np.minimum.reduceat(lv, self.gc.start)
-            new[self.gc.own_local] = np.minimum(new[self.gc.own_local], m)
-        changed = int((new != self.state).sum())
-        self.state = new
-        return self._publish(), changed
-
-    def lpa_step(self, slice_refs: list):
-        """Synchronous vote round (label_propagation.rs:84-95): neighbour
-        votes + self vote, argmax by (count, then LARGEST label)."""
-        slices = ray.get(list(slice_refs))
-        n = self.n
-        lv = self.gc.gather(slices, np.int64) if len(self.gc.uo) \
-            else np.empty(0, np.int64)
-        me = np.arange(len(self.owned), dtype=np.int64)
-        keys = np.concatenate([self.gc.row_own_local * np.int64(n) + lv,
-                               me * np.int64(n) + self.state])
-        uk, cnt = np.unique(keys, return_counts=True)
-        nodes = uk // n
-        labels = uk - nodes * n
-        order = np.lexsort((labels, cnt, nodes))
-        nodes, labels = nodes[order], labels[order]
-        last = np.r_[nodes[1:] != nodes[:-1], True]
-        new = self.state.copy()
-        new[nodes[last]] = labels[last]
-        changed = int((new != self.state).sum())
-        self.state = new
-        return self._publish(), changed
-
-    def kcore_step(self, slice_refs: list, k: int):
-        slices = ray.get(list(slice_refs))
-        cnt = np.zeros(len(self.owned), dtype=np.int64)
-        if len(self.gc.uo):
-            av = self.gc.gather(slices, np.int64)
-            cnt[self.gc.own_local] = np.add.reduceat(av, self.gc.start)
-        new = self.state & (cnt >= k)
-        changed = int((new != self.state).sum())
-        self.state = new
-        return self._publish(), changed
-
     # -------------------------------------- owned-slice sparse-delta path
-    # (round 5) The per-superstep transport above is W actors × P
-    # actor-owned slice ray.puts + every actor ray.get-ing all P slices —
-    # the O(W·P) borrowed-ref owner-RPC storm PRShard.step_owned fixed for
-    # PageRank. Here BOTH fixes land together: superstep outputs are TASK
-    # RETURNS (driver-owned objects, resolved against the idle driver) and
-    # they carry only the CHANGED (pos, val) pairs per partition; each
-    # actor keeps its gathered-label row cache and applies the sparse
-    # deltas. After LPA/WCC's change set collapses (a few rounds in), a
-    # superstep moves near-zero bytes.
+    # Superstep outputs are TASK RETURNS (driver-owned objects, resolved
+    # against the idle driver rather than a busy peer actor) and carry only
+    # the CHANGED (vid, val) pairs; each actor keeps its gathered-label row
+    # cache and applies the sparse deltas. After LPA/WCC's change set
+    # collapses (a few rounds in), a superstep moves near-zero bytes.
 
     # above this vertex count the per-actor dense label cache (8 bytes per
     # vertex; used only to cheapen DENSE delta rounds) is skipped and the
@@ -283,7 +172,7 @@ class AlgoShard:
         self._seg_of_node[self.gc.own_local] = \
             np.arange(len(self.gc.own_local))
         self._seg_ends = np.r_[self.gc.start,
-                               len(self.gc.gth_idx_g)][1:] \
+                               len(self.gc.gth_sorted)][1:] \
             if len(self.gc.uo) else np.empty(0, np.int64)
 
     def _apply_deltas(self, deltas):
@@ -318,9 +207,10 @@ class AlgoShard:
     def lpa_delta_step(self, *deltas):
         """One LPA vote round over the cached rows — recounted ONLY for
         affected nodes (a node's vote can change only if a neighbour's
-        label or its own label changed last round). deltas = P (pos, val)
-        pairs (top-level args — raylet-resolved, no in-task ray.get).
-        Returns (*per-owned-partition deltas, changed) via num_returns."""
+        label or its own label changed last round). deltas = one
+        (changed_vids, new_vals) pair per actor (top-level args —
+        raylet-resolved, no in-task ray.get). Returns (this actor's delta,
+        changed) via num_returns."""
         touched = self._apply_deltas(deltas)
         n = self.n
         if self._first_round or touched is None:
@@ -380,118 +270,30 @@ class AlgoShard:
         return out, changed
 
 
-@ray.remote
-class HitsShard:
-    """Worker actor for sharded HITS. Two gather structures: auth-side
-    (dst-owned rows, gather hub[src]) and hub-side (src-owned rows, gather
-    auth[dst]); state = (hub, auth) slices for owned vids."""
-
-    def __init__(self, part_ids: list, P: int, n: int,
-                 dst_block_refs: list, src_block_refs: list, pos_ref):
-        dst_blocks = ray.get(list(dst_block_refs))
-        src_blocks = ray.get(list(src_block_refs))
-        pos = ray.get(pos_ref) if isinstance(pos_ref, ray.ObjectRef) else pos_ref
-        self.part_ids, self.P, self.n = list(part_ids), P, n
-        owned_per = [_owned_vids(n, P, p) for p in self.part_ids]
-        self.slice_bounds = np.r_[0, np.cumsum([len(o) for o in owned_per])]
-        self.owned = np.concatenate(owned_per) if owned_per \
-            else np.empty(0, np.int64)
-
-        def _cat(blocks, col):
-            arrs = [b[col].to_numpy(zero_copy_only=False) for b in blocks
-                    if b.num_rows and col in b.column_names]
-            return np.concatenate(arrs) if arrs else np.empty(0, np.int64)
-
-        # auth side: rows dst-owned, combine per dst, gather over src
-        self.gc_auth = _GatherCombine(_cat(dst_blocks, "dst"),
-                                      _cat(dst_blocks, "src"), P, pos, self.owned)
-        # hub side: rows src-owned, combine per src, gather over dst
-        self.gc_hub = _GatherCombine(_cat(src_blocks, "src"),
-                                     _cat(src_blocks, "dst"), P, pos, self.owned)
-        self.hub = np.ones(len(self.owned))
-        self.auth = np.ones(len(self.owned))
-        self.recv_hub = np.zeros(len(self.owned))
-        self.recv_auth = np.zeros(len(self.owned))
-
-    def publish(self):
-        """([hub_slice_refs], [auth_slice_refs]) in part_ids order."""
-        sb = self.slice_bounds
-        return ([ray.put(self.hub[sb[i]:sb[i + 1]])
-                 for i in range(len(self.part_ids))],
-                [ray.put(self.auth[sb[i]:sb[i + 1]])
-                 for i in range(len(self.part_ids))])
-
-    def recv_step(self, hub_refs: list, auth_refs: list):
-        """Phase 1: raw receive sums. recv_hub[d] = Σ hub[s] over in-edges;
-        recv_auth[s] = Σ auth[d] over out-edges. Returns the two partial
-        totals for the global sum-normalization."""
-        hubs = ray.get(list(hub_refs))
-        auths = ray.get(list(auth_refs))
-        self.recv_hub[:] = 0.0
-        self.recv_auth[:] = 0.0
-        if len(self.gc_auth.uo):
-            w = self.gc_auth.gather(hubs, np.float64)
-            self.recv_hub[self.gc_auth.own_local] = \
-                np.add.reduceat(w, self.gc_auth.start)
-        if len(self.gc_hub.uo):
-            w = self.gc_hub.gather(auths, np.float64)
-            self.recv_auth[self.gc_hub.own_local] = \
-                np.add.reduceat(w, self.gc_hub.start)
-        return (float(self.recv_hub.sum(dtype=np.float64)),
-                float(self.recv_auth.sum(dtype=np.float64)))
-
-    def normalize_step(self, th: float, ta: float):
-        """Phase 2: sum-normalize with the global totals (hits.rs:119-131),
-        publish new slices, return local max-diffs for the stop rule."""
-        new_auth = self.recv_hub / th if th > 0 else self.recv_hub.copy()
-        new_hub = self.recv_auth / ta if ta > 0 else self.recv_auth.copy()
-        md_h = float(np.abs(new_hub - self.hub).max(initial=0.0))
-        md_a = float(np.abs(new_auth - self.auth).max(initial=0.0))
-        self.hub, self.auth = new_hub, new_auth
-        return self.publish(), md_h, md_a
-
-    def get_state(self):
-        return self.owned, self.hub, self.auth
-
-
 class ShardedAlgos:
-    """Driver handle: WCC / LPA / k-core over src-owned undirected blocks,
-    HITS over the two directed orientations. Driver work per superstep is
-    O(P) refs + scalars."""
+    """Driver handle: owned-delta WCC / LPA over src-owned undirected
+    blocks. Driver work per superstep is O(W) refs + scalars."""
 
     def __init__(self, g, num_workers: int | None = None):
         """g: shards.BspGraph (its und_refs/refs are hash-partitioned with
-        the same _GOLD multiplier this module's _part_of uses)."""
+        the same _GOLD multiplier actor_engine._part_of uses)."""
         self.g = g
         self.n = g.n
         cpus = int(ray.cluster_resources().get("CPU", 8))
         self._W = num_workers or max(1, min(cpus - 1, len(g.und_refs)))
-        self._und_pool = None
-        self._hits_pool = None
+        self._shards = None
 
-    # ------------------------------------------------------------ pools
-    def _stripes(self, P: int) -> list:
-        stripes = np.array_split(np.arange(P), min(self._W, P))
-        return [s for s in stripes if len(s)]
-
-    def _undirected_pool(self):
-        if self._und_pool is None:
+    def _pool(self) -> list:
+        """The AlgoShard actors, built on first use; each owns a stripe of
+        the P partitions."""
+        if self._shards is None:
             refs = self.g.und_refs
             P = len(refs)
-            pos_ref = ray.put(_pos_in_partition(self.n, P))
-            stripes = self._stripes(P)
-            shards = [AlgoShard.options(num_cpus=1).remote(
-                st.tolist(), P, self.n, [refs[p] for p in st], pos_ref)
-                for st in stripes]
-            self._und_pool = (stripes, shards, P)
-        return self._und_pool
-
-    def _compose(self, stripes, per_actor_ref_lists, P) -> list:
-        out = [None] * P
-        for stripe, refs in zip(stripes, per_actor_ref_lists):
-            for pid, r in zip(stripe, refs):
-                out[pid] = r
-        return out
+            stripes = np.array_split(np.arange(P), min(self._W, P))
+            self._shards = [AlgoShard.options(num_cpus=1).remote(
+                st.tolist(), P, self.n, [refs[p] for p in st])
+                for st in stripes if len(st)]
+        return self._shards
 
     def _gather_state(self, shards) -> np.ndarray:
         outs = ray.get([s.get_state.remote() for s in shards])
@@ -500,32 +302,6 @@ class ShardedAlgos:
         for owned, vals in outs:
             full[owned] = vals
         return full
-
-    # ------------------------------------------------------------ algorithms
-    def wcc(self, max_iter: int = 10**9) -> np.ndarray:
-        stripes, shards, P = self._undirected_pool()
-        slice_refs = self._compose(
-            stripes, ray.get([s.init_labels.remote() for s in shards]), P)
-        it = 0
-        while it < max_iter:
-            it += 1
-            outs = ray.get([s.wcc_step.remote(slice_refs) for s in shards])
-            slice_refs = self._compose(stripes, (o[0] for o in outs), P)
-            if sum(o[1] for o in outs) == 0:
-                break
-        return self._gather_state(shards)
-
-    def lpa(self, iter_count: int = 20, until_converged: bool = True):
-        stripes, shards, P = self._undirected_pool()
-        slice_refs = self._compose(
-            stripes, ray.get([s.init_labels.remote() for s in shards]), P)
-        it = 0
-        for it in range(1, iter_count + 1):
-            outs = ray.get([s.lpa_step.remote(slice_refs) for s in shards])
-            slice_refs = self._compose(stripes, (o[0] for o in outs), P)
-            if until_converged and sum(o[1] for o in outs) == 0:
-                break
-        return self._gather_state(shards), it
 
     def _owned_delta_loop(self, step_of, iter_count: int,
                           until_converged: bool, checkpoint=None,
@@ -539,7 +315,7 @@ class ShardedAlgos:
         resumes mid-convergence from the latest complete manifest (the
         same lineage contract as ShardedPageRank)."""
         from collections import deque
-        stripes, shards, P = self._undirected_pool()
+        shards = self._pool()
         W = len(shards)
         it0 = 0
         full0 = None
@@ -591,7 +367,7 @@ class ShardedAlgos:
     def lpa_owned(self, iter_count: int = 20, until_converged: bool = True,
                   checkpoint=None, checkpoint_every: int = 5):
         """LPA through the owned-slice sparse-delta path (round 5); vote
-        semantics identical to lpa/lpa_step (parity-tested); optional
+        semantics identical to the task path (parity-tested); optional
         per-iteration lineage checkpoints (resume mid-convergence)."""
         return self._owned_delta_loop(lambda s: s.lpa_delta_step,
                                       iter_count, until_converged,
@@ -607,66 +383,10 @@ class ShardedAlgos:
                                       checkpoint_every,
                                       state_key="component")[0]
 
-    def kcore_set(self, k: int, max_iter: int = 10**9) -> np.ndarray:
-        stripes, shards, P = self._undirected_pool()
-        slice_refs = self._compose(
-            stripes, ray.get([s.init_alive.remote(k) for s in shards]), P)
-        it = 0
-        while it < max_iter:
-            it += 1
-            outs = ray.get([s.kcore_step.remote(slice_refs, k) for s in shards])
-            slice_refs = self._compose(stripes, (o[0] for o in outs), P)
-            if sum(o[1] for o in outs) == 0:
-                break
-        return self._gather_state(shards)
-
-    def _hits_shards(self):
-        if self._hits_pool is None:
-            from raphtory_ray.state.shards import _shuffle_pairs
-            dst_refs = self.g.refs                      # dst-partitioned
-            P = len(dst_refs)
-            src_refs = _shuffle_pairs(dst_refs, P, key="src")
-            pos_ref = ray.put(_pos_in_partition(self.n, P))
-            stripes = self._stripes(P)
-            shards = [HitsShard.options(num_cpus=1).remote(
-                st.tolist(), P, self.n,
-                [dst_refs[p] for p in st], [src_refs[p] for p in st], pos_ref)
-                for st in stripes]
-            self._hits_pool = (stripes, shards, P)
-        return self._hits_pool
-
-    def hits(self, iter_count: int = 20, tol: float = 0.01):
-        stripes, shards, P = self._hits_shards()
-        pubs = ray.get([s.publish.remote() for s in shards])
-        hub_refs = self._compose(stripes, (p[0] for p in pubs), P)
-        auth_refs = self._compose(stripes, (p[1] for p in pubs), P)
-        it = 0
-        for it in range(1, iter_count + 1):
-            partials = ray.get([s.recv_step.remote(hub_refs, auth_refs)
-                                for s in shards])
-            th = sum(p[0] for p in partials)
-            ta = sum(p[1] for p in partials)
-            outs = ray.get([s.normalize_step.remote(th, ta) for s in shards])
-            hub_refs = self._compose(stripes, (o[0][0] for o in outs), P)
-            auth_refs = self._compose(stripes, (o[0][1] for o in outs), P)
-            md_h = max(o[1] for o in outs)
-            md_a = max(o[2] for o in outs)
-            if md_h <= tol and md_a <= tol:
-                break
-        outs = ray.get([s.get_state.remote() for s in shards])
-        hub = np.empty(self.n)
-        auth = np.empty(self.n)
-        for owned, h, a in outs:
-            hub[owned] = h
-            auth[owned] = a
-        return hub, auth, it
-
     def shutdown(self):
-        for pool in (self._und_pool, self._hits_pool):
-            if pool is not None:
-                for s in pool[1]:
-                    ray.kill(s)
-        self._und_pool = self._hits_pool = None
+        for s in self._shards or ():
+            ray.kill(s)
+        self._shards = None
 
     def __enter__(self):
         return self

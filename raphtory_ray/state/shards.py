@@ -95,7 +95,7 @@ def _pr_superstep(csr, rank: np.ndarray, inv_outdeg: np.ndarray):
 
 
 @ray.remote
-def _lpa_step_owned(block: pa.Table, prev: np.ndarray, n: int):
+def _lpa_vote_owned(block: pa.Table, prev: np.ndarray, n: int):
     """LPA superstep over a src-OWNED undirected block (every neighbour row
     of each u in this block lives here): count votes {prev[v] for v in
     nbrs(u)} + self vote, resolve argmax by (count, then LARGEST label —
@@ -120,7 +120,7 @@ def _lpa_step_owned(block: pa.Table, prev: np.ndarray, n: int):
 
 
 @ray.remote
-def _wcc_step_owned(block: pa.Table, label: np.ndarray):
+def _wcc_min_owned(block: pa.Table, label: np.ndarray):
     """Hash-min superstep over a src-OWNED undirected block: new label of u =
     min(label[u], min label of neighbours). Returns only changed (u, label)
     — disjoint across blocks by ownership."""
@@ -708,7 +708,7 @@ class BspGraph:
         label = np.arange(self.n, dtype=np.int64)
         while True:
             ref = ray.put(label)
-            parts = ray.get([_wcc_step_owned.remote(r, ref)
+            parts = ray.get([_wcc_min_owned.remote(r, ref)
                              for r in self.und_step_refs])
             new = label.copy()
             for chg, vals in parts:       # disjoint by ownership
@@ -744,7 +744,7 @@ class BspGraph:
         it = 0
         for it in range(1, iter_count + 1):
             ref = ray.put(prev)
-            parts = ray.get([_lpa_step_owned.remote(r, ref, n)
+            parts = ray.get([_lpa_vote_owned.remote(r, ref, n)
                              for r in self.und_step_refs])
             cur = prev.copy()
             for us, ls in parts:          # disjoint by ownership

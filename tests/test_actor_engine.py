@@ -24,34 +24,45 @@ def _golden_graph():
 
 
 def test_golden_fixture(ray_session):
-    """test_algorithms.py:326-340 golden floats + iteration count."""
-    from raphtory_ray.state.actor_engine import ShardedPageRank
+    """test_algorithms.py:326-340 golden floats + iteration count, in
+    every gather mode."""
+    from raphtory_ray.state.actor_engine import GATHER_MODES, ShardedPageRank
     g, m = _golden_graph()
-    with ShardedPageRank.from_bsp(g) as eng:
-        pr, it, _ = eng.pagerank()
     golden = np.array([GOLDEN_PR[k] for k in sorted(m, key=m.get)])
-    assert it == 10
-    assert np.allclose(pr, golden, atol=1e-6)
+    for mode in GATHER_MODES:
+        with ShardedPageRank.from_bsp(g) as eng:
+            pr, it, _ = eng.pagerank(gather_mode=mode)
+        assert it == 10, mode
+        assert np.allclose(pr, golden, atol=1e-6), mode
 
 
 def test_matches_task_engine(ray_session):
-    from raphtory_ray.state.actor_engine import ShardedPageRank
+    from raphtory_ray.state.actor_engine import GATHER_MODES, ShardedPageRank
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(5)
     src = rng.integers(0, 1500, 9000)
     dst = rng.integers(0, 1500, 9000)
     g = BspGraph.from_arrays(src, dst, 1500, num_blocks=6)
     pr_task, it_task, _ = g.pagerank()
+    for mode in GATHER_MODES:
+        with ShardedPageRank.from_bsp(g) as eng:
+            pr_act, it_act, _ = eng.pagerank(gather_mode=mode)
+        assert it_task == it_act, mode
+        assert np.allclose(pr_task, pr_act, atol=1e-12), mode
+
+
+def test_unknown_gather_mode_raises(ray_session):
+    """A mode outside GATHER_MODES is refused before any superstep runs."""
+    from raphtory_ray.state.actor_engine import ShardedPageRank
+    g, _ = _golden_graph()
     with ShardedPageRank.from_bsp(g) as eng:
-        pr_act, it_act, _ = eng.pagerank()
-    assert it_task == it_act
-    assert np.allclose(pr_task, pr_act, atol=1e-12)
+        with pytest.raises(ValueError, match="gather_mode"):
+            eng.pagerank(gather_mode="bogus")
 
 
 def test_central_gather_matches_p2p(ray_session):
     """gather_mode='central' (driver-assembled all-gather) is numerically
-    identical to the p2p slice path and resumes from checkpoints."""
-    from raphtory_ray.pipelines.checkpoint import CheckpointManager
+    identical to the p2p-tiled slice path."""
     from raphtory_ray.state.actor_engine import ShardedPageRank
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(13)
@@ -59,7 +70,8 @@ def test_central_gather_matches_p2p(ray_session):
     dst = rng.integers(0, 900, 6000)
     g = BspGraph.from_arrays(src, dst, 900, num_blocks=5)
     with ShardedPageRank.from_bsp(g) as eng:
-        pr_p2p, it_a, _ = eng.pagerank(iter_count=8, tol=0.0)
+        pr_p2p, it_a, _ = eng.pagerank(iter_count=8, tol=0.0,
+                                       gather_mode="p2p-tiled")
     with ShardedPageRank.from_bsp(g) as eng:
         pr_c, it_b, _ = eng.pagerank(iter_count=8, tol=0.0,
                                      gather_mode="central")
@@ -107,32 +119,37 @@ def test_fp32_transport_within_contract(ray_session):
 
 
 def test_checkpoint_resume(ray_session, tmp_path):
-    """Kill-and-resume: run 3 supersteps with checkpointing, build a FRESH
-    engine (simulated restart), resume from the manifest, final scores match
-    an uninterrupted run bit-for-bit and no superstep is recomputed."""
+    """Kill-and-resume in every gather mode: run 3 supersteps with
+    checkpointing, build a FRESH engine (simulated restart), resume from the
+    manifest, final scores match an uninterrupted run bit-for-bit and no
+    superstep is recomputed."""
     from raphtory_ray.pipelines.checkpoint import CheckpointManager
-    from raphtory_ray.state.actor_engine import ShardedPageRank
+    from raphtory_ray.state.actor_engine import GATHER_MODES, ShardedPageRank
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(9)
     src = rng.integers(0, 800, 5000)
     dst = rng.integers(0, 800, 5000)
     g = BspGraph.from_arrays(src, dst, 800, num_blocks=4)
 
-    with ShardedPageRank.from_bsp(g) as ref_eng:
-        full, it_full, _ = ref_eng.pagerank(iter_count=8, tol=0.0)
-    ck = CheckpointManager(str(tmp_path / "ck"), num_partitions=4)
-    with ShardedPageRank.from_bsp(g) as eng1:
-        eng1.pagerank(iter_count=3, tol=0.0, checkpoint=ck)  # "killed" at 3
-    assert ck.iterations()[-1] == 3
-    meta = ck.load_latest()
-    assert meta["metrics"]["norm"] > 0        # lineage metrics recorded
+    for mode in GATHER_MODES:
+        with ShardedPageRank.from_bsp(g) as ref_eng:
+            full, it_full, _ = ref_eng.pagerank(iter_count=8, tol=0.0,
+                                                gather_mode=mode)
+        ck = CheckpointManager(str(tmp_path / mode), num_partitions=4)
+        with ShardedPageRank.from_bsp(g) as eng1:   # "killed" at 3
+            eng1.pagerank(iter_count=3, tol=0.0, checkpoint=ck,
+                          gather_mode=mode)
+        assert ck.iterations()[-1] == 3
+        meta = ck.load_latest()
+        assert meta["metrics"]["norm"] > 0        # lineage metrics recorded
 
-    with ShardedPageRank.from_bsp(g) as eng2:     # fresh actors = restart
-        resumed, it_res, steps = eng2.pagerank(iter_count=8, tol=0.0,
-                                               checkpoint=ck)
-    assert it_res == 8
-    assert len(steps) == 5                    # only 4..8 recomputed
-    assert np.array_equal(full, resumed)
+        with ShardedPageRank.from_bsp(g) as eng2:     # fresh actors = restart
+            resumed, it_res, steps = eng2.pagerank(iter_count=8, tol=0.0,
+                                                   checkpoint=ck,
+                                                   gather_mode=mode)
+        assert it_res == 8, mode
+        assert len(steps) == 5, mode              # only 4..8 recomputed
+        assert np.array_equal(full, resumed), mode
 
 
 def test_graphgen_deterministic(ray_session):
@@ -176,32 +193,6 @@ def test_task_path_pagerank_checkpoint_resume(ray_session, tmp_path):
     g.pagerank(iter_count=3, tol=0.0, checkpoint=ck)
     got = g.pagerank(iter_count=6, tol=0.0, checkpoint=ck)[0]
     assert np.allclose(got, want, atol=1e-12)
-
-
-def test_central_tiled_matches_central(ray_session):
-    """gather_mode='central-tiled' (propagation-blocked layout) computes
-    the same recurrence as 'central'; only float summation order differs.
-    Tiny shift forces many windows so window/run bookkeeping is exercised
-    even on a small graph."""
-    from raphtory_ray.state.actor_engine import ShardedPageRank
-    from raphtory_ray.state.shards import BspGraph
-    rng = np.random.default_rng(17)
-    src = rng.integers(0, 900, 6000)
-    dst = rng.integers(0, 900, 6000)
-    g = BspGraph.from_arrays(src, dst, 900, num_blocks=5)
-    with ShardedPageRank.from_bsp(g) as eng:
-        pr_c, it_a, _ = eng.pagerank(iter_count=8, tol=0.0,
-                                     gather_mode="central")
-    with ShardedPageRank.from_bsp(g, tile_shift=6) as eng:  # 64-vid windows
-        pr_t, it_b, _ = eng.pagerank(iter_count=8, tol=0.0,
-                                     gather_mode="central-tiled")
-    assert it_a == it_b
-    np.testing.assert_allclose(pr_c, pr_t, rtol=1e-12, atol=1e-15)
-    # default shift too (single window on a small graph)
-    with ShardedPageRank.from_bsp(g) as eng:
-        pr_t2, _, _ = eng.pagerank(iter_count=8, tol=0.0,
-                                   gather_mode="central-tiled")
-    np.testing.assert_allclose(pr_c, pr_t2, rtol=1e-12, atol=1e-15)
 
 
 def test_p2p_tiled_matches_central(ray_session):

@@ -1,4 +1,4 @@
-"""ShardedAlgos (actor-partitioned WCC/LPA/k-core/HITS) — equivalence with
+"""ShardedAlgos (actor-partitioned owned-delta WCC/LPA) — equivalence with
 the task path in state/shards.py on random graphs, plus structural checks."""
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ def test_wcc_matches_task_engine(rnd_graph):
     from raphtory_ray.state.sharded_algos import ShardedAlgos
     want = rnd_graph.wcc()
     with ShardedAlgos(rnd_graph, num_workers=3) as eng:
-        got = eng.wcc()
+        got = eng.wcc_owned()
     assert np.array_equal(got, want)
 
 
@@ -29,28 +29,9 @@ def test_lpa_matches_task_engine(rnd_graph):
     from raphtory_ray.state.sharded_algos import ShardedAlgos
     want, it_w = rnd_graph.lpa(iter_count=7, until_converged=False)
     with ShardedAlgos(rnd_graph, num_workers=3) as eng:
-        got, it_g = eng.lpa(iter_count=7, until_converged=False)
+        got, it_g = eng.lpa_owned(iter_count=7, until_converged=False)
     assert it_w == it_g
     assert np.array_equal(got, want)
-
-
-def test_kcore_matches_task_engine(rnd_graph):
-    from raphtory_ray.state.sharded_algos import ShardedAlgos
-    for k in (2, 5, 9):
-        want = rnd_graph.kcore_set(k)
-        with ShardedAlgos(rnd_graph, num_workers=3) as eng:
-            got = eng.kcore_set(k)
-        assert np.array_equal(got, want), f"k={k}"
-
-
-def test_hits_matches_task_engine(rnd_graph):
-    from raphtory_ray.state.sharded_algos import ShardedAlgos
-    hub_w, auth_w, it_w = rnd_graph.hits(iter_count=30, tol=1e-3)
-    with ShardedAlgos(rnd_graph, num_workers=3) as eng:
-        hub_g, auth_g, it_g = eng.hits(iter_count=30, tol=1e-3)
-    assert it_w == it_g
-    assert np.allclose(hub_g, hub_w, atol=1e-10)
-    assert np.allclose(auth_g, auth_w, atol=1e-10)
 
 
 def test_wcc_disconnected_and_isolated(ray_session):
@@ -61,7 +42,7 @@ def test_wcc_disconnected_and_isolated(ray_session):
     dst = np.array([1, 2, 3, 6, 7])
     g = BspGraph.from_arrays(src, dst, 9, num_blocks=3)
     with ShardedAlgos(g, num_workers=2) as eng:
-        labels = eng.wcc()
+        labels = eng.wcc_owned()
     assert labels.tolist() == [0, 0, 0, 0, 4, 5, 5, 5, 8]
 
 
@@ -211,6 +192,24 @@ def test_owned_delta_checkpoint_resume(ray_session, tmp_path):
         w2 = eng.wcc_owned(checkpoint=CheckpointManager(
             str(tmp_path / "wcc")), checkpoint_every=2)
         assert np.array_equal(w2, w1)
+
+
+def test_lpa_owned_converged_iteration_under_checkpoint(rnd_graph, tmp_path):
+    """Draining the pipelined rounds at a checkpoint does not shift the
+    reported convergence iteration: every checkpoint_every gives the same
+    iteration and labels as the run without checkpoints."""
+    from raphtory_ray.pipelines.checkpoint import CheckpointManager
+    from raphtory_ray.state.sharded_algos import ShardedAlgos
+    want_t, it_t = rnd_graph.lpa(engine="task")
+    with ShardedAlgos(rnd_graph, num_workers=3) as eng:
+        want, it_w = eng.lpa_owned()
+        assert it_w == it_t < 20              # converged before the cap
+        assert np.array_equal(want, want_t)
+        for every in (1, 2, 3):
+            ck = CheckpointManager(str(tmp_path / f"every{every}"))
+            got, it_g = eng.lpa_owned(checkpoint=ck, checkpoint_every=every)
+            assert it_g == it_w, every
+            assert np.array_equal(got, want), every
 
 
 def test_bspgraph_checkpoint_kwarg_routes_to_sharded(ray_session, tmp_path):
