@@ -18,8 +18,8 @@ multi-source frontier BFS expressed as (node, member) PAIR supersteps.
   the output; the reference materializes the same sets.)
 - Each round:
     JOIN   tasks expand frontier pairs (u, m) against m's out-edges
-           → candidate pairs (u, w), routed to owner(u) via
-           ``num_returns=P`` splits (a task-level hash shuffle);
+           → candidate pairs (u, w), routed to owner(u) by
+           core/exchange (a task-level hash shuffle);
     UPDATE tasks bit-test candidates against their seen rows, set the new
            bits, and route the survivors to owner(w) → next frontier.
   The driver sees only per-partition new-pair COUNTS (O(P) per round).
@@ -36,14 +36,11 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.state.shards import _GOLD, _sd, _shuffle_pairs
+from raphtory_ray.core.exchange import bucket, columns, returns, split
+from raphtory_ray.state.shards import _sd, _shuffle_pairs
 
 _LOCAL_N = 1 << 13          # below this, the driver bitset path is cheaper
 _CHUNK = 1 << 22            # max expanded pairs per join slice (task memory)
-
-
-def _bucket(x: np.ndarray, P: int) -> np.ndarray:
-    return ((x.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
 
 
 def _pair_table(u: np.ndarray, w: np.ndarray) -> pa.Table:
@@ -56,16 +53,6 @@ def _pairs(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         return z, z
     return (tbl["u"].to_numpy(zero_copy_only=False),
             tbl["w"].to_numpy(zero_copy_only=False))
-
-
-def _split_by(u: np.ndarray, w: np.ndarray, key: np.ndarray, P: int):
-    """Route (u, w) pairs into P tables by hash bucket of ``key``."""
-    bk = _bucket(key, P)
-    order = np.argsort(bk, kind="stable")
-    u, w, bk = u[order], w[order], bk[order]
-    bounds = np.searchsorted(bk, np.arange(P + 1))
-    return [_pair_table(u[bounds[p]:bounds[p + 1]], w[bounds[p]:bounds[p + 1]])
-            for p in range(P)]
 
 
 @ray.remote
@@ -122,8 +109,8 @@ def _cl_update(S, owned: np.ndarray, n: int, P: int, *cand_tables: pa.Table):
         new = (S[rows, w // 64] & mask) == 0
         u, w, rows, mask = u[new], w[new], rows[new], mask[new]
         np.bitwise_or.at(S, (rows, w // 64), mask)
-    splits = _split_by(u, w, w, P)
-    return (S, len(u), *splits)
+    return (S, len(u), *[_pair_table(*c) for c in split(bucket(w, P), P,
+                                                         u, w)])
 
 
 @ray.remote
@@ -156,23 +143,13 @@ def _cl_join(edges: pa.Table, P: int, *frontier_tables: pa.Table):
             idx = np.repeat(ls, cs) + (np.arange(total) - off)
             w = d[idx]
             u = np.repeat(us, cs)
-            bk = _bucket(u, P)
-            o = np.argsort(bk, kind="stable")
-            u, w, bk = u[o], w[o], bk[o]
-            bounds = np.searchsorted(bk, np.arange(P + 1))
-            for p in range(P):
-                if bounds[p + 1] > bounds[p]:
-                    buckets[p].append((u[bounds[p]:bounds[p + 1]],
-                                       w[bounds[p]:bounds[p + 1]]))
+            for p, piece in enumerate(split(bucket(u, P), P, u, w)):
+                buckets[p].append(piece)
             start = stop
-    out = []
-    for p in range(P):
-        if buckets[p]:
-            out.append(_pair_table(np.concatenate([x[0] for x in buckets[p]]),
-                                   np.concatenate([x[1] for x in buckets[p]])))
-        else:
-            out.append(_pair_table(np.empty(0, np.int64), np.empty(0, np.int64)))
-    return tuple(out) if P > 1 else out[0]
+    z = np.empty(0, np.int64)
+    return returns([_pair_table(np.concatenate([x[0] for x in b] or [z]),
+                                np.concatenate([x[1] for x in b] or [z]))
+                    for b in buckets])
 
 
 @ray.remote
@@ -228,8 +205,8 @@ def closure_pairs(g, reverse: bool, sources: np.ndarray | None = None,
                   max_rounds: int = 10_000) -> list:
     """Distributed closure. Returns P object refs of (node, member) Arrow
     tables (row-partitioned by hash(node)). ``sources=None`` = all nodes."""
-    # P >= 2 always: the num_returns routing convention returns bare values
-    # at P=1 (single-block graphs get a padded empty partition instead)
+    # at least 2 partitions: the layout this path was measured with (the
+    # exchange helpers also handle P = 1, which is unmeasured here)
     P = max(2, len(g.refs))
     n = g.n
     oriented = [_cl_orient.remote(r, reverse) for r in g.refs]
@@ -238,7 +215,7 @@ def closure_pairs(g, reverse: bool, sources: np.ndarray | None = None,
 
     src_all = np.arange(n, dtype=np.int64) if sources is None \
         else np.unique(np.asarray(sources, dtype=np.int64))
-    bk = _bucket(src_all, P)
+    bk = bucket(src_all, P)
     owned = [np.sort(src_all[bk == p]) for p in range(P)]
     owned_refs = [ray.put(o) for o in owned]
     src_ref = ray.put(src_all if sources is not None else None)
@@ -254,15 +231,9 @@ def closure_pairs(g, reverse: bool, sources: np.ndarray | None = None,
         if sum(counts) == 0:
             break
         # frontier for join partition q = survivors with owner(w) == q
-        jouts = []
-        for q in range(P):
-            frontier_q = [outs[p][2 + q] for p in range(P)]
-            jouts.append(_cl_join.options(num_returns=max(P, 2)).remote(
-                edges[q], P, *frontier_q))
-        if P == 1:
-            cand = [[jouts[0]]]
-        else:
-            cand = [[jouts[q][p] for q in range(P)] for p in range(P)]
+        cand = columns([_cl_join.options(num_returns=P).remote(
+            edges[q], P, *[outs[p][2 + q] for p in range(P)])
+            for q in range(P)], P)
     return [_cl_emit.remote(S[p], owned_refs[p], n) for p in range(P)]
 
 
@@ -322,7 +293,7 @@ class _SCCShard:
         s, d = s[keep], d[keep]
         self.p, self.P, self.n = p, P, n
         vids = np.arange(n, dtype=np.int64)
-        self.owned = vids[_bucket(vids, P) == np.uint64(p)]
+        self.owned = vids[bucket(vids, P) == p]
         self._set_edges(s.astype(np.int64), d.astype(np.int64))
         self.color = np.empty(0, np.int64)
         self.member = np.empty(0, bool)

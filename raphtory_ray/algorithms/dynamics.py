@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+from raphtory_ray.core.exchange import bucket, returns, shuffle, split
 
 
 # ------------------------------------------------------------------- SEIR
@@ -100,14 +100,13 @@ def temporal_SEIR(gf, recovery_rate: float | None, incubation_rate: float | None
 # --------------------------------------------------- bipartite projection
 
 @ray.remote
-def _bip_split(block: pa.Table, pivot_mask, P: int):
+def _bip_split(block: pa.Table, P: int, pivot_mask):
     """Exploded events routed to their pivot endpoint's owner as
     (pivot, other, t). An event contributes when EITHER endpoint is a
     pivot (node.edges() iterates both directions)."""
     if block.num_rows == 0 or "src" not in block.column_names:
         z = np.empty(0, np.int64)
-        e = (z, z, z)
-        return tuple([e] * P) if P > 1 else e
+        return returns([(z, z, z)] * P)
     mask = ray.get(pivot_mask) if isinstance(pivot_mask, ray.ObjectRef) \
         else pivot_mask
     s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -116,14 +115,7 @@ def _bip_split(block: pa.Table, pivot_mask, P: int):
     piv = np.concatenate([d[mask[d]], s[mask[s]]])
     oth = np.concatenate([s[mask[d]], d[mask[s]]])
     tt = np.concatenate([t[mask[d]], t[mask[s]]])
-    bk = ((piv.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
-    order = np.argsort(bk, kind="stable")
-    bounds = np.searchsorted(bk[order], np.arange(P + 1))
-    out = []
-    for p in range(P):
-        sl = order[bounds[p]:bounds[p + 1]]
-        out.append((piv[sl], oth[sl], tt[sl]))
-    return tuple(out) if P > 1 else out[0]
+    return returns(split(bucket(piv, P), P, piv, oth, tt))
 
 
 @ray.remote
@@ -180,14 +172,8 @@ def temporal_bipartite_projection(gf, delta: int, pivot_vids) -> "object":
     mask_ref = ray.put(mask)
     refs = gf.edges.materialize().to_arrow_refs()
     P = max(4, min(32, len(refs) * 2))
-    splits = [_bip_split.options(num_returns=P if P > 1 else 1)
-              .remote(r, mask_ref, P) for r in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    out = [_bip_pairs.remote(delta, *[piece(sp, q) for sp in splits])
-           for q in range(P)]
+    out = [_bip_pairs.remote(delta, *col)
+           for col in shuffle(_bip_split, refs, P, mask_ref)]
     return GraphFrame(rd.from_arrow_refs(out), gf.n)
 
 

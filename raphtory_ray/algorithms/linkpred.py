@@ -16,8 +16,8 @@ Scale shape:
   bounding per-c work by |in(c) ∩ S|² and the output by |S|² — the
   documented way to keep all-pairs features tractable at 10^9 nodes
   (sample, or feed an explicit candidate list).
-- One hash((a<<32)+b) route wave combines per-block partials (the repo's
-  raw-route convention, data/dedup.py:_route).
+- One hash((a<<32)+b) route wave combines per-block partials
+  (core/exchange.shuffle).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.data.dedup import _hash_bucket, _route
+from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
 
 
 @ray.remote
@@ -79,7 +79,7 @@ def _route_pairs(tbl: pa.Table, P: int):
     a = tbl["a"].to_numpy(zero_copy_only=False)
     b = tbl["b"].to_numpy(zero_copy_only=False)
     key = (a.astype(np.uint64) << np.uint64(32)) + b.astype(np.uint64)
-    return _route(tbl, _hash_bucket(key.astype(np.int64), P), P)
+    return returns(split_table(tbl, bucket(key, P), P))
 
 
 @ray.remote
@@ -127,16 +127,8 @@ def link_prediction_features(g, sample: np.ndarray) -> pa.Table:
     dref = ray.put(outdeg)
     parts = [_wedge_partials.remote(r, sref, dref) for r in g.refs]
     P = max(1, min(16, len(parts)))
-    routed = [_route_pairs.options(
-                  num_returns=P if P > 1 else 1).remote(r, P)
-              for r in parts]
-    if P == 1:
-        cols = [[r] for r in routed]
-    else:
-        cols = [[routed[i][p] for i in range(len(routed))]
-                for p in range(P)]
     t = pa.concat_tables(ray.get([_combine_pairs.remote(*c)
-                                  for c in cols]))
+                                  for c in shuffle(_route_pairs, parts, P)]))
     a = t["a"].to_numpy(zero_copy_only=False)
     b = t["b"].to_numpy(zero_copy_only=False)
     cn = t["cn"].to_numpy(zero_copy_only=False)

@@ -41,7 +41,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+from raphtory_ray.core.exchange import (bucket, pair_key, returns, shuffle,
+                                        split)
 
 
 # --------------------------------------------------------------- reduction
@@ -52,8 +53,7 @@ def _lv_split(block: pa.Table, P: int, weighted: bool):
     as numpy for cheap transport."""
     if block.num_rows == 0 or "src" not in block.column_names:
         z = np.empty(0, np.int64)
-        e = (z, z, z, z, np.empty(0, np.float64))
-        return tuple([e] * P) if P > 1 else e
+        return returns([(z, z, z, z, np.empty(0, np.float64))] * P)
     s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     d = block["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
     t = block["t"].to_numpy(zero_copy_only=False).astype(np.int64) \
@@ -62,15 +62,7 @@ def _lv_split(block: pa.Table, P: int, weighted: bool):
         if "event_id" in block.column_names else np.zeros(len(s), np.int64)
     w = block["w"].to_numpy(zero_copy_only=False).astype(np.float64) \
         if weighted else np.ones(len(s), np.float64)
-    key = (s.astype(np.uint64) * _GOLD) ^ d.astype(np.uint64)
-    bk = (((key * _GOLD) >> np.uint64(33)) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(bk, kind="stable")
-    bounds = np.searchsorted(bk[order], np.arange(P + 1))
-    out = []
-    for p in range(P):
-        sl = order[bounds[p]:bounds[p + 1]]
-        out.append((s[sl], d[sl], t[sl], ei[sl], w[sl]))
-    return tuple(out) if P > 1 else out[0]
+    return returns(split(bucket(pair_key(s, d), P), P, s, d, t, ei, w))
 
 
 @ray.remote
@@ -113,14 +105,8 @@ def _latest_parts(gf, weight_col: str | None):
         ds = ds.select_columns(cols)
     refs = ds.materialize().to_arrow_refs()
     P = max(4, min(32, len(refs) * 2))
-    splits = [_lv_split.options(num_returns=P if P > 1 else 1)
-              .remote(r, P, weighted) for r in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    return [_lv_latest.remote(*[piece(r, q) for r in splits])
-            for q in range(P)]
+    return [_lv_latest.remote(*col)
+            for col in shuffle(_lv_split, refs, P, weighted)]
 
 
 def latest_weight_edges(gf, weight_col: str | None):
@@ -281,11 +267,6 @@ _LOCAL_HALF_EDGES = 60_000   # below this, driver-local vectorized passes
                               # beat P task rounds per pass
 
 
-def _owner(x: np.ndarray, P: int) -> np.ndarray:
-    return (((x.astype(np.uint64) * _GOLD) >> np.uint64(33))
-            % np.uint64(P)).astype(np.int64)
-
-
 @ray.remote
 def _lv_halve(latest, P: int, tol: float):
     """One latest-weight partition → non-loop half-edges routed by
@@ -300,13 +281,7 @@ def _lv_halve(latest, P: int, tol: float):
     u = np.concatenate([s, d])
     v = np.concatenate([d, s])
     hw = np.concatenate([w, w])
-    bk = _owner(u, P)
-    order = np.argsort(bk, kind="stable")
-    u, v, hw = u[order], v[order], hw[order]
-    bounds = np.searchsorted(bk[order], np.arange(P + 1))
-    pieces = [(u[bounds[p]:bounds[p + 1]], v[bounds[p]:bounds[p + 1]],
-               hw[bounds[p]:bounds[p + 1]]) for p in range(P)]
-    return (*pieces, (sids, ssum))
+    return (*split(bucket(u, P), P, u, v, hw), (sids, ssum))
 
 
 @ray.remote
@@ -395,8 +370,7 @@ def _lv_pass_task(edges, com, k, k_com, m2, resolution, tol, moved):
     if not np.any(good):
         return empty
     cu, ccand, delta = cu[good], ccand[good], delta[good]
-    jit = ((cu.astype(np.uint64) * _GOLD) ^ (ccand.astype(np.uint64) + np.uint64(1))
-           ).astype(np.float64) * (1e-22 / 2.0 ** 64)
+    jit = pair_key(cu, ccand + 1).astype(np.float64) * (1e-22 / 2.0 ** 64)
     order2 = np.lexsort((delta + jit, cu))
     last = np.r_[cu[order2][1:] != cu[order2][:-1], True]
     return cu[order2][last], ccand[order2][last], delta[order2][last]
@@ -479,13 +453,7 @@ def _lv_agg_task(edges, inv, nc: int, P: int):
     else:
         nu = nv = np.empty(0, np.int64)
         sw = np.empty(0, np.float64)
-    bk = _owner(nu, P)
-    o = np.argsort(bk, kind="stable")
-    nu, nv, sw = nu[o], nv[o], sw[o]
-    bounds = np.searchsorted(bk[o], np.arange(P + 1))
-    pieces = [(nu[bounds[p]:bounds[p + 1]], nv[bounds[p]:bounds[p + 1]],
-               sw[bounds[p]:bounds[p + 1]]) for p in range(P)]
-    return (*pieces, (iid, isum))
+    return (*split(bucket(nu, P), P, nu, nv, sw), (iid, isum))
 
 
 def _aggregate_dist(edge_refs, self_w, k, com):

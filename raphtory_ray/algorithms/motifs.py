@@ -33,7 +33,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
+                                        split)
 
 _DIRS2D = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -371,8 +372,7 @@ def _star_split(block: pa.Table, P: int):
     (node, nbr, dir, t, eid); dir=1 when node is the source."""
     if block.num_rows == 0 or "src" not in block.column_names:
         z = np.empty(0, np.int64)
-        e = (z, z, np.empty(0, np.int8), z, z)
-        return tuple([e] * P) if P > 1 else e
+        return returns([(z, z, np.empty(0, np.int8), z, z)] * P)
     s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     d = block["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
     t = block["t"].to_numpy(zero_copy_only=False).astype(np.int64) \
@@ -386,14 +386,7 @@ def _star_split(block: pa.Table, P: int):
     dr = np.concatenate([np.ones(len(s), np.int8), np.zeros(len(s), np.int8)])
     tt = np.concatenate([t, t])
     ee = np.concatenate([e, e])
-    bk = ((node.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
-    order = np.argsort(bk, kind="stable")
-    bounds = np.searchsorted(bk[order], np.arange(P + 1))
-    out = []
-    for p in range(P):
-        sl = order[bounds[p]:bounds[p + 1]]
-        out.append((node[sl], nbr[sl], dr[sl], tt[sl], ee[sl]))
-    return tuple(out) if P > 1 else out[0]
+    return returns(split(bucket(node, P), P, node, nbr, dr, tt, ee))
 
 
 @ray.remote
@@ -429,13 +422,12 @@ def _star_partial(deltas: tuple, *pieces) -> np.ndarray:
 # ----------------------------------------------------------- triangle phase
 
 @ray.remote
-def _pair_split(block: pa.Table, n: int, P: int, member_ref):
+def _pair_split(block: pa.Table, P: int, n: int, member_ref):
     """Non-self events between k-core members, keyed by unordered pair
     pk = min*n + max, routed by hash(pk)."""
     if block.num_rows == 0 or "src" not in block.column_names:
         z = np.empty(0, np.int64)
-        e = (z, np.empty(0, np.int8), z, z)
-        return tuple([e] * P) if P > 1 else e
+        return returns([(z, np.empty(0, np.int8), z, z)] * P)
     member = ray.get(member_ref) if isinstance(member_ref, ray.ObjectRef) \
         else member_ref
     s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -450,14 +442,7 @@ def _pair_split(block: pa.Table, n: int, P: int, member_ref):
     hi = np.maximum(s, d)
     pk = lo * n + hi
     src_is_lo = (s == lo).astype(np.int8)
-    bk = ((pk.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
-    order = np.argsort(bk, kind="stable")
-    bounds = np.searchsorted(bk[order], np.arange(P + 1))
-    out = []
-    for p in range(P):
-        sl = order[bounds[p]:bounds[p + 1]]
-        out.append((pk[sl], src_is_lo[sl], t[sl], e[sl]))
-    return tuple(out) if P > 1 else out[0]
+    return returns(split(bucket(pk, P), P, pk, src_is_lo, t, e))
 
 
 @ray.remote
@@ -476,11 +461,7 @@ def _split_triples(triples, R: int):
     """Fan a triple block into R chunks so the per-triangle counting loops
     parallelize beyond the (adaptive, possibly small) wedge grid."""
     x, y, z = triples
-    out = []
-    for r in range(R):
-        sl = slice(r, None, R)
-        out.append((x[sl], y[sl], z[sl]))
-    return tuple(out) if R > 1 else out[0]
+    return returns([(x[r::R], y[r::R], z[r::R]) for r in range(R)])
 
 
 @ray.remote
@@ -594,14 +575,8 @@ def temporal_three_node_motif_multi(gf, deltas) -> np.ndarray:
     P = max(4, min(32, len(refs) * 2))
 
     # ---- star phase
-    splits = [_star_split.options(num_returns=P if P > 1 else 1)
-              .remote(r, P) for r in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    star_futs = [_star_partial.remote(deltas, *[piece(s, q) for s in splits])
-                 for q in range(P)]
+    star_futs = [_star_partial.remote(deltas, *col)
+                 for col in shuffle(_star_split, refs, P)]
 
     # ---- triangle phase
     g = _bsp(gf)           # reuses gf._bsp when built
@@ -613,18 +588,12 @@ def temporal_three_node_motif_multi(gf, deltas) -> np.ndarray:
     # pair partitions stay at P: an A/B at sf0.1 measured Pp=4 at 17.5s vs
     # Pp=32 at 6.3s — smaller pair partitions serialize the subset scans
     Pp = P
-    psplits = [_pair_split.options(num_returns=Pp if Pp > 1 else 1)
-               .remote(r, gf.n, Pp, member_ref) for r in refs]
-    pair_parts = [_pair_merge.remote(*[piece(s, q) for s in psplits])
-                  for q in range(Pp)]
+    pair_parts = [_pair_merge.remote(*col) for col in
+                  shuffle(_pair_split, refs, Pp, gf.n, member_ref)]
     # fan triple blocks out to ~32 count tasks regardless of the (adaptive)
     # wedge grid size — the per-triangle counting loop is the hot part
     R = max(1, 32 // max(len(triples), 1))
-    tchunks = []
-    for tr in triples:
-        parts = _split_triples.options(num_returns=R if R > 1 else 1)\
-            .remote(tr, R)
-        tchunks += list(parts) if R > 1 else [parts]
+    tchunks = sum(shuffle(_split_triples, triples, R), [])
     Q = len(tchunks)
     subs = [[_pair_subset_n.remote(pair_parts[p], gf.n, tchunks[q])
              for p in range(Pp)] for q in range(Q)]
@@ -738,14 +707,8 @@ def local_temporal_three_node_motifs(gf, deltas) -> np.ndarray:
     deltas = tuple(int(d) for d in deltas)
     refs = gf.edges.materialize().to_arrow_refs()
     P = max(4, min(32, len(refs) * 2))
-    splits = [_star_split.options(num_returns=P if P > 1 else 1)
-              .remote(r, P) for r in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    star_futs = [_star_partial_local.remote(
-        deltas, *[piece(s, q) for s in splits]) for q in range(P)]
+    star_futs = [_star_partial_local.remote(deltas, *col)
+                 for col in shuffle(_star_split, refs, P)]
 
     g = _bsp(gf)           # reuses gf._bsp when built
     core = g.kcore_set(2)
@@ -756,16 +719,10 @@ def local_temporal_three_node_motifs(gf, deltas) -> np.ndarray:
     # pair partitions stay at P: an A/B at sf0.1 measured Pp=4 at 17.5s vs
     # Pp=32 at 6.3s — smaller pair partitions serialize the subset scans
     Pp = P
-    psplits = [_pair_split.options(num_returns=Pp if Pp > 1 else 1)
-               .remote(r, gf.n, Pp, member_ref) for r in refs]
-    pair_parts = [_pair_merge.remote(*[piece(s, q) for s in psplits])
-                  for q in range(Pp)]
+    pair_parts = [_pair_merge.remote(*col) for col in
+                  shuffle(_pair_split, refs, Pp, gf.n, member_ref)]
     R = max(1, 32 // max(len(triples), 1))
-    tchunks = []
-    for tr in triples:
-        parts = _split_triples.options(num_returns=R if R > 1 else 1)\
-            .remote(tr, R)
-        tchunks += list(parts) if R > 1 else [parts]
+    tchunks = sum(shuffle(_split_triples, triples, R), [])
     Q = len(tchunks)
     subs = [[_pair_subset_n.remote(pair_parts[p], gf.n, tchunks[q])
              for p in range(Pp)] for q in range(Q)]
@@ -874,25 +831,11 @@ def _triangles_of(g, member: np.ndarray) -> list:
     # than P=16 — wedge expansion under-parallelized), capped by CPUs
     cpus = int(ray.cluster_resources().get("CPU", 8))
     P = min(len(sub_refs), max(4, min(cpus, g.num_edges // 35_000)))
-    if P == 1:
-        Ssplit = [S._merge_concat.remote(
-            *[S._orient_split.remote(r, 1, "src") for r in sub_refs])]
-        Dsplit = [S._merge_concat.remote(
-            *[S._orient_split.remote(r, 1, "dst") for r in sub_refs])]
-        wparts = [[S._wedge_split.remote(Dsplit[0], Ssplit[0], 1,
-                                         262_144)]]
-    else:
-        so = [S._orient_split.options(num_returns=P).remote(r, P, "src")
-              for r in sub_refs]
-        do = [S._orient_split.options(num_returns=P).remote(r, P, "dst")
-              for r in sub_refs]
-        Ssplit = [S._merge_concat.remote(*[sp[p] for sp in so])
-                  for p in range(P)]
-        Dsplit = [S._merge_concat.remote(*[sp[p] for sp in do])
-                  for p in range(P)]
-        w = [S._wedge_split.options(num_returns=P).remote(
-            Dsplit[p], Ssplit[p], P, 262_144) for p in range(P)]
-        wparts = [[w[p][q] for p in range(P)] for q in range(P)]
+    Ssplit, Dsplit = [[S._merge_concat.remote(*col) for col in
+                       shuffle(S._orient_split, sub_refs, P, key)]
+                      for key in ("src", "dst")]
+    wparts = columns([S._wedge_split.options(num_returns=P).remote(
+        Dsplit[p], Ssplit[p], P, 262_144) for p in range(P)], P)
     return [_probe_triples.remote(Ssplit[q], len(member), *wparts[q])
             for q in range(P)]
 

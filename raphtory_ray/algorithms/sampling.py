@@ -5,7 +5,7 @@ most ``fanouts[h]`` distinct out-neighbors per frontier node per hop,
 DETERMINISTICALLY — neighbor rank is ``splitmix64((src << 32) + dst +
 hop_salt)``, so re-running, resharding or resuming a job selects the
 same subgraph (no RNG state), the same property the hash-stratified
-document sampler relies on (data/text.py:316).
+document sampler relies on (data/text.sample_batch).
 
 Scale shape (100-TB design notes):
 - The edge table streams; each hop is ONE ``map_batches`` pass doing a
@@ -31,14 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (identical to data/text.py:316 — keep the
-    SQL oracle's CTE chain valid for both)."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+from raphtory_ray.core.exchange import splitmix64 as _splitmix64
 
 
 def _rank_key(src: np.ndarray, dst: np.ndarray, salt: int) -> np.ndarray:
@@ -73,12 +67,11 @@ def _topf_per_src(src, dst, key, f: int):
 def _route_by_src(tbl: pa.Table, P: int):
     """Map side of the combine shuffle: partials routed by hash(src) so
     every src's block-local winners meet in one partition (the explicit
-    raw-task shuffle convention — data/dedup.py:177 — because
-    groupby().map_groups dispatches the UDF once PER GROUP and the
-    dispatch would dominate on O(frontier) tiny groups)."""
-    from raphtory_ray.data.dedup import _hash_bucket, _route
+    raw-task shuffle of core/exchange — because groupby().map_groups
+    dispatches the UDF once PER GROUP and the dispatch would dominate on
+    O(frontier) tiny groups)."""
     src = tbl["src"].to_numpy(zero_copy_only=False)
-    return _route(tbl, _hash_bucket(src, P), P)
+    return returns(split_table(tbl, bucket(src, P), P))
 
 
 @ray.remote
@@ -122,9 +115,8 @@ def _combine_argmin(*pieces: pa.Table) -> pa.Table:
 
 @ray.remote
 def _route_by_wid(tbl: pa.Table, P: int):
-    from raphtory_ray.data.dedup import _hash_bucket, _route
     wid = tbl["wid"].to_numpy(zero_copy_only=False)
-    return _route(tbl, _hash_bucket(wid, P), P)
+    return returns(split_table(tbl, bucket(wid, P), P))
 
 
 def random_walks(edges, starts: np.ndarray, length: int, seed: int = 0,
@@ -202,14 +194,7 @@ def random_walks(edges, starts: np.ndarray, length: int, seed: int = 0,
                                   zero_copy_batch=True)
                 .materialize().to_arrow_refs())
         P = max(1, min(32, len(refs)))
-        routed = [_route_by_wid.options(
-                      num_returns=P if P > 1 else 1).remote(r, P)
-                  for r in refs]
-        if P == 1:
-            cols = [[r] for r in routed]
-        else:
-            cols = [[routed[i][p] for i in range(len(routed))]
-                    for p in range(P)]
+        cols = shuffle(_route_by_wid, refs, P)
         step = pa.concat_tables(ray.get(
             [_combine_argmin.remote(*c) for c in cols]))
         wid = step["wid"].to_numpy(zero_copy_only=False)
@@ -254,14 +239,7 @@ def neighbor_sample(edges, seeds: np.ndarray, fanouts: list[int],
                                   zero_copy_batch=True)
                 .materialize().to_arrow_refs())
         P = max(1, min(32, len(refs)))
-        routed = [_route_by_src.options(
-                      num_returns=P if P > 1 else 1).remote(r, P)
-                  for r in refs]
-        if P == 1:
-            cols = [[r] for r in routed]
-        else:
-            cols = [[routed[i][p] for i in range(len(routed))]
-                    for p in range(P)]
+        cols = shuffle(_route_by_src, refs, P)
         hop = pa.concat_tables(ray.get(
             [_combine_topf.remote(f, *c) for c in cols]))
         out.append(hop.append_column(
@@ -387,14 +365,7 @@ def node2vec_walks(edges, starts: np.ndarray, length: int, seed: int = 0,
                                   zero_copy_batch=True)
                 .materialize().to_arrow_refs())
         P = max(1, min(32, len(refs)))
-        routed = [_route_by_wid.options(
-                      num_returns=P if P > 1 else 1).remote(r, P)
-                  for r in refs]
-        if P == 1:
-            cols = [[r] for r in routed]
-        else:
-            cols = [[routed[i][p] for i in range(len(routed))]
-                    for p in range(P)]
+        cols = shuffle(_route_by_wid, refs, P)
         step = pa.concat_tables(ray.get(
             [_combine_argmin.remote(*c) for c in cols]))
         nwid = step["wid"].to_numpy(zero_copy_only=False)

@@ -37,9 +37,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from raphtory_ray.core.exchange import bucket, returns, shuffle, split
 from raphtory_ray.graph.node_state import NodeState
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 # ------------------------------------------------------------ build phase
@@ -51,8 +50,7 @@ def _sp_split(block: pa.Table, P: int, weight_col: str | None,
     (src, dst, t, event_id, w) slices per partition."""
     z = np.empty(0, np.int64)
     if block.num_rows == 0 or "src" not in block.column_names:
-        e = (z, z, z, z, np.empty(0, np.float64))
-        return tuple([e] * P) if P > 1 else e
+        return returns([(z, z, z, z, np.empty(0, np.float64))] * P)
     s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     d = block["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
     if reverse:
@@ -65,15 +63,7 @@ def _sp_split(block: pa.Table, P: int, weight_col: str | None,
         if weight_col is not None else np.ones(len(s), np.float64)
     if weight_map is not None:
         w = np.asarray(weight_map(w), np.float64)
-    bk = ((s.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
-    bk = bk.astype(np.int64)
-    order = np.argsort(bk, kind="stable")
-    bounds = np.searchsorted(bk[order], np.arange(P + 1))
-    out = []
-    for p in range(P):
-        sl = order[bounds[p]:bounds[p + 1]]
-        out.append((s[sl], d[sl], t[sl], ei[sl], w[sl]))
-    return tuple(out) if P > 1 else out[0]
+    return returns(split(bucket(s, P), P, s, d, t, ei, w))
 
 
 @ray.remote
@@ -199,15 +189,8 @@ def sssp_delta_stepping(gf, source: int,
     # 0.41 s — 1792 relax tasks collapsed to ~224)
     cpus = int(ray.cluster_resources().get("CPU", 8))
     P = int(max(4, min(32, cpus, -(-mat.count() // 2_000_000))))
-    splits = [_sp_split.options(num_returns=P if P > 1 else 1)
-              .remote(r, P, weight_col, weight_map, direction == "in")
-              for r in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    parts = [_sp_reduce.remote(reduce, *[piece(r, q) for r in splits])
-             for q in range(P)]
+    parts = [_sp_reduce.remote(reduce, *col) for col in shuffle(
+        _sp_split, refs, P, weight_col, weight_map, direction == "in")]
     if delta is None:
         stats = ray.get([_sp_part_stats.remote(p) for p in parts])
         cnt = sum(s[0] for s in stats)

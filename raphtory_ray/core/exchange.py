@@ -1,0 +1,84 @@
+"""The one hash exchange behind every task-level shuffle.
+
+Ownership contract: key x belongs to partition ``bucket(x, P)`` =
+``((x * GOLD) >> 33) % P``. BspGraph blocks, the actor engines' owned
+vertex slices and every map-side split agree because they all call
+``bucket``; a second copy of the hash would let them drift apart.
+
+A shuffle is a map side (one ``num_returns=P`` task per input block that
+``split``s its rows by bucket) and a reduce side (one task per partition
+over column p of the pieces, which ``shuffle`` hands back).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+
+GOLD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def bucket(keys: np.ndarray, P: int) -> np.ndarray:
+    """Owner partition of each key, as int64."""
+    return (((np.asarray(keys).astype(np.uint64) * GOLD) >> np.uint64(33))
+            % np.uint64(P)).astype(np.int64)
+
+
+def pair_key(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """One uint64 key per (s, d) pair, for routing by edge."""
+    return (s.astype(np.uint64) * GOLD) ^ d.astype(np.uint64)
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer; the SQL oracles mirror it, so never change it."""
+    z = x.astype(np.uint64) + GOLD
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _order(bk: np.ndarray, P: int):
+    """Stable row order by bucket and the P - 1 cut points. Sorting the
+    narrowest dtype that holds P lets numpy use its radix sort."""
+    order = np.argsort(bk.astype(np.min_scalar_type(P - 1)), kind="stable")
+    return order, np.cumsum(np.bincount(bk, minlength=P))[:-1]
+
+
+def split(bk: np.ndarray, P: int, *cols: np.ndarray) -> list:
+    """P tuples: tuple p holds the rows of ``cols`` whose bucket is p, in
+    input order. At P = 1 the input comes back unpermuted."""
+    if P == 1:
+        return [cols]
+    order, cuts = _order(bk, P)
+    return list(zip(*[np.split(c[order], cuts) for c in cols]))
+
+
+def split_table(tbl: pa.Table, bk: np.ndarray, P: int) -> list:
+    """``split`` for an Arrow table: P tables, rows in input order."""
+    if P == 1:
+        return [tbl]
+    order, cuts = _order(bk, P)
+    t = tbl.take(pa.array(order))
+    lo = np.r_[0, cuts]
+    hi = np.r_[cuts, tbl.num_rows]
+    return [t.slice(int(a), int(b - a)) for a, b in zip(lo, hi)]
+
+
+def returns(parts: list):
+    """What a ``num_returns=len(parts)`` task returns: Ray wants a bare
+    value, not a 1-tuple, when num_returns is 1."""
+    return tuple(parts) if len(parts) > 1 else parts[0]
+
+
+def columns(outs: list, P: int) -> list:
+    """Per-task outputs of ``num_returns=P`` calls → P columns: column p
+    lists piece p of every call."""
+    return [outs] if P == 1 else [[o[p] for o in outs] for p in range(P)]
+
+
+def shuffle(task, refs: list, P: int, *args) -> list:
+    """Map side of a shuffle: ``task(ref, P, *args)`` once per ref, each
+    returning its P pieces (``returns(split(...))``). Returns P columns of
+    piece refs; column p feeds the reduce task of partition p."""
+    return columns([task.options(num_returns=P).remote(r, P, *args)
+                    for r in refs], P)

@@ -7,8 +7,8 @@ satisfying ``right.on <= left.on`` (direction="backward"; "forward" and
 left rows keep nulls in the right columns (LEFT ASOF JOIN).
 
 Scale shape (100-TB design notes):
-- ONE explicit hash(by) shuffle per side (dedup._route convention — a
-  single argsort + take per block, O(P) objects per block), then each
+- ONE explicit hash(by) shuffle per side (core/exchange — a single
+  argsort + take per block, O(P) objects per block), then each
   partition does a local O(n log n) sort + linear galloping merge
   (pandas' C merge_asof kernel). No broadcast, no all-pairs.
 - Partitioning assumption: all rows of one ``by`` key are co-located.
@@ -35,12 +35,13 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+
 
 @ray.remote
-def _route_by(tbl: pa.Table, col: str, P: int):
-    from raphtory_ray.data.dedup import _hash_bucket, _route
+def _route_by(tbl: pa.Table, P: int, col: str):
     k = tbl[col].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _route(tbl, _hash_bucket(k, P), P)
+    return returns(split_table(tbl, bucket(k, P), P))
 
 
 @ray.remote
@@ -98,19 +99,8 @@ def asof_join(left, right, by: str, on: str,
     schema = pa.schema(fields)
 
     P = max(1, min(32, max(len(lrefs), len(rrefs))))
-    nr = P if P > 1 else 1
-    lrouted = [_route_by.options(num_returns=nr).remote(r, by, P)
-               for r in lrefs]
-    rrouted = [_route_by.options(num_returns=nr).remote(r, by, P)
-               for r in rrefs]
-    if P == 1:
-        lcols, rcols = [[r] for r in lrouted], [[r] for r in rrouted]
-        lcols, rcols = [sum(lcols, [])], [sum(rcols, [])]
-    else:
-        lcols = [[lrouted[i][p] for i in range(len(lrouted))]
-                 for p in range(P)]
-        rcols = [[rrouted[i][p] for i in range(len(rrouted))]
-                 for p in range(P)]
+    lcols = shuffle(_route_by, lrefs, P, by)
+    rcols = shuffle(_route_by, rrefs, P, by)
     parts = [_merge_part.remote(by, on, direction, schema, len(lc),
                                 *(lc + rc))
              for lc, rc in zip(lcols, rcols)]
@@ -124,10 +114,9 @@ def _user_route(block: pa.Table, P: int, cols: tuple, key_col: str):
     """Select ``cols`` and route by hash(key_col) — the map side shared
     by sessionize / funnel_counts / cohort_retention (review fix: three
     near-identical route functions collapsed here)."""
-    from raphtory_ray.data.dedup import _hash_bucket, _route
     t = block.select(list(cols))
     k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _route(t, _hash_bucket(k, P), P)
+    return returns(split_table(t, bucket(k, P), P))
 
 
 def _user_route_wave(ds, cols: list, key_col: str, assign_remote,
@@ -149,15 +138,8 @@ def _user_route_wave(ds, cols: list, key_col: str, assign_remote,
     cpus = int(_r.cluster_resources().get("CPU", 8))
     P = num_partitions or max(1, min(32, cpus,
                                      -(-mat.count() // rows_per_part)))
-    s = [_user_route.options(num_returns=P if P > 1 else 1)
-         .remote(r, P, tuple(cols), key_col) for r in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    out = [assign_remote.remote(*assign_args,
-                                *[piece(r, q) for r in s])
-           for q in range(P)]
+    out = [assign_remote.remote(*assign_args, *col) for col in
+           shuffle(_user_route, refs, P, tuple(cols), key_col)]
     return rd.from_arrow_refs(out)
 
 
@@ -257,8 +239,10 @@ def _funnel_assign(steps: tuple, window: int, user_col: str, ts_col: str,
             if k == 0:
                 ok = np.ones(len(mi), bool)
             else:
-                ok = (mt > prev[mi]) & (prev[mi] != INF) \
-                    & (mt <= t1[mi] + window)
+                # compare the elapsed time, never t1 + window: the sum
+                # wraps in int64 when window is near its max
+                ok = (mt > prev[mi]) & (prev[mi] != INF)
+                ok[ok] = mt[ok] - t1[mi[ok]] <= window
             if ok.any():
                 np.minimum.at(cur, mi[ok], mt[ok])
         if k == 0:

@@ -36,6 +36,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
+                                        split_table, splitmix64)
 from raphtory_ray.data.text import _flat_utf8, kgram_hashes
 
 MERSENNE61 = np.uint64((1 << 61) - 1)
@@ -156,27 +158,6 @@ def _band_rows(sig_tbl: pa.Table, bands: int) -> pa.Table:
                      "doc_id": pa.array(np.concatenate(docs), pa.int64())})
 
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _hash_bucket(x: np.ndarray, P: int) -> np.ndarray:
-    return (((x.astype(np.uint64) * _GOLD) >> np.uint64(33))
-            % np.uint64(P)).astype(np.int64)
-
-
-def _route(tbl: pa.Table, bucket: np.ndarray, P: int):
-    """Split a table into P pieces by a bucket vector (one take per piece
-    boundary after a single argsort) — the map side of an explicit hash
-    shuffle, same pattern as shards._split_pairs."""
-    order = np.argsort(bucket, kind="stable")
-    b = bucket[order]
-    bounds = np.searchsorted(b, np.arange(P + 1))
-    t = tbl.take(pa.array(order))
-    out = [t.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-           for p in range(P)]
-    return tuple(out) if P > 1 else out[0]
-
-
 def _stage_pool() -> tuple:
     from raphtory_ray.data import stage_pool
     return stage_pool()
@@ -201,15 +182,16 @@ def _dedup_parallelism(n_rows: int | None = None) -> int:
 # these pipelines have O(corpus) tiny groups (band buckets, candidate
 # pairs), and map_groups dispatches the Python UDF once PER GROUP — the
 # dispatch dominated the round-1 runtime. A partition task handles all its
-# groups in one sort + vectorized pass; routing uses num_returns=P so piece
-# p ships only to consumer p (no all-to-all over-shipping).
+# groups in one sort + vectorized pass; core/exchange routes with
+# num_returns=P so piece p ships only to consumer p (no all-to-all
+# over-shipping).
 
 @ray.remote
 def _band_split(block: pa.Table, P: int):
     """Band rows routed by hash(band_key) so every bucket's rows meet in
     one partition."""
     bk = block["band_key"].to_numpy(zero_copy_only=False)
-    return _route(block, _hash_bucket(bk, P), P)
+    return returns(split_table(block, bucket(bk, P), P))
 
 
 @ray.remote
@@ -227,7 +209,7 @@ def _band_pairs_route(P: int, max_bucket: int, *band_pieces: pa.Table):
                       "a": pa.array([], pa.int64()),
                       "b": pa.array([], pa.int64())})
     if not good:
-        return (empty,) * P + (0,) if P > 1 else (empty, 0)
+        return (empty,) * P + (0,)
     key = np.concatenate([t["band_key"].to_numpy(zero_copy_only=False)
                           for t in good])
     doc = np.concatenate([t["doc_id"].to_numpy(zero_copy_only=False)
@@ -243,7 +225,7 @@ def _band_pairs_route(P: int, max_bucket: int, *band_pieces: pa.Table):
     gidx = (np.cumsum(boundary) - 1)[keep]
     a, b = _pairs_within_groups(gidx, doc[keep], doc[keep])
     if not len(a):
-        return (empty,) * P + (dropped,) if P > 1 else (empty, dropped)
+        return (empty,) * P + (dropped,)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     m = lo != hi
     uniq = np.unique(np.stack([lo[m], hi[m]]), axis=1)
@@ -253,8 +235,7 @@ def _band_pairs_route(P: int, max_bucket: int, *band_pieces: pa.Table):
         "a": pa.array(np.concatenate([a, a]), pa.int64()),
         "b": pa.array(np.concatenate([b, b]), pa.int64())})
     ep = np.concatenate([a, b])
-    routed = _route(flat, _hash_bucket(ep, P), P)
-    return routed + (dropped,) if P > 1 else (routed, dropped)
+    return (*split_table(flat, bucket(ep, P), P), dropped)
 
 
 @ray.remote
@@ -266,10 +247,10 @@ def _doc_split(P: int, *blocks: pa.Table):
     if not good:
         e = pa.table({"doc_id": pa.array([], pa.int64()),
                       "text": pa.array([], pa.string())})
-        return (e,) * P if P > 1 else e
+        return returns([e] * P)
     t = pa.concat_tables([b.select(["doc_id", "text"]) for b in good])
     did = t["doc_id"].to_numpy(zero_copy_only=False)
-    return _route(t, _hash_bucket(did, P), P)
+    return returns(split_table(t, bucket(did, P), P))
 
 
 @ray.remote
@@ -285,7 +266,7 @@ def _attach_texts(P: int, n_doc: int, *pieces: pa.Table):
                       "doc_id": pa.array([], pa.int64()),
                       "text": pa.array([], pa.string())})
     if not doc_pieces or not ep_pieces:
-        return (empty,) * P if P > 1 else empty
+        return returns([empty] * P)
     docs = pa.concat_tables(doc_pieces)
     dids = docs["doc_id"].to_numpy(zero_copy_only=False)
     o = np.argsort(dids, kind="stable")
@@ -306,7 +287,7 @@ def _attach_texts(P: int, n_doc: int, *pieces: pa.Table):
         "doc_id": pa.array(e_id[ok], pa.int64()),
         "text": texts.take(pa.array(pos_c[ok]))})
     pair_key = a * np.int64(2**31) + b     # doc_ids < 2^31 by contract
-    return _route(joined, _hash_bucket(pair_key, P), P)
+    return returns(split_table(joined, bucket(pair_key, P), P))
 
 
 @ray.remote
@@ -388,15 +369,9 @@ def _verify_jaccard_distributed(ds, band_block_refs: list, k: int,
     ``max_bucket`` across all partitions."""
     import ray
     P = _dedup_parallelism(n_rows)
-    bs = [_band_split.options(num_returns=P if P > 1 else 1).remote(b, P)
-          for b in band_block_refs]
-
-    def bpiece(row, q):
-        return row[q] if P > 1 else row
-
     bp = [_band_pairs_route.options(num_returns=P + 1)
-          .remote(P, max_bucket, *[bpiece(r, q) for r in bs])
-          for q in range(P)]
+          .remote(P, max_bucket, *col)
+          for col in shuffle(_band_split, band_block_refs, P)]
     dropped_refs = [row[P] for row in bp]   # collected AFTER submission —
     # a ray.get here would barrier the driver before the doc split /
     # attach waves are even submitted (measured ~1s at sf0.1)
@@ -405,20 +380,13 @@ def _verify_jaccard_distributed(ds, band_block_refs: list, k: int,
          .materialize().to_arrow_refs())
     gk = max(1, -(-len(doc_blocks) // 16))    # ≤16 grouped split tasks
     grps = [doc_blocks[i:i + gk] for i in range(0, len(doc_blocks), gk)]
-    dp = [_doc_split.options(num_returns=P if P > 1 else 1).remote(P, *g)
-          for g in grps]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    attach = [_attach_texts.options(num_returns=P if P > 1 else 1)
-              .remote(P, len(dp),
-                      *[piece(r, q) for r in dp],
-                      *[bp[r][q] for r in range(P)])
-              for q in range(P)]
-    verified = [_jaccard_verify_part.remote(
-        k, threshold, *[piece(attach[q2], q) for q2 in range(P)])
-        for q in range(P)]
+    dp = columns([_doc_split.options(num_returns=P).remote(P, *g)
+                  for g in grps], P)
+    attach = columns([_attach_texts.options(num_returns=P).remote(
+        P, len(grps), *dp[q], *[bp[r][q] for r in range(P)])
+        for q in range(P)], P)
+    verified = [_jaccard_verify_part.remote(k, threshold, *col)
+                for col in attach]
     return verified, int(sum(ray.get(dropped_refs)))
 
 
@@ -488,8 +456,8 @@ def _endpoint_split(block: pa.Table, P: int):
     a = block["a"].to_numpy(zero_copy_only=False)
     b = block["b"].to_numpy(zero_copy_only=False)
     ep = np.unique(np.concatenate([a, b])).astype(np.int64)
-    return _route(pa.table({"id": pa.array(ep, pa.int64())}),
-                  _hash_bucket(ep, P), P)
+    return returns(split_table(pa.table({"id": pa.array(ep, pa.int64())}),
+                               bucket(ep, P), P))
 
 
 @ray.remote
@@ -537,14 +505,8 @@ def clusters_from_pair_refs(pair_refs: list) -> tuple[np.ndarray, np.ndarray]:
         touched = np.unique(np.concatenate([va, vb])).astype(np.int64)
         return touched, union_find_clusters(va, vb, touched)
     P = _dedup_parallelism(total)
-    splits = [_endpoint_split.options(num_returns=P if P > 1 else 1)
-              .remote(r, P) for r in pair_refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    parts = ray.get([_endpoint_distinct.remote(
-        *[piece(s, q) for s in splits]) for q in range(P)])
+    parts = ray.get([_endpoint_distinct.remote(*col)
+                     for col in shuffle(_endpoint_split, pair_refs, P)])
     touched = np.sort(np.concatenate(parts))   # hash-disjoint → no dups
     tref = ray.put(touched)
     remapped = [_remap_pair_block.remote(r, tref) for r in pair_refs]
@@ -723,7 +685,7 @@ def _simhash_band_rows(b: pa.Table) -> pa.Table:
 @ray.remote
 def _simhash_split(block: pa.Table, P: int):
     bk = block["band_key"].to_numpy(zero_copy_only=False)
-    return _route(block, _hash_bucket(bk, P), P)
+    return returns(split_table(block, bucket(bk, P), P))
 
 
 @ray.remote(num_returns=2)
@@ -810,15 +772,8 @@ def simhash_dedup(ds, max_hamming: int = 3, max_bucket: int = 2000,
                  .materialize())
     P = _dedup_parallelism(bands_mat.count())
     band_refs = bands_mat.to_arrow_refs()
-    splits = [_simhash_split.options(num_returns=P if P > 1 else 1)
-              .remote(b, P) for b in band_refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    out = [_simhash_verify_part.remote(
-        max_hamming, max_bucket, *[piece(r, q) for r in splits])
-        for q in range(P)]
+    out = [_simhash_verify_part.remote(max_hamming, max_bucket, *col)
+           for col in shuffle(_simhash_split, band_refs, P)]
     pair_refs = [pair for pair, _ in out]
     dropped = int(sum(ray.get([d for _, d in out])))
     _report_dropped("simhash_dedup", dropped, max_bucket, stats)
@@ -919,15 +874,8 @@ def embedding_dedup(ds, threshold: float = 0.95, nbits: int = 12,
     joined_mat = joined.materialize()
     P = _dedup_parallelism(joined_mat.count())
     refs = joined_mat.to_arrow_refs()
-    splits = [_embbucket_split.options(num_returns=P if P > 1 else 1)
-              .remote(b, P) for b in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    out = [_embbucket_verify_part.remote(
-        threshold, max_bucket, *[piece(r, q) for r in splits])
-        for q in range(P)]
+    out = [_embbucket_verify_part.remote(threshold, max_bucket, *col)
+           for col in shuffle(_embbucket_split, refs, P)]
     pair_refs = [pair for pair, _ in out]
     dropped = int(sum(ray.get([d for _, d in out])))
     _report_dropped("embedding_dedup", dropped, max_bucket, stats)
@@ -937,7 +885,7 @@ def embedding_dedup(ds, threshold: float = 0.95, nbits: int = 12,
 @ray.remote
 def _embbucket_split(block: pa.Table, P: int):
     bk = block["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _route(block, _hash_bucket(bk, P), P)
+    return returns(split_table(block, bucket(bk, P), P))
 
 
 @ray.remote(num_returns=2)
@@ -989,7 +937,6 @@ def _split_assign(val_permille: int, seed: int, *pieces: pa.Table) -> pa.Table:
     one partition (routed by the hash), so the group min here IS the
     global cluster id; the split coin is thrown on the CLUSTER id, never
     the doc id, so exact duplicates can never straddle the split."""
-    from raphtory_ray.data.text import _splitmix64 as sm
     good = [t for t in pieces if t.num_rows]
     if not good:
         return pa.table({"doc_id": pa.array([], pa.int64()),
@@ -1003,7 +950,7 @@ def _split_assign(val_permille: int, seed: int, *pieces: pa.Table) -> pa.Table:
     starts = np.flatnonzero(np.r_[True, hs[1:] != hs[:-1]])
     counts = np.diff(np.r_[starts, len(hs)])
     cluster = np.repeat(np.minimum.reduceat(ids_s, starts), counts)
-    coin = sm(cluster + np.int64(seed)) % np.uint64(1000)
+    coin = splitmix64(cluster + np.int64(seed)) % np.uint64(1000)
     split = np.where(coin < np.uint64(val_permille), "val", "train")
     return pa.table({"doc_id": pa.array(ids_s, pa.int64()),
                      "cluster_id": pa.array(cluster, pa.int64()),
@@ -1016,7 +963,7 @@ def _route_by_md5(tbl: pa.Table, P: int):
     # first 8 hex chars → uint32-ish int; md5 is uniform so this bucket
     # key is skew-free by construction
     key = np.array([int(x[:8], 16) for x in h], dtype=np.int64)
-    return _route(tbl, _hash_bucket(key, P), P)
+    return returns(split_table(tbl, bucket(key, P), P))
 
 
 def leakage_safe_split(ds, val_permille: int = 100, seed: int = 0,
@@ -1045,15 +992,8 @@ def leakage_safe_split(ds, val_permille: int = 100, seed: int = 0,
     refs = hashed.materialize().to_arrow_refs()
     P = _dedup_parallelism(sum(1 for _ in refs) * 50_000)
     P = max(1, min(P, len(refs) * 4, 32))
-    routed = [_route_by_md5.options(
-                  num_returns=P if P > 1 else 1).remote(r, P)
-              for r in refs]
-    if P == 1:
-        cols = [[r] for r in routed]
-    else:
-        cols = [[routed[i][p] for i in range(len(routed))]
-                for p in range(P)]
-    out = [_split_assign.remote(val_permille, seed, *c) for c in cols]
+    out = [_split_assign.remote(val_permille, seed, *c)
+           for c in shuffle(_route_by_md5, refs, P)]
     return rd.from_arrow_refs(out)
 
 

@@ -34,8 +34,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.data.dedup import (_dedup_parallelism, _hash_bucket,
-                                     _route, embedding_matrix)
+from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+from raphtory_ray.data.dedup import _dedup_parallelism, embedding_matrix
 
 __all__ = ["semantic_dedup", "seed_bank"]
 
@@ -91,22 +91,15 @@ def semantic_dedup(ds, n_seeds: int = 8, threshold: float = 0.9,
                               zero_copy_batch=True).materialize()
     P = _dedup_parallelism(assigned.count())
     refs = assigned.to_arrow_refs()
-    splits = [_sem_split.options(num_returns=P if P > 1 else 1)
-              .remote(b, P) for b in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    parts = [_sem_keep_part.remote(qthr, quant, max_cluster,
-                                   *[piece(r, q) for r in splits])
-             for q in range(P)]
+    parts = [_sem_keep_part.remote(qthr, quant, max_cluster, *col)
+             for col in shuffle(_sem_split, refs, P)]
     return ray.data.from_arrow_refs(parts)
 
 
 @ray.remote
 def _sem_split(block: pa.Table, P: int):
     ck = block["cluster"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return _route(block, _hash_bucket(ck, P), P)
+    return returns(split_table(block, bucket(ck, P), P))
 
 
 @ray.remote

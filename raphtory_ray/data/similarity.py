@@ -17,6 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from raphtory_ray.core.exchange import returns, shuffle, split
 from raphtory_ray.data.dedup import embedding_matrix
 
 
@@ -133,18 +134,13 @@ def train_centroids(ds, n_clusters: int, iters: int = 5,
 
 
 @ray.remote
-def _ivf_split(block: pa.Table, cent: np.ndarray, P: int):
+def _ivf_split(block: pa.Table, P: int, cent: np.ndarray):
     """Assign each vector to its nearest centroid and route (ids, emb) rows
     by bucket — the IVF partitioning shuffle. Embeddings travel as dense
     float64 matrices (object-store zero-copy)."""
     ids = block["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     emb = _normalize(embedding_matrix(block["embedding"]))
-    a = np.argmax(emb @ cent.T, axis=1)
-    order = np.argsort(a, kind="stable")
-    bounds = np.searchsorted(a[order], np.arange(P + 1))
-    out = [(ids[order[bounds[p]:bounds[p + 1]]],
-            emb[order[bounds[p]:bounds[p + 1]]]) for p in range(P)]
-    return tuple(out) if P > 1 else out[0]
+    return returns(split(np.argmax(emb @ cent.T, axis=1), P, ids, emb))
 
 
 @ray.remote
@@ -189,15 +185,9 @@ def knn_ivf(ds, queries: np.ndarray, k: int = 5, n_clusters: int = 16,
     q_ref = ray.put(qn)
     probe_ref = ray.put(probe)
     refs = ds.materialize().to_arrow_refs()
-    splits = [_ivf_split.options(num_returns=P if P > 1 else 1)
-              .remote(r, cent_ref, P) for r in refs]
-
-    def piece(row, b):
-        return row[b] if P > 1 else row
-
-    parts = ray.get([_ivf_bucket_topk.remote(
-        b, q_ref, probe_ref, k, *[piece(s, b) for s in splits])
-        for b in range(P)])
+    parts = ray.get([_ivf_bucket_topk.remote(b, q_ref, probe_ref, k, *col)
+                     for b, col in enumerate(
+                         shuffle(_ivf_split, refs, P, cent_ref))])
     partials = pa.concat_tables(parts).to_pandas()
     partials = partials.sort_values(
         ["query_id", "cosine", "neighbor_id"],

@@ -94,7 +94,7 @@ _CM_SALT = np.uint64(0x9E3779B97F4A7C15)
 
 # the one splitmix64 the SQL oracle chain (_sm64_chain) mirrors — import,
 # don't copy, so engine and oracle can never desynchronize
-from raphtory_ray.data.text import _splitmix64  # noqa: E402
+from raphtory_ray.core.exchange import splitmix64 as _splitmix64  # noqa: E402
 
 
 def _cm_block(b: pa.Table, col: str, depth: int, width: int) -> np.ndarray:

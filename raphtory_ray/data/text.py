@@ -15,6 +15,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+from raphtory_ray.core.exchange import splitmix64 as _splitmix64
+
 MERSENNE61 = np.uint64((1 << 61) - 1)
 _B = np.uint64(1_000_003)
 
@@ -509,15 +512,6 @@ def redact_documents(ds, patterns: list | None = None,
 
 
 # ----------------------------------------------- deterministic sampling
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (same mix as the join router's) — a
-    seed-free deterministic per-id coin for reproducible sampling."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
 
 def sample_batch(batch: pa.Table, rates: dict | int,
                  strata_col: str = "source", id_col: str = "doc_id",
@@ -1022,9 +1016,8 @@ def _explode_paragraphs(b: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 def _pd_route_ih(block: pa.Table, P: int):
-    from raphtory_ray.data.dedup import _hash_bucket, _route
     ih = block["ih"].to_numpy(zero_copy_only=False)
-    return _route(block, _hash_bucket(ih, P), P)
+    return returns(split_table(block, bucket(ih, P), P))
 
 
 def _pd_keepmin(*pieces: pa.Table) -> pa.Table:
@@ -1046,9 +1039,8 @@ def _pd_keepmin(*pieces: pa.Table) -> pa.Table:
 
 
 def _pd_route_doc(block: pa.Table, P: int):
-    from raphtory_ray.data.dedup import _hash_bucket, _route
     d = block["doc_id"].to_numpy(zero_copy_only=False)
-    return _route(block, _hash_bucket(d, P), P)
+    return returns(split_table(block, bucket(d, P), P))
 
 
 def _pd_rebuild(*pieces: pa.Table) -> pa.Table:
@@ -1101,16 +1093,8 @@ def paragraph_dedup(ds, text_col: str = "text"):
     keep = _r.remote(_pd_keepmin)
     route2 = _r.remote(_pd_route_doc)
     rebuild = _r.remote(_pd_rebuild)
-    s1 = [route1.options(num_returns=P if P > 1 else 1).remote(r, P)
-          for r in refs]
-
-    def piece(row, q):
-        return row[q] if P > 1 else row
-
-    kept = [keep.remote(*[piece(r, q) for r in s1]) for q in range(P)]
-    s2 = [route2.options(num_returns=P if P > 1 else 1).remote(r, P)
-          for r in kept]
-    out = [rebuild.remote(*[piece(r, q) for r in s2]) for q in range(P)]
+    kept = [keep.remote(*col) for col in shuffle(route1, refs, P)]
+    out = [rebuild.remote(*col) for col in shuffle(route2, kept, P)]
     return rd.from_arrow_refs(out)
 
 

@@ -29,9 +29,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from raphtory_ray.core.exchange import (bucket, pair_key, returns, shuffle,
+                                        split_table)
 from raphtory_ray.graph.filter import FilterExpr
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 class GraphFrame:
@@ -353,15 +353,8 @@ class GraphFrame:
         schema = pa.schema(list(zip(sch.names, sch.types)))
         refs = mat.to_arrow_refs()
         P = max(4, min(32, len(refs) * 2))
-        splits = [_edgefilter_split.options(num_returns=P if P > 1 else 1)
-                  .remote(r, P, schema) for r in refs]
-
-        def piece(row, q):
-            return row[q] if P > 1 else row
-
-        out = [_edgefilter_part.remote(f, mode, schema,
-                                       *[piece(r, q) for r in splits])
-               for q in range(P)]
+        out = [_edgefilter_part.remote(f, mode, schema, *col)
+               for col in shuffle(_edgefilter_split, refs, P, schema)]
         import ray.data as rd
         return self._derive(rd.from_arrow_refs(out))
 
@@ -752,19 +745,10 @@ def _edgefilter_split(block: pa.Table, P: int, schema: pa.Schema):
     blocks — e.g. from empty groupby partitions — yield empty slices of
     the unified schema."""
     if block.num_rows == 0 or "src" not in block.column_names:
-        empty = schema.empty_table()
-        return tuple([empty] * P) if P > 1 else empty
+        return returns([schema.empty_table()] * P)
     s = block["src"].to_numpy(zero_copy_only=False)
     d = block["dst"].to_numpy(zero_copy_only=False)
-    key = (s.astype(np.uint64) * _GOLD) ^ d.astype(np.uint64)
-    bk = (((key * _GOLD) >> np.uint64(33)) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(bk, kind="stable")
-    b_s = bk[order]
-    bounds = np.searchsorted(b_s, np.arange(P + 1))
-    t = block.take(pa.array(order))
-    out = [t.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-           for p in range(P)]
-    return tuple(out) if P > 1 else out[0]
+    return returns(split_table(block, bucket(pair_key(s, d), P), P))
 
 
 @ray.remote

@@ -39,7 +39,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+from raphtory_ray.core.exchange import (bucket, pair_key, returns, shuffle,
+                                        split)
+
 _OPEN = np.iinfo(np.int64).max
 _NEG = np.iinfo(np.int64).min
 
@@ -56,8 +58,7 @@ def _psplit(block: pa.Table, P: int):
     """Route events by hash(src, dst, layer-code); transports numpy."""
     if block.num_rows == 0 or "src" not in block.column_names:
         z = np.empty(0, np.int64)
-        e = (z, z, z, z, z, np.empty(0, object))
-        return tuple([e] * P) if P > 1 else e
+        return returns([(z, z, z, z, z, np.empty(0, object))] * P)
     s = _np(block["src"]).astype(np.int64)
     d = _np(block["dst"]).astype(np.int64)
     t = _np(block["t"]).astype(np.int64)
@@ -71,15 +72,8 @@ def _psplit(block: pa.Table, P: int):
     # partition by (src, dst) ONLY: all layers of an edge co-locate, so
     # per-partition distinct-pair sets are globally disjoint (counts sum)
     # and per-edge validity resolves inside one task
-    key = (s.astype(np.uint64) * _GOLD) ^ d.astype(np.uint64)
-    bk = (((key * _GOLD) >> np.uint64(33)) % np.uint64(P)).astype(np.int64)
-    order = np.argsort(bk, kind="stable")
-    bounds = np.searchsorted(bk[order], np.arange(P + 1))
-    out = []
-    for p in range(P):
-        sl = order[bounds[p]:bounds[p + 1]]
-        out.append((s[sl], d[sl], t[sl], eid[sl], op[sl], lay[sl]))
-    return tuple(out) if P > 1 else out[0]
+    return returns(split(bucket(pair_key(s, d), P), P,
+                         s, d, t, eid, op, lay))
 
 
 @ray.remote
@@ -167,15 +161,8 @@ class PersistentGraphFrame:
         if _parts is None:
             refs = events.materialize().to_arrow_refs()
             P = max(4, min(32, len(refs) * 2))
-            splits = [_psplit.options(num_returns=P if P > 1 else 1)
-                      .remote(r, P) for r in refs]
-
-            def piece(row, q):
-                return row[q] if P > 1 else row
-
-            both = [_pintervals.options(num_returns=2)
-                    .remote(*[piece(sp, q) for sp in splits])
-                    for q in range(P)]
+            both = [_pintervals.options(num_returns=2).remote(*col)
+                    for col in shuffle(_psplit, refs, P)]
             _parts = ([b[0] for b in both], [b[1] for b in both])
         self._raw_refs, self._live_refs = _parts
         self.start, self.end = _bounds

@@ -27,6 +27,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
+                                        split_table)
 from raphtory_ray.graph.graph_frame import GraphFrame
 from raphtory_ray.stages.extract import HashStage, ImportExtractor
 
@@ -118,22 +120,19 @@ def _gid_hash(col: pa.Array) -> np.ndarray:
         np.asarray(arr.to_pandas(), dtype=object)).astype(np.uint64)
 
 
-def _bucket_of(h: np.ndarray, P: int) -> np.ndarray:
-    _G = np.uint64(0x9E3779B97F4A7C15)
-    return (((h * _G) >> np.uint64(33)) % np.uint64(P)).astype(np.int64)
+def _gid_split(t: pa.Table, P: int, col: str):
+    """Rows → P partitions by hash of the gid string column ``col``."""
+    return returns(split_table(t, bucket(_gid_hash(t[col]), P), P))
+
+
+_gid_route = ray.remote(_gid_split)
 
 
 @ray.remote
-def _gid_route(piece: pa.Array, P: int):
+def _gid_piece_route(piece: pa.Array, P: int):
     """Distinct-gid piece → P hash partitions (exact global distinct after
     the per-partition unique in _gid_dedup_part)."""
-    bk = _bucket_of(_gid_hash(piece), P)
-    order = np.argsort(bk, kind="stable")
-    b = bk[order]
-    bounds = np.searchsorted(b, np.arange(P + 1))
-    taken = piece.take(pa.array(order))
-    return tuple(pa.table({"gid": taken.slice(
-        int(bounds[p]), int(bounds[p + 1] - bounds[p]))}) for p in range(P))
+    return _gid_split(pa.table({"gid": piece}), P, "gid")
 
 
 @ray.remote
@@ -158,17 +157,6 @@ def _gid_assign(t: pa.Table, offset: int) -> pa.Table:
 
 
 @ray.remote
-def _dict_route(t: pa.Table, P: int):
-    bk = _bucket_of(_gid_hash(t["gid"]), P)
-    order = np.argsort(bk, kind="stable")
-    b = bk[order]
-    bounds = np.searchsorted(b, np.arange(P + 1))
-    tt = t.take(pa.array(order))
-    return tuple(tt.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-                 for p in range(P))
-
-
-@ray.remote
 def _dict_merge(*pieces: pa.Table) -> pa.Table:
     good = [p for p in pieces if p.num_rows]
     if not good:
@@ -188,9 +176,8 @@ def build_gid_index_distributed(files_ds, P: int | None = None):
     k = max(1, len(refs) // 16)
     pieces = [_distinct_gids.remote(*refs[i:i + k])
               for i in range(0, len(refs), k)]
-    routed = [_gid_route.options(num_returns=P).remote(p, P) for p in pieces]
-    parts = [_gid_dedup_part.remote(*[r[q] for r in routed])
-             for q in range(P)]
+    parts = [_gid_dedup_part.remote(*col)
+             for col in shuffle(_gid_piece_route, pieces, P)]
     sorted_ds = rd.from_arrow_refs(parts).sort("gid")
     blocks = sorted_ds.to_arrow_refs()
     counts = ray.get([_gid_count.remote(b) for b in blocks])
@@ -198,23 +185,9 @@ def build_gid_index_distributed(files_ds, P: int | None = None):
     n = int(offsets[-1])
     assigned = [_gid_assign.remote(b, int(offsets[i]))
                 for i, b in enumerate(blocks)]
-    routed2 = [_dict_route.options(num_returns=P).remote(a, P)
-               for a in assigned]
-    dict_refs = [_dict_merge.remote(*[r[q] for r in routed2])
-                 for q in range(P)]
+    dict_refs = [_dict_merge.remote(*col)
+                 for col in shuffle(_gid_route, assigned, P, "gid")]
     return dict_refs, n
-
-
-@ray.remote
-def _edge_resolve_src(b: pa.Table, P: int):
-    """Route gid-form edge rows by hash(src_gid)."""
-    bk = _bucket_of(_gid_hash(b["src_gid"]), P)
-    order = np.argsort(bk, kind="stable")
-    bb = bk[order]
-    bounds = np.searchsorted(bb, np.arange(P + 1))
-    t = b.take(pa.array(order))
-    return tuple(t.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-                 for p in range(P))
 
 
 @ray.remote
@@ -228,7 +201,7 @@ def _edge_join_src(dictionary: pa.Table, P: int, *pieces: pa.Table):
                       "t": pa.array([], pa.int64()),
                       "event_id": pa.array([], pa.int64())})
     if not good:
-        return tuple([empty] * P) if P > 1 else empty
+        return returns([empty] * P)
     t = pa.concat_tables(good)
     idx = pc.index_in(t["src_gid"].combine_chunks(),
                       value_set=dictionary["gid"].combine_chunks())
@@ -238,13 +211,7 @@ def _edge_join_src(dictionary: pa.Table, P: int, *pieces: pa.Table):
     t = t.filter(ok)
     out = pa.table({"src": src, "dst_gid": t["dst_gid"],
                     "t": t["t"], "event_id": t["event_id"]})
-    bk = _bucket_of(_gid_hash(out["dst_gid"]), P)
-    order = np.argsort(bk, kind="stable")
-    bb = bk[order]
-    bounds = np.searchsorted(bb, np.arange(P + 1))
-    oo = out.take(pa.array(order))
-    return tuple(oo.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-                 for p in range(P))
+    return _gid_split(out, P, "dst_gid")
 
 
 @ray.remote
@@ -270,12 +237,10 @@ def resolve_edges_distributed(edge_gid_refs: list, dict_refs: list):
     two hash-partitioned shuffle-join rounds (src round, dst round). No
     broadcast dictionary, no driver strings."""
     P = len(dict_refs)
-    split = [_edge_resolve_src.options(num_returns=max(P, 2)).remote(b, P)
-             for b in edge_gid_refs]
-    src_joined = [_edge_join_src.options(num_returns=max(P, 2)).remote(
-        dict_refs[p], P, *[s[p] for s in split]) for p in range(P)]
-    return [_edge_join_dst.remote(dict_refs[q],
-                                  *[sj[q] for sj in src_joined])
+    by_src = shuffle(_gid_route, edge_gid_refs, P, "src_gid")
+    by_dst = columns([_edge_join_src.options(num_returns=P).remote(
+        dict_refs[p], P, *by_src[p]) for p in range(P)], P)
+    return [_edge_join_dst.remote(dict_refs[q], *by_dst[q])
             for q in range(P)]
 
 

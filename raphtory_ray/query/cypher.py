@@ -56,21 +56,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from raphtory_ray.core.exchange import (GOLD, returns, shuffle, split_table,
+                                        splitmix64)
 from raphtory_ray.query.parser import (BinOp, Case, Chain, Func, Lit, Not,
                                        Prop, Query, ReturnItem, Var,
                                        expr_text, parse_cypher)
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
 # edge property aliases the reference's tests use (e.time == event time)
 _EDGE_ALIASES = {"time": "t", "eid": "event_id"}
-
-
-def _splitmix(x: np.ndarray) -> np.ndarray:
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 # ------------------------------------------------------ distributed join
@@ -91,24 +84,15 @@ def _partition_ids(tbl: pa.Table, keys: list, P: int) -> np.ndarray:
             # null join keys (possible after OPTIONAL MATCH) never match;
             # route them anywhere stable — Acero drops them in the join
             col = pc.fill_null(col, -(2 ** 62))
-        h = h * _GOLD ^ _splitmix(col.to_numpy(zero_copy_only=False)
+        h = h * GOLD ^ splitmix64(col.to_numpy(zero_copy_only=False)
                                   .astype(np.int64))
     return (h % np.uint64(P)).astype(np.int64)
 
 
 @ray.remote
-def _route(tbl: pa.Table, keys: list, P: int):
+def _route(tbl: pa.Table, P: int, keys: list):
     """One block → P hash partitions on the int64 key columns."""
-    if tbl.num_rows == 0:
-        return tuple(tbl for _ in range(P)) if P > 1 else tbl
-    bk = _partition_ids(tbl, keys, P)
-    order = np.argsort(bk, kind="stable")
-    b = bk[order]
-    bounds = np.searchsorted(b, np.arange(P + 1))
-    t = tbl.take(pa.array(order))
-    parts = [t.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-             for p in range(P)]
-    return tuple(parts) if P > 1 else parts[0]
+    return returns(split_table(tbl, _partition_ids(tbl, keys, P), P))
 
 
 @ray.remote
@@ -200,15 +184,10 @@ def hash_join(left, right, keys: list, P: int | None = None,
     # proves no partition can exceed the threshold. Count tasks are
     # submitted AFTER the route tasks so the two waves overlap (routes
     # don't depend on counts — only the join-task plan does).
-    import os
-    split_rows = int(os.environ.get("RA_JOIN_SPLIT_ROWS",
-                                    _JOIN_SPLIT_ROWS))
-    need_counts = max(sum(rows_l), sum(rows_r)) > split_rows
+    need_counts = max(sum(rows_l), sum(rows_r)) > _JOIN_SPLIT_ROWS
 
-    parts_l = [_route.options(num_returns=P if P > 1 else 1)
-               .remote(r, keys, P) for r in refs_l]
-    parts_r = [_route.options(num_returns=P if P > 1 else 1)
-               .remote(r, keys, P) for r in refs_r]
+    parts_l = shuffle(_route, refs_l, P, keys)
+    parts_r = shuffle(_route, refs_r, P, keys)
     if need_counts:
         count_refs = [_part_counts.remote(r, keys, P)
                       for r in refs_l + refs_r]
@@ -217,22 +196,18 @@ def hash_join(left, right, keys: list, P: int | None = None,
         cr = sum(counts[len(refs_l):])
     else:
         cl = cr = np.zeros(P, np.int64)
-    if P == 1:
-        parts_l = [[p] for p in parts_l]
-        parts_r = [[p] for p in parts_r]
     joined = []
     for p in range(P):
         big = max(int(cl[p]), int(cr[p]))
-        k = max(1, -(-big // split_rows))          # ceil
+        k = max(1, -(-big // _JOIN_SPLIT_ROWS))    # ceil
         # splitting the probe side partitions ANY join's output; the
         # build side may only be split for inner joins (an outer join
         # would emit a null-padded row per sub-chunk)
         split_left = cl[p] >= cr[p] or join_type != "inner"
         for j in range(k):
             joined.append(_join_part.remote(
-                keys, len(parts_l), j, k, split_left, join_type,
-                *[pl[p] for pl in parts_l],
-                *[pr[p] for pr in parts_r]))
+                keys, len(refs_l), j, k, split_left, join_type,
+                *parts_l[p], *parts_r[p]))
     return rd.from_arrow_refs(joined)
 
 
@@ -888,17 +863,11 @@ def _closure_levels(base, frontier, sv: str, inner: str, mid: str,
     cpus = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
     P2 = max(1, min(16, cpus))
-
-    def piece(row, p):
-        return row[p] if P2 > 1 else row
-
     fr = frontier.materialize()
     fr_refs = [r for r, n in zip(fr.to_arrow_refs(), fr._block_num_rows())
                if n]
-    routed = [_route.options(num_returns=P2 if P2 > 1 else 1)
-              .remote(r, [sv, inner], P2) for r in fr_refs]
-    seen = [_closure_seed.remote(sv, inner, *[piece(r, p) for r in routed])
-            for p in range(P2)]
+    seen = [_closure_seed.remote(sv, inner, *col)
+            for col in shuffle(_route, fr_refs, P2, [sv, inner])]
     levels = []
     cur = fr
     k = start_k
@@ -914,11 +883,9 @@ def _closure_levels(base, frontier, sv: str, inner: str, mid: str,
                                        cand._block_num_rows()) if n]
         if not cand_refs:
             break
-        routed = [_route.options(num_returns=P2 if P2 > 1 else 1)
-                  .remote(r, [sv, inner], P2) for r in cand_refs]
-        outs = [_closure_diff.remote(seen[p], sv, inner,
-                                     *[piece(r, p) for r in routed])
-                for p in range(P2)]
+        outs = [_closure_diff.remote(seen[p], sv, inner, *col)
+                for p, col in enumerate(
+                    shuffle(_route, cand_refs, P2, [sv, inner]))]
         seen = [o[0] for o in outs]
         counts = ray.get([o[2] for o in outs])
         if sum(counts) == 0:
@@ -1713,13 +1680,8 @@ def route_fanout(mat, keys: list, task, task_args: tuple = (),
     cpus = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
     P = max(1, min(max(8, cpus), -(-sum(rows) // rows_per_part)))
-    parts = [_route.options(num_returns=P if P > 1 else 1)
-             .remote(r, keys, P) for r in refs]
-    if P == 1:
-        return [task.remote(*task_args, *parts)]
-    return [task.remote(*task_args, *[parts[i][p]
-                                      for i in range(len(refs))])
-            for p in range(P)]
+    return [task.remote(*task_args, *col)
+            for col in shuffle(_route, refs, P, keys)]
 
 
 def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str):

@@ -33,24 +33,19 @@ from __future__ import annotations
 import numpy as np
 import ray
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+from raphtory_ray.core.exchange import bucket
 
 GATHER_MODES = ("central", "p2p-tiled")
 
 
-def _part_of(v: np.ndarray, P: int) -> np.ndarray:
-    return (((v.astype(np.uint64) * _GOLD) >> np.uint64(33))
-            % np.uint64(P)).astype(np.int64)
-
-
 def _owned_vids(n: int, P: int, p: int) -> np.ndarray:
     v = np.arange(n, dtype=np.int64)
-    return v[_part_of(v, P) == p]
+    return v[bucket(v, P) == p]
 
 
 def _pos_in_partition(n: int, P: int) -> np.ndarray:
     """pos[v] = index of v within its owner's sorted owned-vid list."""
-    part = _part_of(np.arange(n, dtype=np.int64), P)
+    part = bucket(np.arange(n, dtype=np.int64), P)
     pos = np.empty(n, dtype=np.int64)
     for p in range(P):
         m = part == p
@@ -83,7 +78,7 @@ class PRShard:
         d = np.concatenate(ds) if ds else np.empty(0, np.int64)
         # rows ordered by (source partition, dst): the order within each
         # dst run fixes the float summation order of both transports
-        gorder = np.argsort(_part_of(s, P), kind="stable")
+        gorder = np.argsort(bucket(s, P), kind="stable")
         s_g, d_g = s[gorder], d[gorder]
         dorder = np.argsort(d_g, kind="stable")
         # global src vids in dst-sorted row order — "central" gathers
@@ -136,9 +131,10 @@ class PRShard:
         is one bincount of per-row owned-local dst indices into the owned
         accumulator — no O(E) permutation back into dst order. Built
         lazily on the first p2p-tiled superstep."""
-        part = _part_of(self.s_sorted.astype(np.int64), self.P)
+        part = bucket(self.s_sorted, self.P)
         order = np.argsort(part, kind="stable")
-        self.t2_bounds = np.searchsorted(part[order], np.arange(self.P + 1))
+        self.t2_bounds = np.r_[0, np.cumsum(np.bincount(part,
+                                                        minlength=self.P))]
         src_pos = self._pos[self.s_sorted[order]]
         self.t2_idx = src_pos.astype(np.int32) \
             if (len(src_pos) == 0 or src_pos.max() < 2**31) else src_pos
@@ -211,7 +207,7 @@ class ShardedPageRank:
                  num_workers: int | None = None, dtype: str = "float64"):
         """edge_block_refs: dst-partitioned blocks (one per PARTITION) from
         shards._shuffle_pairs(key='dst') — partition p MUST hold exactly the
-        edges whose dst hashes to p with this module's _part_of.
+        edges with exchange.bucket(dst, P) == p.
 
         Workers: min(cluster CPUs, P) actors at num_cpus=1 each, every
         worker owning a contiguous stripe of partitions. Whole-CPU actors
@@ -241,7 +237,7 @@ class ShardedPageRank:
     @classmethod
     def from_bsp(cls, g, **kw) -> "ShardedPageRank":
         """From a shards.BspGraph — its refs are already dst-partitioned
-        with the same hash (shards._GOLD ≡ _GOLD here)."""
+        by exchange.bucket, the hash the owned slices use."""
         return cls(list(g.refs), g.n, g.out_degree, **kw)
 
     def _owned_concat(self, stripe) -> np.ndarray:

@@ -5,7 +5,7 @@ the driver every superstep. Here vertex state lives IN partition actors,
 as in ``actor_engine.PRShard``:
 
 - each worker actor owns a stripe of the P hash partitions
-  (``_part_of(v) % P``) and holds the label slice for its vids;
+  (``exchange.bucket(v, P)``) and holds the label slice for its vids;
 - topology is the src-OWNED undirected blocks ``BspGraph.und_refs``,
   pinned once;
 - a superstep is one actor-call round whose outputs are driver-owned task
@@ -275,8 +275,8 @@ class ShardedAlgos:
     blocks. Driver work per superstep is O(W) refs + scalars."""
 
     def __init__(self, g, num_workers: int | None = None):
-        """g: shards.BspGraph (its und_refs/refs are hash-partitioned with
-        the same _GOLD multiplier actor_engine._part_of uses)."""
+        """g: shards.BspGraph (its und_refs/refs are partitioned by
+        exchange.bucket, the hash the owned slices use)."""
         self.g = g
         self.n = g.n
         cpus = int(ray.cluster_resources().get("CPU", 8))

@@ -37,6 +37,8 @@ import pyarrow as pa
 import ray
 
 from raphtory_ray.core import kernels as K
+from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
+                                        split)
 
 
 def _np(col) -> np.ndarray:
@@ -53,6 +55,9 @@ def _sd(block: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         return z, z
     return _np(block["src"]), _np(block["dst"])
 
+
+def _pair_block(s: np.ndarray, d: np.ndarray) -> pa.Table:
+    return pa.table({"src": pa.array(s), "dst": pa.array(d)})
 
 
 @ray.remote
@@ -184,15 +189,8 @@ def _req_split(block: pa.Table, P: int):
     locally against the src-partitioned key set."""
     s, d = _sd(block)
     m = s != d
-    s, d = s[m], d[m]
-    bk = ((d.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
-    order = np.argsort(bk)
-    s, d, bk = s[order], d[order], bk[order]
-    bounds = np.searchsorted(bk, np.arange(P + 1))
-    out = [pa.table({"src": pa.array(s[bounds[p]:bounds[p + 1]]),
-                     "dst": pa.array(d[bounds[p]:bounds[p + 1]])})
-           for p in range(P)]
-    return tuple(out) if P > 1 else out[0]
+    return returns([_pair_block(*c) for c in split(bucket(d[m], P), P,
+                                                     s[m], d[m])])
 
 
 @ray.remote
@@ -222,15 +220,8 @@ def _orient_split(block: pa.Table, P: int, key: str):
     u, v = _sd(block)
     m = u < v
     a, b = u[m], v[m]
-    kv = (a if key == "src" else b).astype(np.uint64)
-    bk = ((kv * _GOLD) >> np.uint64(33)) % np.uint64(P)
-    order = np.argsort(bk)
-    a, b, bk = a[order], b[order], bk[order]
-    bounds = np.searchsorted(bk, np.arange(P + 1))
-    out = [pa.table({"src": pa.array(a[bounds[p]:bounds[p + 1]]),
-                     "dst": pa.array(b[bounds[p]:bounds[p + 1]])})
-           for p in range(P)]
-    return tuple(out) if P > 1 else out[0]
+    bk = bucket(a if key == "src" else b, P)
+    return returns([_pair_block(*c) for c in split(bk, P, a, b)])
 
 
 @ray.remote
@@ -280,25 +271,12 @@ def _wedge_split(Dp: pa.Table, Sp: pa.Table, P: int, chunk_wedges: int):
         rs = np.repeat(row_start[lo:hi], r)
         within = np.arange(tot) - np.repeat(np.r_[0, np.cumsum(r)[:-1]], r)
         wc = sc[rs + within]
-        bk = ((wa.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
-        o = np.argsort(bk)
-        wa, wm, wc, bk = wa[o], wm[o], wc[o], bk[o]
-        bounds = np.searchsorted(bk, np.arange(P + 1))
-        for p in range(P):
-            blo, bhi = int(bounds[p]), int(bounds[p + 1])
-            if bhi > blo:
-                buckets[p].append((wa[blo:bhi], wm[blo:bhi], wc[blo:bhi]))
-    out = []
-    for p in range(P):
-        if buckets[p]:
-            out.append(pa.table({
-                "a": pa.array(np.concatenate([x[0] for x in buckets[p]])),
-                "m": pa.array(np.concatenate([x[1] for x in buckets[p]])),
-                "c": pa.array(np.concatenate([x[2] for x in buckets[p]]))}))
-        else:
-            z = pa.array(np.empty(0, np.int64))
-            out.append(pa.table({"a": z, "m": z, "c": z}))
-    return tuple(out) if P > 1 else out[0]
+        for p, piece in enumerate(split(bucket(wa, P), P, wa, wm, wc)):
+            buckets[p].append(piece)
+    z = np.empty(0, np.int64)
+    return returns([pa.table({c: pa.array(np.concatenate(
+        [x[i] for x in pieces] or [z])) for i, c in enumerate("amc")})
+        for pieces in buckets])
 
 
 @ray.remote
@@ -367,28 +345,13 @@ def _cluster_cpus() -> int:
     return int(ray.cluster_resources().get("CPU", 8))
 
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
 @ray.remote
 def _split_pairs(block: pa.Table, P: int, key: str):
     """Map side of the explicit hash shuffle (P > 1): local dedup
-    (combiner), then route each pair to bucket hash(key-endpoint) % P.
-    num_returns=P — piece p goes only to merger p (no all-to-all
-    over-shipping)."""
-    s, d = _sd(block)
-    s, d = K.dedup_pairs(s, d)
-    kv = (d if key == "dst" else s).astype(np.uint64)
-    b = ((kv * _GOLD) >> np.uint64(33)) % np.uint64(P)
-    order = np.argsort(b)
-    s, d, b = s[order], d[order], b[order]
-    bounds = np.searchsorted(b, np.arange(P + 1))
-    out = []
-    for p in range(P):
-        lo, hi = int(bounds[p]), int(bounds[p + 1])
-        out.append(pa.table({"src": pa.array(s[lo:hi]),
-                             "dst": pa.array(d[lo:hi])}))
-    return tuple(out)
+    (combiner), then route each pair to bucket hash(key-endpoint) % P."""
+    s, d = K.dedup_pairs(*_sd(block))
+    bk = bucket(d if key == "dst" else s, P)
+    return returns([_pair_block(*c) for c in split(bk, P, s, d)])
 
 
 @ray.remote
@@ -396,8 +359,7 @@ def _merge_bucket(*pieces: pa.Table) -> pa.Table:
     sd = [_sd(t) for t in pieces]
     s = np.concatenate([p[0] for p in sd]) if sd else np.empty(0, np.int64)
     d = np.concatenate([p[1] for p in sd]) if sd else np.empty(0, np.int64)
-    s, d = K.dedup_pairs(s, d)
-    return pa.table({"src": pa.array(s), "dst": pa.array(d)})
+    return _pair_block(*K.dedup_pairs(s, d))
 
 
 @ray.remote
@@ -408,8 +370,7 @@ def _block_rows(t: pa.Table) -> int:
 @ray.remote
 def _both_dirs(b: pa.Table) -> pa.Table:
     s, d = _sd(b)
-    return pa.table({"src": pa.array(np.concatenate([s, d])),
-                     "dst": pa.array(np.concatenate([d, s]))})
+    return _pair_block(np.concatenate([s, d]), np.concatenate([d, s]))
 
 
 def _shuffle_pairs(block_refs: list, P: int, key: str) -> list:
@@ -429,10 +390,8 @@ def _shuffle_pairs(block_refs: list, P: int, key: str) -> list:
     split would only add a task per block, since the merge dedups all."""
     if P == 1:
         return [_merge_bucket.remote(*block_refs)]
-    splits = [_split_pairs.options(num_returns=P).remote(r, P, key)
-              for r in block_refs]
-    return [_merge_bucket.remote(*[sp[p] for sp in splits])
-            for p in range(P)]
+    return [_merge_bucket.remote(*col)
+            for col in shuffle(_split_pairs, block_refs, P, key)]
 
 
 @ray.remote
@@ -554,13 +513,8 @@ class BspGraph:
         by hash(dst) — ALL constructors must uphold the dst-ownership
         invariant (the PageRank combine is a disjoint scatter)."""
         s, d = K.dedup_pairs(src, dst)
-        bucket = ((d.astype(np.uint64) * _GOLD) >> np.uint64(33)) \
-            % np.uint64(num_blocks)
-        refs = []
-        for p in range(num_blocks):
-            m = bucket == p
-            refs.append(ray.put(pa.table({"src": pa.array(s[m], pa.int64()),
-                                          "dst": pa.array(d[m], pa.int64())})))
+        refs = [ray.put(_pair_block(*c))
+                for c in split(bucket(d, num_blocks), num_blocks, s, d)]
         return cls(n, refs, len(s))
 
     @property
@@ -798,12 +752,8 @@ class BspGraph:
         P = triangle_grid(self.num_edges, _cluster_cpus())
         S = self._oriented_split("src", P)
         D = self._oriented_split("dst", P)
-        if P == 1:
-            wparts = [[_wedge_split.remote(D[0], S[0], P, chunk_wedges)]]
-        else:
-            w = [_wedge_split.options(num_returns=P).remote(
-                D[p], S[p], P, chunk_wedges) for p in range(P)]
-            wparts = [[w[p][q] for p in range(P)] for q in range(P)]
+        wparts = columns([_wedge_split.options(num_returns=P).remote(
+            D[p], S[p], P, chunk_wedges) for p in range(P)], P)
         futs = [_probe_count.remote(S[q], self.n, *wparts[q])
                 for q in range(P)]
         parts = ray.get(futs)
@@ -820,13 +770,8 @@ class BspGraph:
         cache = self.__dict__.setdefault("_oriented_cache", {})
         ck = (key, P)
         if ck not in cache:
-            splits = [_orient_split.options(num_returns=P if P > 1 else 1)
-                      .remote(r, P, key) for r in self.und_refs]
-            if P == 1:
-                cache[ck] = [_merge_concat.remote(*splits)]
-            else:
-                cache[ck] = [_merge_concat.remote(*[sp[p] for sp in splits])
-                             for p in range(P)]
+            cache[ck] = [_merge_concat.remote(*col) for col in
+                         shuffle(_orient_split, self.und_refs, P, key)]
         return cache[ck]
 
     def reciprocal_counts(self):
@@ -850,13 +795,7 @@ class BspGraph:
         # dst-partitioned, so build src-partitioned blocks once
         srcp = _shuffle_pairs(self.refs, P, key="src")
         # request-side: bucket by hash(dst) = owner of the reversed key
-        if P == 1:
-            reqs = [[_req_split.remote(self.refs[0], P)]]
-        else:
-            rq = [_req_split.options(num_returns=P).remote(r, P)
-                  for r in self.refs]
-            reqs = [[rq[p][q] for p in range(len(self.refs))]
-                    for q in range(P)]
+        reqs = shuffle(_req_split, self.refs, P)
         futs = [_recip_probe.remote(srcp[q], self.n, *reqs[q])
                 for q in range(P)]
         inter = np.sum(ray.get(futs), axis=0).astype(np.int64)

@@ -361,10 +361,12 @@ def test_skewed_join_subtask_fanout(ray_session, monkeypatch):
     """a hub key routes its whole neighbourhood into one hash partition;
     with a tiny split threshold the join fans out into sub-tasks and
     still returns exactly the same rows."""
+    import importlib
     import ray.data as rd
     from raphtory_ray.graph.graph_frame import GraphFrame
     from raphtory_ray.query import cypher
-    monkeypatch.setenv("RA_JOIN_SPLIT_ROWS", "10")
+    cy = importlib.import_module("raphtory_ray.query.cypher")
+    monkeypatch.setattr(cy, "_JOIN_SPLIT_ROWS", 10)
     rng = np.random.default_rng(5)
     m = 300
     src = rng.integers(0, 20, m)

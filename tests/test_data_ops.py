@@ -1193,6 +1193,28 @@ def test_funnel_greedy_window_semantics(ray_session):
     assert 4 not in got
 
 
+def test_funnel_window_near_int64_max(ray_session):
+    """A window near the int64 maximum must not wrap t_first + window:
+    any window wider than the event span gives the same funnel."""
+    import ray.data as rd
+    from raphtory_ray.data.asof import funnel_counts
+    t = pa.table({
+        "user_id": pa.array([1, 1, 1, 2, 2, 3], pa.int64()),
+        "ts": pa.array([100, 110, 120, 100, 5000, 7], pa.int64()),
+        "event_type": pa.array(["view", "click", "purchase",
+                                "view", "click", "view"])})
+    steps = ["view", "click", "purchase"]
+
+    def run(window):
+        out = funnel_counts(rd.from_arrow(t), steps, window=window)
+        return {int(r.user_id): (int(r.stage), int(r.t_first))
+                for r in out.to_pandas().itertuples()}
+
+    wide = run(10**12)
+    assert wide == {1: (3, 100), 2: (2, 100), 3: (1, 7)}
+    assert run(np.iinfo(np.int64).max) == wide
+
+
 def test_cohort_retention_semantics(ray_session):
     """round-5 cohorts: period of first event defines the cohort; each
     (cohort, offset) counts DISTINCT users; reshard-invariant."""

@@ -100,3 +100,34 @@ def test_distributed_resolve_parity(corpus):
                 ["src", "dst", "t", "event_id"]).take_all())
 
     assert rows(gf1) == rows(gf2)
+
+
+def test_distributed_gid_resolution_any_partition_count(ray_session):
+    """The distributed gid dictionary and its shuffle-join resolution give
+    vid = rank of the gid in sorted order at any partition count, one
+    included; endpoints outside the dictionary are dropped."""
+    import ray
+    import ray.data as rd
+    from raphtory_ray.pipelines.ingest import (build_gid_index_distributed,
+                                               resolve_edges_distributed)
+    names = [f"f{i:03d}" for i in range(45)]
+    files = rd.from_arrow(pa.table({"gid": names[:40][::-1]})) \
+        .repartition(3).materialize()
+    rng = np.random.default_rng(1)
+    s, d = rng.integers(0, 40, 100), rng.integers(0, 45, 100)
+    edges = pa.table({"src_gid": [names[i] for i in s],
+                      "dst_gid": [names[i] for i in d],
+                      "t": pa.array(np.arange(100), pa.int64()),
+                      "event_id": pa.array(np.arange(100), pa.int64())})
+    raw = [ray.put(edges.slice(0, 60)), ray.put(edges.slice(60))]
+    keep = d < 40
+    want = sorted(zip(np.flatnonzero(keep).tolist(), s[keep].tolist(),
+                      d[keep].tolist()))
+    for P in (1, 3):
+        dict_refs, n = build_gid_index_distributed(files, P=P)
+        assert (n, len(dict_refs)) == (40, P)
+        out = pa.concat_tables(ray.get(resolve_edges_distributed(raw,
+                                                                 dict_refs)))
+        got = sorted(zip(out["event_id"].to_pylist(), out["src"].to_pylist(),
+                         out["dst"].to_pylist()))
+        assert got == want, P

@@ -70,6 +70,10 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
+    # every line is flushed as printed, and each query is named before it
+    # runs: if Ray aborts the process, piped stdout still shows which
+    # query was running
+    sys.stdout.reconfigure(line_buffering=True)
     import os
     os.environ["GRAFT_ORACLE_SF_DIR"] = sf_dir   # corpus oracles follow sf
     import ray
@@ -89,6 +93,7 @@ def main():
         if only and name not in only:
             continue
         import time
+        print(f"RUN {name}", flush=True)
         t0 = time.perf_counter()
         try:
             ray_df = to_pandas(fn(sf_dir))
