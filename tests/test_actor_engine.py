@@ -60,25 +60,32 @@ def test_unknown_gather_mode_raises(ray_session):
             eng.pagerank(gather_mode="bogus")
 
 
+def _assert_central_matches_p2p_tiled(seed):
+    from raphtory_ray.state.actor_engine import ShardedPageRank
+    from raphtory_ray.state.shards import BspGraph
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 900, 6000)
+    dst = rng.integers(0, 900, 6000)
+    g = BspGraph.from_arrays(src, dst, 900, num_blocks=5)
+    pr = {}
+    for mode in ("central", "p2p-tiled"):
+        with ShardedPageRank.from_bsp(g) as eng:
+            pr[mode] = eng.pagerank(iter_count=8, tol=0.0, gather_mode=mode)
+    assert pr["central"][1] == pr["p2p-tiled"][1]
+    np.testing.assert_allclose(pr["central"][0], pr["p2p-tiled"][0],
+                               rtol=0, atol=1e-15)
+
+
 def test_central_gather_matches_p2p(ray_session):
     """gather_mode='central' (driver-assembled all-gather) is numerically
     identical to the p2p-tiled slice path ((partition, dst)-blocked rows,
-    slice transport) on two random graphs."""
-    from raphtory_ray.state.actor_engine import ShardedPageRank
-    from raphtory_ray.state.shards import BspGraph
-    for seed in (13, 23):
-        rng = np.random.default_rng(seed)
-        src = rng.integers(0, 900, 6000)
-        dst = rng.integers(0, 900, 6000)
-        g = BspGraph.from_arrays(src, dst, 900, num_blocks=5)
-        pr = {}
-        for mode in ("central", "p2p-tiled"):
-            with ShardedPageRank.from_bsp(g) as eng:
-                pr[mode] = eng.pagerank(iter_count=8, tol=0.0,
-                                        gather_mode=mode)
-        assert pr["central"][1] == pr["p2p-tiled"][1], seed
-        np.testing.assert_allclose(pr["central"][0], pr["p2p-tiled"][0],
-                                   rtol=0, atol=1e-15, err_msg=str(seed))
+    slice transport)."""
+    _assert_central_matches_p2p_tiled(13)
+
+
+def test_p2p_tiled_matches_central(ray_session):
+    """The same comparison on a second random graph."""
+    _assert_central_matches_p2p_tiled(23)
 
 
 def test_central_gather_checkpoint_resume(ray_session, tmp_path):
