@@ -34,6 +34,7 @@ import numpy as np
 import ray
 
 from raphtory_ray.core.exchange import bucket
+from raphtory_ray.state.supersteps import iterate
 
 GATHER_MODES = ("central", "p2p-tiled")
 
@@ -253,7 +254,6 @@ class ShardedPageRank:
         gather_mode (one of GATHER_MODES, see the module docstring):
         "central" (default; fastest free-floating) or "p2p-tiled" (O(P)
         driver work; fastest with workers pinned to cores)."""
-        import time
         if gather_mode not in GATHER_MODES:
             raise ValueError(f"gather_mode must be one of {GATHER_MODES}, "
                              f"got {gather_mode!r}")
@@ -292,18 +292,16 @@ class ShardedPageRank:
                 return outs
 
             scores = self.gather
-        times, it = [], it0
-        for it in range(it0 + 1, iter_count + 1):
-            t0 = time.perf_counter()
-            outs = superstep(sink)
-            sink = float(sum(o[1] for o in outs))
+
+        def advance(sink, outs, it):
             norm = float(np.sqrt(sum(o[2] for o in outs)))
-            times.append(time.perf_counter() - t0)
             if checkpoint is not None and it % checkpoint_every == 0:
                 checkpoint.save(it, {"rank": scores()},
                                 metrics={"norm": norm})
-            if norm <= tol * self.n:
-                break
+            return float(sum(o[1] for o in outs)), norm <= tol * self.n
+
+        _, it, times = iterate(superstep, advance, sink, start=it0,
+                               stop=iter_count)
         return scores(), it, times
 
     def _compose(self, per_actor_ref_lists) -> list:

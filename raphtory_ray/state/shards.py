@@ -6,11 +6,11 @@ Design (the TaskRunner equivalent, SURVEY §7.2.3):
   Ray Data ``groupby(["src","dst"])`` (the foundational shuffle, SURVEY
   §2.7) and materialized as Arrow blocks pinned in the object store
   (``to_arrow_refs``) — topology is shuffled once, never re-shipped.
-- Vertex state is O(V) dense numpy arrays owned by the driver and broadcast
-  per superstep with ``ray.put`` (read zero-copy by every task). Message
-  generation + partial combine happen inside per-block Ray tasks (the
-  vectorized kernels of core/kernels.py); the driver does the tiny final
-  combine (classic partial+final aggregation, SURVEY §2.5).
+- Vertex state is O(V) dense numpy arrays, stepped by the one loop of
+  state/supersteps.py: plain per-block kernels (core/kernels.py) do the
+  partial combine, ``advance`` the tiny final one (SURVEY §2.5). Several
+  step blocks run task rounds that ``ray.put`` the state; one step block
+  runs the whole loop in one task.
 - Supersteps are idempotent pure functions of (blocks, state_k) → state_{k+1},
   which is what makes per-iteration checkpoint/resume trivial
   (pipelines/checkpoint.py) and makes Ray's task retries safe.
@@ -39,6 +39,7 @@ import ray
 from raphtory_ray.core import kernels as K
 from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
                                         split)
+from raphtory_ray.state.supersteps import superstep_loop
 
 
 def _np(col) -> np.ndarray:
@@ -86,12 +87,16 @@ def _csr_by_dst(*blocks: pa.Table):
     return s, uds, start
 
 
-@ray.remote
-def _pr_superstep(csr, rank: np.ndarray, inv_outdeg: np.ndarray):
+def _csr_out_degree(csr):
+    """Sparse out-degree partial of a CSR slice: (src vids, counts)."""
+    return np.unique(csr[0], return_counts=True)
+
+
+def _pr_superstep(csr, rank: np.ndarray, inv_outdeg: np.ndarray, *_):
     """Sparse superstep partial over a prepped CSR block: (owned dst vids,
     summed contributions). reduceat over the pre-sorted rows — no per-
     superstep sort; output size bounded by owned vertices, and dst-ownership
-    makes partials DISJOINT, so the driver combine is a plain scatter."""
+    makes partials DISJOINT, so the combine is a plain scatter."""
     s, uds, start = csr
     if len(uds) == 0:
         return uds, np.empty(0)
@@ -99,7 +104,6 @@ def _pr_superstep(csr, rank: np.ndarray, inv_outdeg: np.ndarray):
     return uds, np.add.reduceat(w, start)
 
 
-@ray.remote
 def _lpa_vote_owned(block: pa.Table, prev: np.ndarray, n: int):
     """LPA superstep over a src-OWNED undirected block (every neighbour row
     of each u in this block lives here): count votes {prev[v] for v in
@@ -124,7 +128,6 @@ def _lpa_vote_owned(block: pa.Table, prev: np.ndarray, n: int):
     return nodes[last], labels[last]
 
 
-@ray.remote
 def _wcc_min_owned(block: pa.Table, label: np.ndarray):
     """Hash-min superstep over a src-OWNED undirected block: new label of u =
     min(label[u], min label of neighbours). Returns only changed (u, label)
@@ -139,7 +142,19 @@ def _wcc_min_owned(block: pa.Table, label: np.ndarray):
     return chg, out[chg]
 
 
-@ray.remote
+def _wcc_advance(label, parts, it):
+    """Scatter changed labels, pointer-double to a fixpoint (~log diam)."""
+    new = label.copy()
+    for chg, vals in parts:               # disjoint by ownership
+        new[chg] = vals
+    while True:
+        nl = new[new]
+        if np.array_equal(nl, new):
+            break
+        new = nl
+    return new, np.array_equal(new, label)
+
+
 def _alive_count_partial(block: pa.Table, alive: np.ndarray):
     """Sparse alive-neighbour counts over a src-OWNED undirected block:
     (owned vids, counts) — disjoint across blocks by ownership."""
@@ -147,10 +162,10 @@ def _alive_count_partial(block: pa.Table, alive: np.ndarray):
     return np.unique(u[alive[v]], return_counts=True)
 
 
-@ray.remote
-def _hits_partial(block: pa.Table, hub: np.ndarray, auth: np.ndarray):
+def _hits_partial(block: pa.Table, hub_auth: tuple):
     """Sparse HITS partials: (dst vids, Σhub[src]) — disjoint by dst
     ownership — plus (src vids, Σauth[dst]) — overlapping, scatter-added."""
+    hub, auth = hub_auth
     s, d = _sd(block)
     if len(s) == 0:
         z = np.empty(0, np.int64)
@@ -436,14 +451,14 @@ class BspGraph:
     undirected neighbour blocks) in the object store."""
 
     # above this edge count lpa routes through the actor-sharded
-    # owned-slice sparse-delta engine (state/sharded_algos) instead of the
-    # driver-broadcast task rounds. Pool start is not cheap: on a 1-core
-    # host with 2 logical Ray CPUs an empty actor took 0.8-1.0 s to start
-    # and a one-actor AlgoShard pool 1.1-1.5 s to start and initialize, so
-    # on the perfbench edge-algos graph sharded LPA took 1.3-1.5 s against
-    # 0.45-0.55 s for the task rounds. The routing stays because round 5
-    # measured the sharded engine 2.5x faster at sf0.1 on 32 CPUs, where
-    # the per-superstep O(V) driver ray.put dominates.
+    # owned-slice sparse-delta engine (state/sharded_algos). Pool start is
+    # not cheap: on the perfbench edge-algos graph (1-core host, 2 logical
+    # Ray CPUs, one step group) sharded LPA took 1.7-2.1 s against
+    # 0.38-0.49 s for the fused task loop (0.49-0.73 s as task rounds).
+    # The routing stays: round 5 measured the sharded engine 2.5x faster
+    # at sf0.1 on 32 CPUs, where the rounds' O(V) driver ray.put
+    # dominates, and perfbench pins the 1-CPU pool hang that routing
+    # edge-algos to the task path would remove.
     _SHARDED_EDGE_THRESHOLD = 50_000
 
     def __init__(self, n: int, refs: list, num_edges: int):
@@ -582,13 +597,7 @@ class BspGraph:
         teleport AND sink mass restart proportionally to it instead of
         uniformly. ``None`` keeps the reference's uniform recurrence on the
         exact same float-op order as before (bit-stable oracles)."""
-        import time
         n = self.n
-        outdeg = self.out_degree
-        inv_outdeg = np.zeros(n)
-        nz = outdeg > 0
-        inv_outdeg[nz] = 1.0 / outdeg[nz]
-        sink_mask = ~nz
         pv = None
         if personalization is not None:
             pv = np.asarray(personalization, np.float64)
@@ -599,23 +608,26 @@ class BspGraph:
                 raise ValueError("personalization must have positive mass")
             pv = pv / s
         prev = np.full(n, 1.0 / n) if pv is None else pv.copy()
-        it0, it = 0, 0
+        it0 = 0
         if checkpoint is not None:
             st = checkpoint.load_latest()
             if st is not None:
                 it0, prev = st["iteration"], st["state"]["rank"]
-        times = []
-        od_ref = ray.put(inv_outdeg)      # constant across supersteps
-        csr = self.csr_refs               # built once
-        for it in range(it0 + 1, iter_count + 1):
-            t0 = time.perf_counter()
-            rank_ref = ray.put(prev)
-            parts = ray.get([_pr_superstep.remote(r, rank_ref, od_ref)
-                             for r in csr])
+
+        def degrees(parts):
+            outdeg = np.zeros(n, dtype=np.int64)
+            for ids, cnt in parts:
+                np.add.at(outdeg, ids, cnt)   # partials overlap across slices
+            inv_outdeg = np.zeros(n)
+            nz = outdeg > 0
+            inv_outdeg[nz] = 1.0 / outdeg[nz]
+            return inv_outdeg, ~nz
+
+        def advance(prev, parts, it, inv_outdeg, sink_mask):
             contrib = np.zeros(n)
             for uds, sums in parts:
                 # dst-owned blocks → disjoint vid sets → plain scatter,
-                # O(V) total driver work per superstep
+                # O(V) total work per superstep
                 contrib[uds] = sums
             sink = prev[sink_mask].sum()
             if pv is None:
@@ -627,13 +639,13 @@ class BspGraph:
             diff = cur - prev
             norm = float(np.sqrt(np.square(diff).sum())) if use_l2_norm \
                 else float(np.abs(diff).sum())
-            prev = cur
-            times.append(time.perf_counter() - t0)
             if checkpoint is not None:
-                checkpoint.save(it, {"rank": prev}, metrics={"norm": norm})
-            if norm <= tol * n:
-                break
-        return prev, it, times
+                checkpoint.save(it, {"rank": cur}, metrics={"norm": norm})
+            return cur, norm <= tol * n
+
+        return superstep_loop(self.csr_refs, _pr_superstep, advance, prev,
+                              setup=(_csr_out_degree, degrees), start=it0,
+                              stop=iter_count, checkpoint=checkpoint)
 
     # wcc crosses to the sharded path much later than lpa: the task path's
     # driver-side pointer doubling collapses round count to ~log(diameter),
@@ -650,8 +662,8 @@ class BspGraph:
         _SHARDED_WCC_EDGE_THRESHOLD edges (engine="auto") the rounds run
         on the actor-sharded owned-slice sparse-delta path
         (sharded_algos.wcc_owned — identical labels, parity-tested);
-        smaller graphs use the task rounds with driver-side pointer
-        doubling below (fewer rounds: ~log diameter)."""
+        smaller graphs run the superstep loop with pointer doubling in
+        each advance (fewer supersteps: ~log diameter)."""
         if checkpoint is not None:
             # mid-convergence lineage checkpoints live on the sharded path
             return self.sharded().wcc_owned(checkpoint=checkpoint,
@@ -659,29 +671,16 @@ class BspGraph:
         if engine == "auto" \
                 and self.num_edges >= self._SHARDED_WCC_EDGE_THRESHOLD:
             return self.sharded().wcc_owned()
-        label = np.arange(self.n, dtype=np.int64)
-        while True:
-            ref = ray.put(label)
-            parts = ray.get([_wcc_min_owned.remote(r, ref)
-                             for r in self.und_step_refs])
-            new = label.copy()
-            for chg, vals in parts:       # disjoint by ownership
-                new[chg] = vals
-            while True:
-                nl = new[new]
-                if np.array_equal(nl, new):
-                    break
-                new = nl
-            if np.array_equal(new, label):
-                return label
-            label = new
+        return superstep_loop(self.und_step_refs, _wcc_min_owned,
+                              _wcc_advance,
+                              np.arange(self.n, dtype=np.int64))[0]
 
     def lpa(self, iter_count=20, labels=None, until_converged=True,
             engine: str = "auto", checkpoint=None,
             checkpoint_every: int = 5):
         """Synchronous LPA (label_propagation.rs:40-112). Each src-owned
         undirected block resolves its vertices' votes (incl. self vote)
-        entirely in-task; the driver only scatters disjoint updates.
+        entirely in its kernel; advance only scatters disjoint updates.
         Above _SHARDED_EDGE_THRESHOLD edges (engine="auto", default
         labels) the vote rounds run on the actor-sharded owned-slice
         sparse-delta path (sharded_algos.lpa_owned — identical labels,
@@ -695,35 +694,27 @@ class BspGraph:
             return self.sharded().lpa_owned(iter_count, until_converged)
         n = self.n
         prev = np.arange(n, dtype=np.int64) if labels is None else labels.copy()
-        it = 0
-        for it in range(1, iter_count + 1):
-            ref = ray.put(prev)
-            parts = ray.get([_lpa_vote_owned.remote(r, ref, n)
-                             for r in self.und_step_refs])
+
+        def advance(prev, parts, it, *_):
             cur = prev.copy()
             for us, ls in parts:          # disjoint by ownership
                 cur[us] = ls
-            if until_converged and np.array_equal(cur, prev):
-                prev = cur
-                break
-            prev = cur
-        return prev, it
+            return cur, until_converged and np.array_equal(cur, prev)
+
+        return superstep_loop(self.und_step_refs, _lpa_vote_owned, advance,
+                              prev, (n,), stop=iter_count)[:2]
 
     def kcore_set(self, k: int, iter_count: int = 10**9) -> np.ndarray:
-        alive = self.both_degree >= k
-        it = 0
-        while it < iter_count:
-            it += 1
-            ref = ray.put(alive)
-            cnt = np.zeros(self.n, dtype=np.int64)
-            for ids, c in ray.get([_alive_count_partial.remote(r, ref)
-                                   for r in self.und_step_refs]):
+        def advance(alive, parts, it):
+            cnt = np.zeros(len(alive), dtype=np.int64)
+            for ids, c in parts:
                 cnt[ids] += c             # disjoint by src ownership
             new_alive = alive & (cnt >= k)
-            if np.array_equal(new_alive, alive):
-                break
-            alive = new_alive
-        return alive
+            return new_alive, np.array_equal(new_alive, alive)
+
+        return superstep_loop(self.und_step_refs, _alive_count_partial,
+                              advance, self.both_degree >= k,
+                              stop=iter_count)[0]
 
     def triangle_counts(self, chunk_wedges: int = 262_144):
         """(global_count, per-node counts); exact, each triangle once
@@ -805,14 +796,12 @@ class BspGraph:
         """Reference HITS (hits.rs:53-158): sum-normalized each iteration
         (auth = recv_hub / Σ recv_hub), stop when BOTH max-diffs ≤ tol
         (reference fixes tol = 0.01)."""
-        hub = np.ones(self.n)
-        auth = np.ones(self.n)
-        it = 0
-        for it in range(1, iter_count + 1):
-            h_ref, a_ref = ray.put(hub), ray.put(auth)
-            parts = ray.get([_hits_partial.remote(r, h_ref, a_ref) for r in self.refs])
-            recv_hub = np.zeros(self.n)
-            recv_auth = np.zeros(self.n)
+        n = self.n
+
+        def advance(hub_auth, parts, it):
+            hub, auth = hub_auth
+            recv_hub = np.zeros(n)
+            recv_auth = np.zeros(n)
             for uds, rh, uss, ra in parts:
                 recv_hub[uds] += rh       # disjoint by dst ownership
                 np.add.at(recv_auth, uss, ra)
@@ -821,7 +810,9 @@ class BspGraph:
             new_hub = recv_auth / ta if ta > 0 else recv_auth
             md_h = np.abs(new_hub - hub).max(initial=0.0)
             md_a = np.abs(new_auth - auth).max(initial=0.0)
-            hub, auth = new_hub, new_auth
-            if md_h <= tol and md_a <= tol:
-                break
+            return (new_hub, new_auth), md_h <= tol and md_a <= tol
+
+        (hub, auth), it, _ = superstep_loop(
+            self.refs, _hits_partial, advance, (np.ones(n), np.ones(n)),
+            stop=iter_count)
         return hub, auth, it

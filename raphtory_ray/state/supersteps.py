@@ -1,4 +1,5 @@
-"""Generic user superstep API — the ATask / Job / TaskRunner equivalent.
+"""The one superstep loop of the BspGraph algorithms, and the generic user
+superstep API built on it — the ATask / Job / TaskRunner equivalent.
 
 Reference surface: db/task/task.rs (ATask, Step::Continue/Done),
 task_runner.rs (TaskRunner::run(init_tasks, tasks, ...)) — there a user
@@ -14,16 +15,19 @@ granularity; per-row Python closures cannot scale):
         iter_count=30,
         check=lambda old, new: np.array_equal(old, new))
 
-Execution per superstep: the current O(V) state is broadcast once
-(ray.put); each dst-owned edge block computes messages vectorized and
-reduces them per destination LOCALLY (sort + reduceat); because blocks
-partition by hash(dst), the per-block sparse results are disjoint and the
-driver's scatter is O(V) total per superstep — the same task-engine
-contract as the built-in WCC/LPA/k-core (shards.py) that the actor-sharded
-path specializes."""
+The BspGraph algorithms and run_supersteps are instances of one loop,
+``superstep_loop``: a plain kernel reduces each ownership-partitioned
+block's messages LOCALLY to disjoint partials, and ``advance`` scatters
+them into the next O(V) state. With several step blocks (or a
+checkpoint) each superstep is a round: ray.put the state, one task per
+block, advance on the driver. With one step block a single task runs the
+whole loop next to the block — same kernel, same advance, same bits."""
 
 from __future__ import annotations
 
+import functools
+import itertools
+import time
 from typing import Callable
 
 import numpy as np
@@ -31,9 +35,67 @@ import pyarrow as pa
 import ray
 
 _IDENT = {"sum": 0.0, "min": np.inf, "max": -np.inf}
+_REDUCE = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+_task = functools.cache(ray.remote)     # one remote wrapper per kernel
 
 
-@ray.remote
+def superstep_loop(refs: list, kernel: Callable, advance: Callable, state,
+                   consts: tuple = (), *, setup=None, start: int = 0,
+                   stop: int | None = None, checkpoint=None):
+    """Run supersteps ``start + 1 .. stop`` (unbounded if ``stop`` is None)
+    until ``advance`` reports done. ``setup = (part, combine)`` appends
+    ``combine([part(block) for each block])`` to ``consts`` once, before
+    the first superstep. A ``checkpoint`` is written by ``advance``, so it
+    keeps the loop on the driver. Returns (state, last superstep run or
+    ``start``, per-superstep seconds)."""
+    path = _fused if len(refs) == 1 and checkpoint is None else _rounds
+    return path(refs, kernel, advance, state, consts, setup, start, stop)
+
+
+def iterate(parts: Callable, advance: Callable, state, consts: tuple = (),
+            start: int = 0, stop: int | None = None):
+    """The driver-side loop body shared by every superstep engine:
+    ``state, done = advance(state, parts(state), it, *consts)``, timed."""
+    it, times = start, []
+    for it in itertools.count(start + 1) if stop is None \
+            else range(start + 1, stop + 1):
+        t0 = time.perf_counter()
+        state, done = advance(state, parts(state), it, *consts)
+        times.append(time.perf_counter() - t0)
+        if done:
+            break
+    return state, it, times
+
+
+def _run(each, put, kernel, advance, state, consts, setup, start, stop):
+    """The loop over ``each(fn, *args)``, which applies ``fn`` to every
+    step block; ``put`` ships a value to where the blocks are."""
+    if setup is not None:
+        consts = (*consts, *setup[1](each(setup[0])))
+    shipped = [put(c) for c in consts]          # constant across supersteps
+    return iterate(lambda st: each(kernel, put(st), *shipped), advance,
+                   state, consts, start, stop)
+
+
+def _loop(block, *args):
+    """The fused task's body: the whole loop next to one local block."""
+    return _run(lambda fn, *a: [fn(block, *a)], lambda x: x, *args)
+
+
+def _fused(refs, *args):
+    state, it, times = ray.get(_task(_loop).remote(refs[0], *args))
+    # ray.get hands back read-only arrays; rounds return driver-made ones
+    own = functools.partial(np.require, requirements="W")
+    return (tuple(map(own, state)) if isinstance(state, tuple)
+            else own(state)), it, times
+
+
+def _rounds(refs, *args):
+    return _run(lambda fn, *a: ray.get([_task(fn).remote(r, *a)
+                                        for r in refs]), ray.put, *args)
+
+
 def _user_step(block: pa.Table, state, message: Callable, combine: str):
     s = block["src"].to_numpy(zero_copy_only=False)
     d = block["dst"].to_numpy(zero_copy_only=False)
@@ -43,16 +105,7 @@ def _user_step(block: pa.Table, state, message: Callable, combine: str):
     order = np.argsort(d, kind="stable")
     ds, ms = d[order], msg[order]
     seg = np.r_[0, np.flatnonzero(ds[1:] != ds[:-1]) + 1]
-    ids = ds[seg]
-    if combine == "sum":
-        vals = np.add.reduceat(ms, seg)
-    elif combine == "min":
-        vals = np.minimum.reduceat(ms, seg)
-    elif combine == "max":
-        vals = np.maximum.reduceat(ms, seg)
-    else:
-        raise ValueError(f"unknown combine {combine!r}")
-    return ids, vals
+    return ds[seg], _REDUCE[combine].reduceat(ms, seg)
 
 
 def run_supersteps(g, state0: np.ndarray, message: Callable,
@@ -73,14 +126,10 @@ def run_supersteps(g, state0: np.ndarray, message: Callable,
       iteration also stops at ``iter_count`` (TaskRunner num_iterations).
 
     Returns (state, iterations_run)."""
-    state = np.asarray(state0, dtype=np.float64).copy()
     n = g.n
     ident = _IDENT[combine]
-    it = 0
-    for it in range(1, iter_count + 1):
-        st_ref = ray.put(state)
-        parts = ray.get([_user_step.remote(r, st_ref, message, combine)
-                         for r in g.refs])
+
+    def advance(state, parts, it, *_):
         agg = np.full(n, ident, dtype=np.float64)
         got = np.zeros(n, dtype=bool)
         for ids, vals in parts:
@@ -90,8 +139,9 @@ def run_supersteps(g, state0: np.ndarray, message: Callable,
             new_state = np.where(got, agg, state)
         else:
             new_state = np.asarray(apply(state, agg, got), dtype=np.float64)
-        done = check is not None and check(state, new_state)
-        state = new_state
-        if done:
-            break
-    return state, it
+        return new_state, check is not None and check(state, new_state)
+
+    return superstep_loop(
+        g.refs, _user_step, advance,
+        np.asarray(state0, dtype=np.float64).copy(), (message, combine),
+        stop=iter_count)[:2]

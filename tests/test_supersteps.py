@@ -103,3 +103,116 @@ def test_eigenvector_centrality_brute_force(ray_session):
         x = nxt / nrm if nrm > 0 else nxt
     assert np.allclose(st.values, x, atol=1e-12)
     assert abs(float(np.square(st.values).sum()) - 1.0) < 1e-9  # unit norm
+
+
+# ------------------------------------------------- the one superstep loop
+
+def _one_block_graph(seed=3, n=400, m=2500):
+    from raphtory_ray.state.shards import BspGraph
+    rng = np.random.default_rng(seed)
+    g = BspGraph.from_arrays(rng.integers(0, n, m), rng.integers(0, n, m),
+                             n, num_blocks=1)
+    assert len(g.refs) == len(g.csr_refs) == len(g.und_step_refs) == 1
+    return g, rng
+
+
+def _runs(g, rng):
+    """The six superstep-loop instances, each as g → result tuple."""
+    from raphtory_ray.algorithms import (eigenvector_centrality,
+                                         katz_centrality)
+    pv = rng.random(g.n)
+
+    def centrality(st):
+        return st.values, st.iterations
+
+    return {
+        "pagerank_tol": lambda: g.pagerank()[:2],
+        "pagerank_fixed": lambda: g.pagerank(iter_count=8, tol=0.0)[:2],
+        "pagerank_personalized_tol":
+            lambda: g.pagerank(personalization=pv)[:2],
+        "pagerank_personalized_fixed": lambda: g.pagerank(
+            iter_count=8, tol=0.0, personalization=pv)[:2],
+        "wcc": lambda: (g.wcc(engine="task"),),
+        "lpa_converged": lambda: g.lpa(engine="task"),
+        "lpa_fixed": lambda: g.lpa(iter_count=3, until_converged=False,
+                                   engine="task"),
+        "kcore": lambda: tuple(g.kcore_set(k) for k in (2, 3, 5)),
+        "hits": lambda: g.hits(),
+        "katz": lambda: centrality(katz_centrality(
+            g, alpha=1e-3, beta=2.0, iter_count=500, tol=1e-12)),
+        "eigenvector": lambda: centrality(eigenvector_centrality(
+            g, iter_count=200, tol=1e-9)),
+    }
+
+
+def _assert_same(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype
+            assert x.flags.writeable and y.flags.writeable
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y
+
+
+def test_loop_fused_and_rounds_paths_agree(ray_session, monkeypatch):
+    """On one step block every loop instance takes the fused path by
+    default, and the fused and round paths give array_equal results and
+    the same iteration count."""
+    from raphtory_ray.state import supersteps
+    g, rng = _one_block_graph()
+    fused, rounds = supersteps._fused, supersteps._rounds
+    taken = []
+
+    def spy(*a):
+        taken.append("fused")
+        return fused(*a)
+
+    for name, run in _runs(g, rng).items():
+        taken.clear()
+        with monkeypatch.context() as m:
+            m.setattr(supersteps, "_fused", spy)
+            default = run()
+        assert taken, name
+        with monkeypatch.context() as m:
+            m.setattr(supersteps, "_fused", rounds)
+            by_rounds = run()
+        _assert_same(default, by_rounds)
+
+
+def test_checkpointed_pagerank_runs_rounds_and_resumes(ray_session, tmp_path,
+                                                       monkeypatch):
+    """A checkpoint keeps PageRank on the round path even on one CSR slice;
+    3 checkpointed supersteps resumed to 6 equal an uninterrupted 6-step
+    run bit for bit."""
+    from raphtory_ray.pipelines.checkpoint import CheckpointManager
+    from raphtory_ray.state import supersteps
+    g, _ = _one_block_graph(seed=9)
+    want, it, _ = g.pagerank(iter_count=6, tol=0.0)
+    assert it == 6
+
+    def no_fused(*a):
+        raise AssertionError("checkpointed run took the fused path")
+
+    monkeypatch.setattr(supersteps, "_fused", no_fused)
+    ck = CheckpointManager(str(tmp_path / "pr"), num_partitions=3)
+    assert g.pagerank(iter_count=3, tol=0.0, checkpoint=ck)[1] == 3
+    got, it, times = g.pagerank(iter_count=6, tol=0.0, checkpoint=ck)
+    assert it == 6 and len(times) == 3
+    np.testing.assert_array_equal(got, want)
+
+
+def test_resumed_pagerank_reports_checkpointed_iterations(ray_session,
+                                                          tmp_path):
+    """A PageRank resumed from a checkpoint at or past ``iter_count`` runs
+    no superstep and reports the checkpoint's iteration, not 0."""
+    from raphtory_ray.pipelines.checkpoint import CheckpointManager
+    g, _ = _one_block_graph(seed=4)
+    ck = CheckpointManager(str(tmp_path / "pr"), num_partitions=2)
+    first, it, _ = g.pagerank(iter_count=5, tol=0.0, checkpoint=ck)
+    assert it == 5
+    again, it, times = g.pagerank(iter_count=5, tol=0.0, checkpoint=ck)
+    assert it == 5 and times == []
+    np.testing.assert_array_equal(again, first)
+    assert g.pagerank(iter_count=4, tol=0.0, checkpoint=ck)[1] == 5
