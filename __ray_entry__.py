@@ -4738,7 +4738,7 @@ SELECT doc_id, COUNT(*)::BIGINT AS n_lines,
        COUNT(DISTINCT line)::BIGINT AS n_distinct_lines
 FROM l GROUP BY doc_id
 """,
-        "doc_source_quality": """
+        "doc_source_quality": r"""
 SELECT source, COUNT(*)::BIGINT AS n_docs,
        SUM(length(text))::BIGINT AS sum_chars,
        SUM(length(regexp_replace(text, '[^A-Za-z]', '', 'g')))::BIGINT

@@ -12,8 +12,8 @@ In this sandbox the same script runs standalone (RAY_ADDRESS=local is
 preset; `ray.init` is guarded). Each algorithm writes partitioned parquet
 under its own output directory and drops a ``_SUCCESS`` marker + a
 ``METRICS.json`` (wall time, iterations, convergence norm) — a rerun
-skips finished algorithms, and PageRank additionally resumes
-mid-convergence from the per-iteration lineage checkpoints
+skips finished algorithms, and PageRank, WCC and LPA additionally resume
+mid-run from the per-iteration lineage checkpoints
 (pipelines/checkpoint.CheckpointManager)."""
 
 from __future__ import annotations

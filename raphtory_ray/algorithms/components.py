@@ -205,9 +205,7 @@ def closure_pairs(g, reverse: bool, sources: np.ndarray | None = None,
                   max_rounds: int = 10_000) -> list:
     """Distributed closure. Returns P object refs of (node, member) Arrow
     tables (row-partitioned by hash(node)). ``sources=None`` = all nodes."""
-    # at least 2 partitions: the layout this path was measured with (the
-    # exchange helpers also handle P = 1, which is unmeasured here)
-    P = max(2, len(g.refs))
+    P = len(g.refs)
     n = g.n
     oriented = [_cl_orient.remote(r, reverse) for r in g.refs]
     parts = _shuffle_pairs(oriented, P, key="src")

@@ -417,24 +417,6 @@ def union_find_clusters(pairs_a: np.ndarray, pairs_b: np.ndarray,
 _DISTRIBUTED_CC_THRESHOLD = 200_000
 
 
-def dup_clusters(pairs_a: np.ndarray, pairs_b: np.ndarray,
-                 ids: np.ndarray) -> np.ndarray:
-    """cluster_id = min doc_id per dup component. Sparse pair sets use the
-    driver union-find; above _DISTRIBUTED_CC_THRESHOLD pairs the dup graph
-    goes through the engine's own distributed WCC (state/shards.BspGraph —
-    hash-min label propagation whose labels ARE min-vid-per-component, i.e.
-    exactly this cluster_id contract)."""
-    if len(pairs_a) < _DISTRIBUTED_CC_THRESHOLD:
-        return union_find_clusters(pairs_a, pairs_b, ids)
-    from raphtory_ray.state.shards import BspGraph
-    n = int(max(ids.max(initial=0), pairs_a.max(initial=0),
-                pairs_b.max(initial=0))) + 1
-    g = BspGraph.from_arrays(pairs_a.astype(np.int64),
-                             pairs_b.astype(np.int64), n)
-    labels = g.wcc()
-    return labels[ids]
-
-
 # -------- Dataset-native cluster assignment (round 5) -----------------------
 # The verified-pair BLOCKS stay in the object store end to end; only the
 # sparse (touched-id → label) map — the thing that genuinely must be small,
@@ -524,25 +506,6 @@ def assign_clusters_from_refs(ds, id_col: str, pair_refs: list):
     the pair list never materialized on the driver (see
     clusters_from_pair_refs)."""
     touched, labels = clusters_from_pair_refs(pair_refs)
-    return _assign_broadcast(ds, id_col, touched, labels)
-
-
-def assign_clusters(ds, id_col: str, va: np.ndarray, vb: np.ndarray):
-    """→ Dataset(id_col, cluster_id): distributed cluster assignment from
-    driver pair ARRAYS (test/driver convenience; the dedup pipelines use
-    assign_clusters_from_refs so pairs stay in the object store).
-
-    The (touched id → cluster label) map is computed once (union-find, or
-    the engine's distributed WCC past _DISTRIBUTED_CC_THRESHOLD pairs),
-    broadcast with ``ray.put``, and joined against the id column inside
-    ``map_batches`` — a binary-search lookup per batch. Untouched ids map
-    to themselves."""
-    if len(va):
-        touched = np.unique(np.concatenate([va, vb])).astype(np.int64)
-        labels = dup_clusters(va, vb, touched)
-    else:
-        touched = np.empty(0, np.int64)
-        labels = np.empty(0, np.int64)
     return _assign_broadcast(ds, id_col, touched, labels)
 
 

@@ -90,11 +90,17 @@ def hll_distinct(ds, col: str = "text", p: int = 8) -> float:
 
 # ----------------------------------------------------------- Count-Min
 
-_CM_SALT = np.uint64(0x9E3779B97F4A7C15)
+_CM_SALT = 0x9E3779B97F4A7C15
 
 # the one splitmix64 the SQL oracle chain (_sm64_chain) mirrors — import,
 # don't copy, so engine and oracle can never desynchronize
 from raphtory_ray.core.exchange import splitmix64 as _splitmix64  # noqa: E402
+
+
+def _salted_hash(h: np.ndarray, i: int) -> np.ndarray:
+    """splitmix64(h + i·SALT), the sum and product wrapping mod 2^64: hash
+    i of the Count-Min rows and the Bloom positions, as the oracle has it."""
+    return _splitmix64(h + np.uint64(i * _CM_SALT & 0xFFFFFFFFFFFFFFFF))
 
 
 def _cm_block(b: pa.Table, col: str, depth: int, width: int) -> np.ndarray:
@@ -105,8 +111,7 @@ def _cm_block(b: pa.Table, col: str, depth: int, width: int) -> np.ndarray:
                   for x in txt.to_pylist()])
     out = np.zeros((depth, width), np.int64)
     for i in range(depth):
-        bkt = (_splitmix64(h + np.uint64(i) * _CM_SALT)
-               % np.uint64(width)).astype(np.int64)
+        bkt = (_salted_hash(h, i) % np.uint64(width)).astype(np.int64)
         np.add.at(out[i], bkt, 1)
     return out
 
@@ -144,8 +149,7 @@ def countmin_query(counters: pa.Table, texts: list[str], depth: int = 4,
     h = _md5_u64([t.encode() for t in texts])
     est = np.full(len(texts), np.iinfo(np.int64).max, np.int64)
     for i in range(depth):
-        bkt = (_splitmix64(h + np.uint64(i) * _CM_SALT)
-               % np.uint64(width)).astype(np.int64)
+        bkt = (_salted_hash(h, i) % np.uint64(width)).astype(np.int64)
         est = np.minimum(est, cm[i, bkt])
     return est
 
@@ -158,8 +162,7 @@ def _bloom_positions(h: np.ndarray, k: int, m: int) -> np.ndarray:
     HUGEINT chain verbatim."""
     pos = np.empty((k, len(h)), np.int64)
     for i in range(k):
-        pos[i] = (_splitmix64(h + np.uint64(i) * _CM_SALT)
-                  % np.uint64(m)).astype(np.int64)
+        pos[i] = (_salted_hash(h, i) % np.uint64(m)).astype(np.int64)
     return pos
 
 

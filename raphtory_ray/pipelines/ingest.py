@@ -270,30 +270,6 @@ class VidResolver:
         }).filter(ok)
 
 
-def resolve_edges(edges_gid_ds, gids: np.ndarray,
-                  concurrency: int | tuple | None = None):
-    ref = ray.put(gids)
-    return edges_gid_ds.map_batches(VidResolver, fn_constructor_args=(ref,),
-                                    batch_format="pyarrow", zero_copy_batch=True,
-                                    concurrency=concurrency or _pool_size())
-
-
-class ExtractResolveStage:
-    """Fused extract+resolve: one actor pool instead of two chained pools.
-
-    Chaining two autoscaling pools deadlocked at num_cpus=4 (each pool's
-    min-actors held every scheduler slot and the upstream read starved).
-    Fusing also halves the intermediate edge-event traffic: gid-form events
-    never leave the actor."""
-
-    def __init__(self, gids_ref):
-        self.extract = ImportExtractor()
-        self.resolve = VidResolver(gids_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.resolve(self.extract(batch))
-
-
 _UNION_SCHEMA = pa.schema([
     ("kind", pa.int8()),                  # 0 = file row, 1 = edge row
     ("gid", pa.string()), ("repo", pa.string()), ("path", pa.string()),

@@ -101,19 +101,6 @@ def copurchase_edges(sf_dir: str) -> rd.Dataset:
     return rd.from_arrow_refs(out)
 
 
-def part_vertex_count(sf_dir: str) -> int:
-    """Vertex universe = partkeys 1..max(p_partkey); vid == partkey (dense,
-    1-based, vid 0 unused)."""
-    import pyarrow.parquet as pq
-    t = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey"])
-    return int(t["p_partkey"].to_numpy().max()) + 1
-
-
-def copurchase_graph(sf_dir: str):
-    from raphtory_ray.graph.graph_frame import GraphFrame
-    return GraphFrame(copurchase_edges(sf_dir), n=part_vertex_count(sf_dir))
-
-
 def _lead_schema(keep_type: bool, keep_props: bool) -> pa.Table:
     z = pa.array([], pa.int64())
     out = {"src": z, "dst": z, "t": z, "event_id": z,

@@ -22,10 +22,10 @@ Compared against shards.BspGraph.pagerank in tests: same recurrence
 (pagerank.rs:55-179 incl. sink mass and the sqrt(Σd²) ≤ tol·n stop rule),
 identical scores to ~1e-12 (summation grouping differs).
 
-Fault tolerance / resume: every ``checkpoint_every`` iterations the driver
-writes the rank vector as the partitioned parquet + manifest of
-pipelines.checkpoint; ``pagerank(..., checkpoint=)`` resumes from the
-latest complete manifest by re-seeding actor slices.
+Fault tolerance / resume: after every superstep the driver writes the
+rank vector as the partitioned parquet + manifest of pipelines.checkpoint;
+``pagerank(..., checkpoint=)`` resumes from the latest complete manifest
+(supersteps.resume) by re-seeding actor slices.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 import ray
 
 from raphtory_ray.core.exchange import bucket
-from raphtory_ray.state.supersteps import iterate
+from raphtory_ray.state.supersteps import iterate, resume
 
 GATHER_MODES = ("central", "p2p-tiled")
 
@@ -246,7 +246,7 @@ class ShardedPageRank:
                                for p in stripe])
 
     def pagerank(self, damping: float = 0.85, iter_count: int = 20,
-                 tol: float = 1e-6, checkpoint=None, checkpoint_every: int = 1,
+                 tol: float = 1e-6, checkpoint=None,
                  gather_mode: str = "central"):
         """Reference recurrence (pagerank.rs:55-179). Returns
         (scores, iterations, per-superstep seconds).
@@ -257,14 +257,11 @@ class ShardedPageRank:
         if gather_mode not in GATHER_MODES:
             raise ValueError(f"gather_mode must be one of {GATHER_MODES}, "
                              f"got {gather_mode!r}")
-        full = np.full(self.n, 1.0 / self.n, dtype=self.dtype)
-        it0 = 0
-        if checkpoint is not None:
-            st = checkpoint.load_latest()
-            if st is not None:
-                it0 = st["iteration"]
-                full = st["state"]["rank"].astype(self.dtype)
-                self.seed_ranks(full)
+        it0, full = resume(checkpoint, "rank",
+                           np.full(self.n, 1.0 / self.n, dtype=self.dtype))
+        if it0:
+            full = full.astype(self.dtype)
+            self.seed_ranks(full)
         if gather_mode == "central":
             owned_per = [self._owned_concat(st) for st in self.stripes]
             sink = float(full[self._sink_mask_full].sum(dtype=np.float64))
@@ -295,7 +292,7 @@ class ShardedPageRank:
 
         def advance(sink, outs, it):
             norm = float(np.sqrt(sum(o[2] for o in outs)))
-            if checkpoint is not None and it % checkpoint_every == 0:
+            if checkpoint is not None:
                 checkpoint.save(it, {"rank": scores()},
                                 metrics={"norm": norm})
             return float(sum(o[1] for o in outs)), norm <= tol * self.n

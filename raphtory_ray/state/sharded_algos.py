@@ -1,4 +1,4 @@
-"""Actor-sharded supersteps for WCC and LPA (owned-slice sparse deltas).
+"""Actor-sharded supersteps for LPA (owned-slice sparse deltas).
 
 The task path (state/shards.py) ``ray.put``s a full O(V) state array from
 the driver every superstep. Here vertex state lives IN partition actors,
@@ -14,19 +14,16 @@ as in ``actor_engine.PRShard``:
   handles O(W) refs + scalar change counters per superstep — never O(V)
   data.
 
-Semantics are bit-identical to the task path (contract-tested in
-tests/test_sharded_algos.py):
-
-- wcc — hash-min: new[u] = min(label[u], min label(nbrs)) until no change
-        (connected_components.rs contract: label = min vid in component).
-        No driver pointer-doubling: min labels propagate hop-by-hop, so
-        rounds = eccentricity of the min vertex instead of log(diameter);
-        final labels identical.
-- lpa — synchronous votes incl. self-vote, ties by (count, largest label)
-        (label_propagation.rs:84-95).
+Votes are synchronous, include a self-vote and break ties by (count,
+largest label) (label_propagation.rs:84-95): labels and iteration counts
+are bit-identical to the task path (contract-tested in
+tests/test_sharded_algos.py). The pool keeps no checkpoints: a
+checkpointed LPA runs on the task path (BspGraph.lpa).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 import ray
@@ -39,14 +36,14 @@ class _OwnedRows:
 
     Rows are (own, gth) pairs where every ``own`` endpoint is owned by this
     actor, sorted by ``own`` so each owned vertex's rows form one segment
-    (``uo``/``start``). Per-segment reductions (min, vote counts) do not
-    depend on the row order inside a segment."""
+    (``uo``/``start``). Per-segment vote counts do not depend on the row
+    order inside a segment."""
 
     def __init__(self, own: np.ndarray, gth: np.ndarray, owned: np.ndarray):
         oorder = np.argsort(own, kind="stable")
         # gathered-endpoint VIDs in own-sorted row order — seeds the
-        # delta-path row cache locally (initial label ≡ vid), so the
-        # owned-delta algorithms start with ZERO transport
+        # delta-path row cache locally (initial label ≡ vid), so LPA
+        # starts with ZERO transport
         self.gth_sorted = gth[oorder]
         self.uo, self.start = np.unique(own[oorder], return_index=True)
         self.own_local = _index_in(owned, self.uo) if len(self.uo) \
@@ -79,7 +76,7 @@ class _OwnedRows:
         """Scatter per-actor (changed_vid, changed_val) deltas into the
         cached own-sorted row array; returns the touched row positions.
         Cost O(Σ changed · log rows + rows touched) — after the first few
-        supersteps of LPA/WCC the change set collapses, so this replaces
+        supersteps of LPA the change set collapses, so this replaces
         an O(rows) full re-gather with near-zero work."""
         sg, rowpos = self._dx
         touched = []
@@ -107,8 +104,8 @@ class _OwnedRows:
 
 @ray.remote
 class AlgoShard:
-    """Worker actor for the undirected src-owned owned-delta algorithms
-    (WCC / LPA). Holds owned-vertex state + the row structure."""
+    """Worker actor for owned-delta LPA over undirected src-owned blocks.
+    Holds owned-vertex labels + the row structure."""
 
     def __init__(self, part_ids: list, P: int, n: int, block_refs: list):
         blocks = ray.get(list(block_refs))
@@ -133,7 +130,7 @@ class AlgoShard:
     # Superstep outputs are TASK RETURNS (driver-owned objects, resolved
     # against the idle driver rather than a busy peer actor) and carry only
     # the CHANGED (vid, val) pairs; each actor keeps its gathered-label row
-    # cache and applies the sparse deltas. After LPA/WCC's change set
+    # cache and applies the sparse deltas. After LPA's change set
     # collapses (a few rounds in), a superstep moves near-zero bytes.
 
     # above this vertex count the per-actor dense label cache (8 bytes per
@@ -141,30 +138,17 @@ class AlgoShard:
     # searchsorted path handles every round — the algorithm is identical
     _DENSE_CACHE_LIMIT = 1 << 26          # 64M vertices ≈ 512 MB/actor
 
-    def init_delta(self, full=None):
-        """Seed state and the gathered-label row cache. Default (fresh
-        run): label = vid — entirely locally, the initial label of a
-        gathered endpoint IS its vid, which the gather structure already
-        stores; no transport. With ``full`` (checkpoint resume): state
-        and row cache reconstruct from the broadcast label vector, and
-        the first post-resume round runs a FULL recount (correct by the
-        synchronous-vote semantics; the affected-set is an optimization
-        the resume simply skips for one round)."""
+    def init_delta(self):
+        """Seed state and the gathered-label row cache: label = vid —
+        entirely locally, the initial label of a gathered endpoint IS its
+        vid, which the gather structure already stores; no transport."""
         self._gth_vids = np.asarray(self.gc.gth_sorted, np.int64)
         if self.gc._dx is None:
             self.gc.build_delta_index()
-        if full is not None:
-            full = np.asarray(full, np.int64)
-            self.state = full[self.owned]
-            self._rows_lab = full[self._gth_vids].copy()
-            self._glob = full.copy() \
-                if self.n <= self._DENSE_CACHE_LIMIT else None
-        else:
-            self.state = self.owned.copy()
-            self._rows_lab = np.asarray(self.gc.gth_sorted,
-                                        np.int64).copy()
-            self._glob = np.arange(self.n, dtype=np.int64) \
-                if self.n <= self._DENSE_CACHE_LIMIT else None
+        self.state = self.owned.copy()
+        self._rows_lab = self._gth_vids.copy()
+        self._glob = np.arange(self.n, dtype=np.int64) \
+            if self.n <= self._DENSE_CACHE_LIMIT else None
         self._first_round = True
         self._self_changed = np.empty(0, np.int64)
         # node-local-idx -> segment index in (uo, start), -1 if no rows
@@ -179,8 +163,8 @@ class AlgoShard:
         """Update the cached rows from the per-actor deltas. Returns the
         touched row positions, or None when the round was applied densely
         (global-cache scatter + one full regather — measured ~10x cheaper
-        than per-delta searchsorted when most labels changed; early LPA /
-        WCC rounds are exactly that regime)."""
+        than per-delta searchsorted when most labels changed; early LPA
+        rounds are exactly that regime)."""
         if self._glob is not None:
             total = sum(len(d[0]) for d in deltas if d is not None)
             for d in deltas:
@@ -251,28 +235,10 @@ class AlgoShard:
         self.state = new
         return out, changed
 
-    def wcc_delta_step(self, *deltas):
-        """One hash-min round over the cached rows. Labels only DECREASE,
-        so state already holds the min of everything seen — the update is
-        a pure scatter-min over the touched rows (no reduceat)."""
-        touched = self._apply_deltas(deltas)
-        new = self.state.copy()
-        if self._first_round or touched is None:
-            self._first_round = False
-            if len(self.gc.uo):
-                m = np.minimum.reduceat(self._rows_lab, self.gc.start)
-                new[self.gc.own_local] = np.minimum(new[self.gc.own_local], m)
-        elif len(touched):
-            np.minimum.at(new, self.gc.row_own_local[touched],
-                          self._rows_lab[touched])
-        out, changed = self._emit_deltas(new)
-        self.state = new
-        return out, changed
-
 
 class ShardedAlgos:
-    """Driver handle: owned-delta WCC / LPA over src-owned undirected
-    blocks. Driver work per superstep is O(W) refs + scalars."""
+    """Driver handle: owned-delta LPA over src-owned undirected blocks.
+    Driver work per superstep is O(W) refs + scalars."""
 
     def __init__(self, g, num_workers: int | None = None):
         """g: shards.BspGraph (its und_refs/refs are partitioned by
@@ -303,31 +269,16 @@ class ShardedAlgos:
             full[owned] = vals
         return full
 
-    def _owned_delta_loop(self, step_of, iter_count: int,
-                          until_converged: bool, checkpoint=None,
-                          checkpoint_every: int = 5,
-                          state_key: str = "label"):
-        """Shared driver loop for the owned-slice sparse-delta algorithms:
-        O(W) refs per superstep (ONE delta object per actor), all
-        superstep outputs driver-owned task returns, only changed labels
-        in flight. ``checkpoint`` (pipelines.checkpoint.CheckpointManager)
-        saves the label vector every ``checkpoint_every`` rounds and
-        resumes mid-convergence from the latest complete manifest (the
-        same lineage contract as ShardedPageRank)."""
-        from collections import deque
+    def lpa_owned(self, iter_count: int = 20, until_converged: bool = True):
+        """LPA through the owned-slice sparse-delta path (round 5), vote
+        semantics identical to the task path (parity-tested). O(W) refs
+        per superstep (ONE delta object per actor), all superstep outputs
+        driver-owned task returns, only changed labels in flight. Returns
+        (labels, iterations)."""
         shards = self._pool()
-        W = len(shards)
-        it0 = 0
-        full0 = None
-        if checkpoint is not None:
-            st = checkpoint.load_latest()
-            if st is not None:
-                it0 = st["iteration"]
-                full0 = st["state"][state_key].astype(np.int64)
-        fref = ray.put(full0) if full0 is not None else None
-        ray.get([s.init_delta.remote(fref) for s in shards])
+        ray.get([s.init_delta.remote() for s in shards])
         empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-        delta_refs = [ray.put(empty)] * W     # round 1: nothing changed yet
+        delta_refs = [ray.put(empty)] * len(shards)  # round 1: no changes yet
         # Depth-2 pipelined rounds: the next round needs only the delta
         # REFS (available at submit time), so the driver submits ahead and
         # reads round j's changed-count while round j+1 executes — the
@@ -335,53 +286,21 @@ class ShardedAlgos:
         # lags one round; the extra round runs on empty deltas (near-free).
         pending: deque = deque()
         conv_at = None
-        last_changed = None
-        for it in range(it0 + 1, iter_count + 1):
-            rounds = [step_of(s).options(num_returns=2).remote(*delta_refs)
-                      for s in shards]
+        for it in range(1, iter_count + 1):
+            rounds = [s.lpa_delta_step.options(num_returns=2).remote(
+                *delta_refs) for s in shards]
             delta_refs = [r[0] for r in rounds]
             pending.append((it, [r[1] for r in rounds]))
             if len(pending) > 1:
                 j, refs = pending.popleft()
-                last_changed = sum(ray.get(refs))
-                if last_changed == 0 and until_converged:
+                if sum(ray.get(refs)) == 0 and until_converged:
                     conv_at = j
-                    break
-            if checkpoint is not None and it % checkpoint_every == 0:
-                while pending:            # drain the pipeline, then save
-                    j, refs = pending.popleft()
-                    last_changed = sum(ray.get(refs))
-                    if last_changed == 0 and until_converged:
-                        conv_at = j
-                checkpoint.save(it, {state_key: self._gather_state(shards)},
-                                metrics={"changed": int(last_changed or 0)})
-                if conv_at is not None:
                     break
         while conv_at is None and pending:
             j, refs = pending.popleft()
             if sum(ray.get(refs)) == 0 and until_converged:
                 conv_at = j
-        it = conv_at if conv_at is not None else iter_count
-        return self._gather_state(shards), it
-
-    def lpa_owned(self, iter_count: int = 20, until_converged: bool = True,
-                  checkpoint=None, checkpoint_every: int = 5):
-        """LPA through the owned-slice sparse-delta path (round 5); vote
-        semantics identical to the task path (parity-tested); optional
-        per-iteration lineage checkpoints (resume mid-convergence)."""
-        return self._owned_delta_loop(lambda s: s.lpa_delta_step,
-                                      iter_count, until_converged,
-                                      checkpoint, checkpoint_every,
-                                      state_key="community")
-
-    def wcc_owned(self, max_iter: int = 10**9, checkpoint=None,
-                  checkpoint_every: int = 5) -> np.ndarray:
-        """Hash-min WCC through the owned-slice sparse-delta path;
-        optional per-iteration lineage checkpoints."""
-        return self._owned_delta_loop(lambda s: s.wcc_delta_step,
-                                      max_iter, True, checkpoint,
-                                      checkpoint_every,
-                                      state_key="component")[0]
+        return self._gather_state(shards), conv_at or iter_count
 
     def shutdown(self):
         for s in self._shards or ():

@@ -39,7 +39,7 @@ import ray
 from raphtory_ray.core import kernels as K
 from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
                                         split)
-from raphtory_ray.state.supersteps import superstep_loop
+from raphtory_ray.state.supersteps import resume, superstep_loop
 
 
 def _np(col) -> np.ndarray:
@@ -153,6 +153,20 @@ def _wcc_advance(label, parts, it):
             break
         new = nl
     return new, np.array_equal(new, label)
+
+
+def _saving(advance, checkpoint, key: str):
+    """``advance``, also writing each superstep's labels as state ``key``
+    of ``checkpoint`` with the number that changed."""
+    if checkpoint is None:
+        return advance
+
+    def step(prev, parts, it, *consts):
+        cur, done = advance(prev, parts, it, *consts)
+        changed = int(np.count_nonzero(cur != prev))
+        checkpoint.save(it, {key: cur}, metrics={"changed": changed})
+        return cur, done
+    return step
 
 
 def _alive_count_partial(block: pa.Table, alive: np.ndarray):
@@ -450,15 +464,17 @@ class BspGraph:
     """Simple-graph engine: dedup'd directed edge blocks (+ lazily derived
     undirected neighbour blocks) in the object store."""
 
-    # above this edge count lpa routes through the actor-sharded
-    # owned-slice sparse-delta engine (state/sharded_algos). Pool start is
-    # not cheap: on the perfbench edge-algos graph (1-core host, 2 logical
-    # Ray CPUs, one step group) sharded LPA took 1.7-2.1 s against
-    # 0.38-0.49 s for the fused task loop (0.49-0.73 s as task rounds).
-    # The routing stays: round 5 measured the sharded engine 2.5x faster
-    # at sf0.1 on 32 CPUs, where the rounds' O(V) driver ray.put
-    # dominates, and perfbench pins the 1-CPU pool hang that routing
-    # edge-algos to the task path would remove.
+    # from this edge count an lpa with default labels and no checkpoint
+    # routes through the actor-sharded owned-slice sparse-delta engine
+    # (state/sharded_algos); every other lpa, and every wcc, runs the
+    # superstep loop. Pool start is not cheap: on the perfbench
+    # edge-algos graph (1-core host, 2 logical Ray CPUs, one step group)
+    # sharded LPA took 1.7-2.1 s against 0.38-0.49 s for the fused task
+    # loop (0.49-0.73 s as task rounds). The routing stays: round 5
+    # measured the sharded engine 2.5x faster at sf0.1 on 32 CPUs, where
+    # the rounds' O(V) driver ray.put dominates, and perfbench pins the
+    # 1-CPU pool hang that routing edge-algos to the task path would
+    # remove.
     _SHARDED_EDGE_THRESHOLD = 50_000
 
     def __init__(self, n: int, refs: list, num_edges: int):
@@ -474,8 +490,8 @@ class BspGraph:
         self._sharded = None
 
     def sharded(self):
-        """Cached actor-sharded engine (built on first large-graph
-        lpa/wcc). Worker count capped at 16: the owned-delta rounds are
+        """Cached actor-sharded LPA engine (built on the first lpa routed
+        to it). Worker count capped at 16: the owned-delta rounds are
         latency-bound, and past ~16 actors per-round scheduling overtakes
         the per-actor compute (measured at sf0.1: W=16 lpa 0.25 s vs
         W=31 0.37 s); two CPUs are left free so Dataset stages can still
@@ -607,12 +623,8 @@ class BspGraph:
             if not s > 0:
                 raise ValueError("personalization must have positive mass")
             pv = pv / s
-        prev = np.full(n, 1.0 / n) if pv is None else pv.copy()
-        it0 = 0
-        if checkpoint is not None:
-            st = checkpoint.load_latest()
-            if st is not None:
-                it0, prev = st["iteration"], st["state"]["rank"]
+        it0, prev = resume(checkpoint, "rank", np.full(n, 1.0 / n)
+                           if pv is None else pv.copy())
 
         def degrees(parts):
             outdeg = np.zeros(n, dtype=np.int64)
@@ -647,53 +659,35 @@ class BspGraph:
                               setup=(_csr_out_degree, degrees), start=it0,
                               stop=iter_count, checkpoint=checkpoint)
 
-    # wcc crosses to the sharded path much later than lpa: the task path's
-    # driver-side pointer doubling collapses round count to ~log(diameter),
-    # which beats the owned-delta engine's hop-by-hop propagation until the
-    # per-round O(V) driver ray.put itself dominates (measured at sf0.1:
-    # task 0.048 s vs owned-delta 0.09 s; the O(V) broadcast turns
-    # prohibitive around 10^7+ vertices / 5M+ edges)
-    _SHARDED_WCC_EDGE_THRESHOLD = 5_000_000
-
-    def wcc(self, engine: str = "auto", checkpoint=None,
-            checkpoint_every: int = 5) -> np.ndarray:
+    def wcc(self, checkpoint=None) -> np.ndarray:
         """Hash-min label propagation; label = min vid in component
-        (connected_components.rs contract). Above
-        _SHARDED_WCC_EDGE_THRESHOLD edges (engine="auto") the rounds run
-        on the actor-sharded owned-slice sparse-delta path
-        (sharded_algos.wcc_owned — identical labels, parity-tested);
-        smaller graphs run the superstep loop with pointer doubling in
-        each advance (fewer supersteps: ~log diameter)."""
-        if checkpoint is not None:
-            # mid-convergence lineage checkpoints live on the sharded path
-            return self.sharded().wcc_owned(checkpoint=checkpoint,
-                                            checkpoint_every=checkpoint_every)
-        if engine == "auto" \
-                and self.num_edges >= self._SHARDED_WCC_EDGE_THRESHOLD:
-            return self.sharded().wcc_owned()
+        (connected_components.rs contract). Each advance pointer-doubles
+        to a fixpoint, so the loop needs ~log(diameter) supersteps. A
+        ``checkpoint`` saves every superstep's labels and resumes from
+        the latest complete one."""
+        it0, label = resume(checkpoint, "component",
+                            np.arange(self.n, dtype=np.int64))
         return superstep_loop(self.und_step_refs, _wcc_min_owned,
-                              _wcc_advance,
-                              np.arange(self.n, dtype=np.int64))[0]
+                              _saving(_wcc_advance, checkpoint, "component"),
+                              label, start=it0, checkpoint=checkpoint)[0]
 
     def lpa(self, iter_count=20, labels=None, until_converged=True,
-            engine: str = "auto", checkpoint=None,
-            checkpoint_every: int = 5):
+            checkpoint=None):
         """Synchronous LPA (label_propagation.rs:40-112). Each src-owned
         undirected block resolves its vertices' votes (incl. self vote)
         entirely in its kernel; advance only scatters disjoint updates.
-        Above _SHARDED_EDGE_THRESHOLD edges (engine="auto", default
-        labels) the vote rounds run on the actor-sharded owned-slice
-        sparse-delta path (sharded_algos.lpa_owned — identical labels,
-        parity-tested)."""
-        if checkpoint is not None and labels is None:
-            return self.sharded().lpa_owned(
-                iter_count, until_converged, checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every)
-        if engine == "auto" and labels is None \
+        From _SHARDED_EDGE_THRESHOLD edges, with default labels and no
+        ``checkpoint``, the vote rounds run on the actor-sharded
+        owned-slice sparse-delta path (sharded_algos.lpa_owned — identical
+        labels, parity-tested). A ``checkpoint`` saves every superstep's
+        labels and resumes from the latest complete one."""
+        if checkpoint is None and labels is None \
                 and self.num_edges >= self._SHARDED_EDGE_THRESHOLD:
             return self.sharded().lpa_owned(iter_count, until_converged)
         n = self.n
-        prev = np.arange(n, dtype=np.int64) if labels is None else labels.copy()
+        it0, prev = resume(checkpoint, "community",
+                           np.arange(n, dtype=np.int64) if labels is None
+                           else labels.copy())
 
         def advance(prev, parts, it, *_):
             cur = prev.copy()
@@ -701,8 +695,10 @@ class BspGraph:
                 cur[us] = ls
             return cur, until_converged and np.array_equal(cur, prev)
 
-        return superstep_loop(self.und_step_refs, _lpa_vote_owned, advance,
-                              prev, (n,), stop=iter_count)[:2]
+        return superstep_loop(self.und_step_refs, _lpa_vote_owned,
+                              _saving(advance, checkpoint, "community"),
+                              prev, (n,), start=it0, stop=iter_count,
+                              checkpoint=checkpoint)[:2]
 
     def kcore_set(self, k: int, iter_count: int = 10**9) -> np.ndarray:
         def advance(alive, parts, it):

@@ -53,6 +53,14 @@ def superstep_loop(refs: list, kernel: Callable, advance: Callable, state,
     return path(refs, kernel, advance, state, consts, setup, start, stop)
 
 
+def resume(checkpoint, key: str, state):
+    """The one resume rule of every checkpointed loop: (iteration, state
+    ``key``) of the latest complete manifest of ``checkpoint``
+    (pipelines.checkpoint.CheckpointManager), else (0, ``state``)."""
+    st = checkpoint.load_latest() if checkpoint is not None else None
+    return (0, state) if st is None else (st["iteration"], st["state"][key])
+
+
 def iterate(parts: Callable, advance: Callable, state, consts: tuple = (),
             start: int = 0, stop: int | None = None):
     """The driver-side loop body shared by every superstep engine:

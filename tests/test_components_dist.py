@@ -50,7 +50,7 @@ def test_single_closure_cycle(ray_session):
 
 
 def test_single_block_graph(ray_session):
-    """P=1 topology pads to two partitions (num_returns convention)."""
+    """A one-block graph runs the closure in one partition."""
     from raphtory_ray.algorithms import components as C
     src = np.array([0, 1, 2, 2], dtype=np.int64)
     dst = np.array([1, 2, 0, 3], dtype=np.int64)
@@ -58,3 +58,17 @@ def test_single_block_graph(ray_session):
     out = C.closure_sets(g, reverse=False)
     assert set(out[0].tolist()) == {0, 1, 2, 3}
     assert set(out[3].tolist()) == set()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_one_block_closure_equals_two_blocks(ray_session, reverse):
+    """The closure of a one-block graph, run in one partition, equals the
+    closure of a two-block build of the same edges."""
+    one = _rand_graph(blocks=1)
+    two = _rand_graph(blocks=2)
+    assert len(one.refs) == 1 and len(two.refs) == 2
+    got = C.closure_sets(one, reverse)
+    want = C.closure_sets(two, reverse)
+    assert len(got) == len(want) == one.n
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(np.sort(a), np.sort(b))

@@ -681,6 +681,7 @@ def test_hll_estimate_accuracy_and_merge(ray_session):
         == est
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_countmin_upper_bound_and_heavy_hitters(ray_session):
     import numpy as np
     import pyarrow as pa

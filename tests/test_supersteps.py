@@ -132,10 +132,9 @@ def _runs(g, rng):
             lambda: g.pagerank(personalization=pv)[:2],
         "pagerank_personalized_fixed": lambda: g.pagerank(
             iter_count=8, tol=0.0, personalization=pv)[:2],
-        "wcc": lambda: (g.wcc(engine="task"),),
-        "lpa_converged": lambda: g.lpa(engine="task"),
-        "lpa_fixed": lambda: g.lpa(iter_count=3, until_converged=False,
-                                   engine="task"),
+        "wcc": lambda: (g.wcc(),),
+        "lpa_converged": lambda: g.lpa(),
+        "lpa_fixed": lambda: g.lpa(iter_count=3, until_converged=False),
         "kcore": lambda: tuple(g.kcore_set(k) for k in (2, 3, 5)),
         "hits": lambda: g.hits(),
         "katz": lambda: centrality(katz_centrality(
