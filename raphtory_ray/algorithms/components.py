@@ -36,7 +36,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import bucket, columns, returns, split
+from raphtory_ray.core.exchange import (bucket, columns, num_partitions,
+                                        returns, split)
 from raphtory_ray.state.shards import _sd, _shuffle_pairs
 
 _LOCAL_N = 1 << 13          # below this, the driver bitset path is cheaper
@@ -451,7 +452,7 @@ def scc_distributed(g, max_rounds: int = 64) -> np.ndarray:
     ``max_rounds`` safety valve falls back to the driver Tarjan on the
     (by then small) residual."""
     n = g.n
-    P = max(2, min(16, len(g.refs)))
+    P = num_partitions(g.num_edges)
     parts = _shuffle_pairs(g.refs, P, key="dst")
     shards = [_SCCShard.remote(p, P, n, parts[p]) for p in range(P)]
     comp = np.full(n, -1, dtype=np.int64)

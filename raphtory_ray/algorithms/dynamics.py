@@ -22,7 +22,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import bucket, returns, shuffle, split
+from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
+                                        shuffle, split)
 
 
 # ------------------------------------------------------------------- SEIR
@@ -170,8 +171,9 @@ def temporal_bipartite_projection(gf, delta: int, pivot_vids) -> "object":
     mask = np.zeros(gf.n, dtype=bool)
     mask[np.asarray(list(pivot_vids), dtype=np.int64)] = True
     mask_ref = ray.put(mask)
-    refs = gf.edges.materialize().to_arrow_refs()
-    P = max(4, min(32, len(refs) * 2))
+    mat = gf.edges.materialize()
+    refs = mat.to_arrow_refs()
+    P = num_partitions(mat.count())
     out = [_bip_pairs.remote(delta, *col)
            for col in shuffle(_bip_split, refs, P, mask_ref)]
     return GraphFrame(rd.from_arrow_refs(out), gf.n)

@@ -25,7 +25,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
+                                        shuffle, split_table)
 
 
 @ray.remote
@@ -126,7 +127,7 @@ def link_prediction_features(g, sample: np.ndarray) -> pa.Table:
     outdeg = g.out_degree
     dref = ray.put(outdeg)
     parts = [_wedge_partials.remote(r, sref, dref) for r in g.refs]
-    P = max(1, min(16, len(parts)))
+    P = num_partitions(g.num_edges)
     t = pa.concat_tables(ray.get([_combine_pairs.remote(*c)
                                   for c in shuffle(_route_pairs, parts, P)]))
     a = t["a"].to_numpy(zero_copy_only=False)

@@ -41,8 +41,14 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import (bucket, pair_key, returns, shuffle,
-                                        split)
+from raphtory_ray.core.exchange import (bucket, cluster_cpus,
+                                        num_partitions, pair_key, returns,
+                                        shuffle, split)
+
+# Half-edges per move partition: round 5 measured 300k per partition 2x
+# slower (compute-bound at 4-way) than 16-way; below ~50k scheduling
+# latency x passes dominates.
+LOUVAIN_HALF_EDGES_PER_PARTITION = 75_000
 
 
 # --------------------------------------------------------------- reduction
@@ -103,8 +109,9 @@ def _latest_parts(gf, weight_col: str | None):
             ds = ds.select_columns(cols + ["w"])
     else:
         ds = ds.select_columns(cols)
-    refs = ds.materialize().to_arrow_refs()
-    P = max(4, min(32, len(refs) * 2))
+    mat = ds.materialize()
+    refs = mat.to_arrow_refs()
+    P = num_partitions(mat.count())
     return [_lv_latest.remote(*col)
             for col in shuffle(_lv_split, refs, P, weighted)]
 
@@ -308,16 +315,17 @@ def _half_edge_parts(gf, weight_col: str | None, tol: float, n: int):
     """Distributed event→half-edge reduction. Returns (edge_refs, self_w,
     k, total_half_edges); edges never land on the driver.
 
-    The move-partition count is sized to the data (~75k half-edges per
-    partition — round 5 re-measured the crossover: at 300k/partition the
-    pass tasks are compute-bound at 4-way parallelism, 2x slower than
-    16-way; below ~50k scheduling latency × passes dominates), capped at
-    the CPU count and 32."""
+    The move-partition count is sized to the data
+    (LOUVAIN_HALF_EDGES_PER_PARTITION half-edges per partition)."""
     latest = _latest_parts(gf, weight_col)
     directed = sum(ray.get([_lv_count.remote(r) for r in latest]))
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    P = int(max(2, min(32, max(2, cpus - 2),
-                       -(-2 * directed // 75_000))))
+    # Keeps its old P (at least 2, at most min(32, cpus - 2)): the move
+    # phase sums floats (k_com, gain, the level aggregate) in partition
+    # order, so weighted communities can depend on P. (Six random weighted
+    # graphs gave equal communities at P = 2, 8 and 32.)
+    cap = min(32, max(2, cluster_cpus() - 2))
+    P = max(2, num_partitions(2 * directed, cap,
+                              LOUVAIN_HALF_EDGES_PER_PARTITION))
     halves = [_lv_halve.options(num_returns=P + 1).remote(r, P, tol)
               for r in latest]
     Q = len(latest)

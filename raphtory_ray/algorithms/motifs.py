@@ -33,8 +33,13 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
-                                        split)
+from raphtory_ray.core.exchange import (bucket, columns, num_partitions,
+                                        returns, shuffle, split)
+
+# Oriented edges per triangle-grid partition of _triangles_of: P=4 on a
+# 567k-edge graph measured 10-20x slower than P=16 (wedge expansion
+# under-parallelized), so it splits finer than the default rule.
+MOTIF_EDGES_PER_PARTITION = 35_000
 
 _DIRS2D = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -571,8 +576,9 @@ def temporal_three_node_motif_multi(gf, deltas) -> np.ndarray:
     global_temporal_three_node_motifs.rs:272-330)."""
     from raphtory_ray.algorithms import _bsp
     deltas = tuple(int(d) for d in deltas)
-    refs = gf.edges.materialize().to_arrow_refs()
-    P = max(4, min(32, len(refs) * 2))
+    mat = gf.edges.materialize()
+    refs = mat.to_arrow_refs()
+    P = num_partitions(mat.count())
 
     # ---- star phase
     star_futs = [_star_partial.remote(deltas, *col)
@@ -705,8 +711,9 @@ def local_temporal_three_node_motifs(gf, deltas) -> np.ndarray:
     distribution as the global variant; partials land per node."""
     from raphtory_ray.algorithms import _bsp
     deltas = tuple(int(d) for d in deltas)
-    refs = gf.edges.materialize().to_arrow_refs()
-    P = max(4, min(32, len(refs) * 2))
+    mat = gf.edges.materialize()
+    refs = mat.to_arrow_refs()
+    P = num_partitions(mat.count())
     star_futs = [_star_partial_local.remote(deltas, *col)
                  for col in shuffle(_star_split, refs, P)]
 
@@ -826,11 +833,8 @@ def _triangles_of(g, member: np.ndarray) -> list:
     from raphtory_ray.state import shards as S
     member_ref = ray.put(member)
     sub_refs = [_subgraph_und.remote(r, member_ref) for r in g.und_refs]
-    # adaptive task grid, as in BspGraph.triangle_counts: ~35k oriented
-    # edges per partition (P=4 on a 567k-edge graph measured 10-20x slower
-    # than P=16 — wedge expansion under-parallelized), capped by CPUs
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    P = min(len(sub_refs), max(4, min(cpus, g.num_edges // 35_000)))
+    # adaptive task grid, as in BspGraph.triangle_counts
+    P = num_partitions(g.num_edges, per=MOTIF_EDGES_PER_PARTITION)
     Ssplit, Dsplit = [[S._merge_concat.remote(*col) for col in
                        shuffle(S._orient_split, sub_refs, P, key)]
                       for key in ("src", "dst")]

@@ -31,7 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
+                                        shuffle, split_table)
 from raphtory_ray.core.exchange import splitmix64 as _splitmix64
 
 
@@ -190,10 +191,10 @@ def random_walks(edges, starts: np.ndarray, length: int, seed: int = 0,
                              "dst": pa.array(v[first], pa.int64()),
                              "key": pa.array(key[first].astype(np.int64))})
 
-        refs = (edges.map_batches(part, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                .materialize().to_arrow_refs())
-        P = max(1, min(32, len(refs)))
+        mat = edges.map_batches(part, batch_format="pyarrow",
+                                zero_copy_batch=True).materialize()
+        refs = mat.to_arrow_refs()
+        P = num_partitions(mat.count())
         cols = shuffle(_route_by_wid, refs, P)
         step = pa.concat_tables(ray.get(
             [_combine_argmin.remote(*c) for c in cols]))
@@ -235,10 +236,10 @@ def neighbor_sample(edges, seeds: np.ndarray, fanouts: list[int],
                              "dst": pa.array(dst, pa.int64()),
                              "key": pa.array(key.astype(np.int64))})
 
-        refs = (edges.map_batches(part, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                .materialize().to_arrow_refs())
-        P = max(1, min(32, len(refs)))
+        mat = edges.map_batches(part, batch_format="pyarrow",
+                                zero_copy_batch=True).materialize()
+        refs = mat.to_arrow_refs()
+        P = num_partitions(mat.count())
         cols = shuffle(_route_by_src, refs, P)
         hop = pa.concat_tables(ray.get(
             [_combine_topf.remote(f, *c) for c in cols]))
@@ -361,10 +362,10 @@ def node2vec_walks(edges, starts: np.ndarray, length: int, seed: int = 0,
                              "dst": pa.array(v[first], pa.int64()),
                              "key": pa.array(key[first].astype(np.int64))})
 
-        refs = (edges.map_batches(part, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                .materialize().to_arrow_refs())
-        P = max(1, min(32, len(refs)))
+        mat = edges.map_batches(part, batch_format="pyarrow",
+                                zero_copy_batch=True).materialize()
+        refs = mat.to_arrow_refs()
+        P = num_partitions(mat.count())
         cols = shuffle(_route_by_wid, refs, P)
         step = pa.concat_tables(ray.get(
             [_combine_argmin.remote(*c) for c in cols]))

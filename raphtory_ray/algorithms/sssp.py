@@ -37,8 +37,15 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import bucket, returns, shuffle, split
+from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
+                                        shuffle, split)
 from raphtory_ray.graph.node_state import NodeState
+
+# Event rows per SSSP partition. Relax rounds are synchronous task waves
+# whose per-round frontiers are often tiny (BFS-wave shape), so P trades
+# round latency against heavy-round parallelism: round 5 measured sf0.1
+# at P=32 0.71 s vs P=4 0.41 s (1792 relax tasks collapsed to ~224).
+SSSP_ROWS_PER_PARTITION = 2_000_000
 
 
 # ------------------------------------------------------------ build phase
@@ -182,13 +189,7 @@ def sssp_delta_stepping(gf, source: int,
         cols.append(weight_col)
     mat = gf.edges.select_columns(cols).materialize()
     refs = mat.to_arrow_refs()
-    # relax rounds are synchronous task waves whose per-round frontiers
-    # are often tiny (BFS-wave shape), so partition count trades round
-    # latency against heavy-round parallelism: ~2M event rows per
-    # partition, floor 4 (round 5 measured sf0.1: P=32 0.71 s vs P=4
-    # 0.41 s — 1792 relax tasks collapsed to ~224)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    P = int(max(4, min(32, cpus, -(-mat.count() // 2_000_000))))
+    P = num_partitions(mat.count(), per=SSSP_ROWS_PER_PARTITION)
     parts = [_sp_reduce.remote(reduce, *col) for col in shuffle(
         _sp_split, refs, P, weight_col, weight_map, direction == "in")]
     if delta is None:

@@ -35,7 +35,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
+                                        shuffle, split_table)
 
 
 @ray.remote
@@ -85,8 +86,8 @@ def asof_join(left, right, by: str, on: str,
     right Dataset if they collide with left names). Returns a Dataset;
     row order is partition order (sort downstream if needed)."""
     import ray.data as rd
-    lrefs = left.materialize().to_arrow_refs()
-    rrefs = right.materialize().to_arrow_refs()
+    lmat, rmat = left.materialize(), right.materialize()
+    lrefs, rrefs = lmat.to_arrow_refs(), rmat.to_arrow_refs()
     ls, rs = left.schema(), right.schema()
     lnames = list(ls.names)
     rval = [n for n in rs.names if n not in (by, on)]
@@ -98,7 +99,7 @@ def asof_join(left, right, by: str, on: str,
     fields += [pa.field(n, rs.types[rs.names.index(n)]) for n in rval]
     schema = pa.schema(fields)
 
-    P = max(1, min(32, max(len(lrefs), len(rrefs))))
+    P = num_partitions(lmat.count() + rmat.count())
     lcols = shuffle(_route_by, lrefs, P, by)
     rcols = shuffle(_route_by, rrefs, P, by)
     parts = [_merge_part.remote(by, on, direction, schema, len(lc),
@@ -120,14 +121,9 @@ def _user_route(block: pa.Table, P: int, cols: tuple, key_col: str):
 
 
 def _user_route_wave(ds, cols: list, key_col: str, assign_remote,
-                     assign_args: tuple, empty_schema: dict,
-                     rows_per_part: int = 200_000,
-                     num_partitions: int | None = None):
+                     assign_args: tuple, empty_schema: dict):
     """Materialize → ONE hash(key) route wave → per-partition assign
-    task; returns the assign outputs as a Dataset. ``num_partitions``
-    overrides the data-sized P (tests pin it to exercise the multi-
-    partition path)."""
-    import ray as _r
+    task; returns the assign outputs as a Dataset."""
     import ray.data as rd
     mat = ds.select_columns(cols).materialize()
     refs = [r for r, n in zip(mat.to_arrow_refs(), mat._block_num_rows())
@@ -135,9 +131,7 @@ def _user_route_wave(ds, cols: list, key_col: str, assign_remote,
     if not refs:
         return rd.from_arrow(pa.table(
             {k: pa.array([], t) for k, t in empty_schema.items()}))
-    cpus = int(_r.cluster_resources().get("CPU", 8))
-    P = num_partitions or max(1, min(32, cpus,
-                                     -(-mat.count() // rows_per_part)))
+    P = num_partitions(mat.count())
     out = [assign_remote.remote(*assign_args, *col) for col in
            shuffle(_user_route, refs, P, tuple(cols), key_col)]
     return rd.from_arrow_refs(out)
@@ -183,8 +177,7 @@ def _sess_assign(gap: int, user_col: str, ts_col: str, eid_col: str,
 
 
 def sessionize(ds, gap: int, user_col: str = "user_id",
-               ts_col: str = "ts", eid_col: str = "event_id",
-               num_partitions: int | None = None):
+               ts_col: str = "ts", eid_col: str = "event_id"):
     """Gap-based sessionization of an event Dataset (the classic event-
     pipeline op): within each user's (ts, event_id)-ordered stream, a new
     session starts whenever the gap to the previous event exceeds
@@ -200,8 +193,7 @@ def sessionize(ds, gap: int, user_col: str = "user_id",
         ds, [user_col, ts_col, eid_col], user_col, _sess_assign,
         (gap, user_col, ts_col, eid_col),
         {user_col: pa.int64(), eid_col: pa.int64(),
-         "session_id": pa.int64()},
-        num_partitions=num_partitions)
+         "session_id": pa.int64()})
 
 
 # --------------------------------------------------- funnel (round 5)
@@ -261,8 +253,7 @@ def _funnel_assign(steps: tuple, window: int, user_col: str, ts_col: str,
 
 def funnel_counts(ds, steps: list, window: int,
                   user_col: str = "user_id", ts_col: str = "ts",
-                  type_col: str = "event_type",
-                  num_partitions: int | None = None):
+                  type_col: str = "event_type"):
     """Windowed ordered funnel over an event Dataset (the classic
     product-analytics op, greedy-earliest semantics): per user, step k
     completes at the MIN ts of its event type strictly after step k-1's
@@ -287,8 +278,7 @@ def funnel_counts(ds, steps: list, window: int,
         pruned, [user_col, ts_col, type_col], user_col, _funnel_assign,
         (tuple(steps), window, user_col, ts_col, type_col),
         {user_col: pa.int64(), "stage": pa.int64(),
-         "t_first": pa.int64()},
-        num_partitions=num_partitions)
+         "t_first": pa.int64()})
 
 
 # ------------------------------------------- cohort retention (round 5)
@@ -325,8 +315,7 @@ def _cohort_part(period: int, user_col: str, ts_col: str, *pieces):
 
 
 def cohort_retention(ds, period: int, user_col: str = "user_id",
-                     ts_col: str = "ts",
-                     num_partitions: int | None = None):
+                     ts_col: str = "ts"):
     """Cohort retention table (the classic growth-analytics op): users
     cohorted by the period (epoch // period) of their FIRST event;
     n_users(cohort, k) = distinct users of that cohort active k periods
@@ -338,7 +327,6 @@ def cohort_retention(ds, period: int, user_col: str = "user_id",
     out = _user_route_wave(
         ds, [user_col, ts_col], user_col, _cohort_part,
         (period, user_col, ts_col),
-        {"cohort": pa.int64(), "k": pa.int64(), "n_users": pa.int64()},
-        num_partitions=num_partitions)
+        {"cohort": pa.int64(), "k": pa.int64(), "n_users": pa.int64()})
     return out.groupby(["cohort", "k"]).aggregate(
         Sum("n_users", alias_name="n_users"))

@@ -34,8 +34,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
-from raphtory_ray.data.dedup import _dedup_parallelism, embedding_matrix
+from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
+                                        shuffle, split_table)
+from raphtory_ray.data.dedup import embedding_matrix
 
 __all__ = ["semantic_dedup", "seed_bank"]
 
@@ -89,7 +90,7 @@ def semantic_dedup(ds, n_seeds: int = 8, threshold: float = 0.9,
 
     assigned = ds.map_batches(assign, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
-    P = _dedup_parallelism(assigned.count())
+    P = num_partitions(assigned.count())
     refs = assigned.to_arrow_refs()
     parts = [_sem_keep_part.remote(qthr, quant, max_cluster, *col)
              for col in shuffle(_sem_split, refs, P)]

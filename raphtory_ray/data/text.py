@@ -15,7 +15,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raphtory_ray.core.exchange import bucket, returns, shuffle, split_table
+from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
+                                        shuffle, split_table)
 from raphtory_ray.core.exchange import splitmix64 as _splitmix64
 
 MERSENNE61 = np.uint64((1 << 61) - 1)
@@ -442,11 +443,6 @@ def tfidf_top_terms(ds, k: int = 3, text_col: str = "text",
 
     return ds.map_batches(topk, batch_format="pyarrow",
                           zero_copy_batch=True)
-
-
-def _stage_pool() -> tuple:
-    from raphtory_ray.data import stage_pool
-    return stage_pool()
 
 
 _LANGID_SINGLETON: dict = {}
@@ -1087,8 +1083,7 @@ def paragraph_dedup(ds, text_col: str = "text"):
     if not refs:
         return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
                                        "text": pa.array([], pa.string())}))
-    P = max(1, min(32, -(-exploded.count() // 100_000),
-                   int(_r.cluster_resources().get("CPU", 8))))
+    P = num_partitions(exploded.count())
     route1 = _r.remote(_pd_route_ih)
     keep = _r.remote(_pd_keepmin)
     route2 = _r.remote(_pd_route_doc)

@@ -29,8 +29,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from raphtory_ray.core.exchange import (bucket, pair_key, returns, shuffle,
-                                        split_table)
+from raphtory_ray.core.exchange import (bucket, num_partitions, pair_key,
+                                        returns, shuffle, split_table)
 from raphtory_ray.graph.filter import FilterExpr
 
 
@@ -352,7 +352,7 @@ class GraphFrame:
         sch = mat.schema()
         schema = pa.schema(list(zip(sch.names, sch.types)))
         refs = mat.to_arrow_refs()
-        P = max(4, min(32, len(refs) * 2))
+        P = num_partitions(mat.count())
         out = [_edgefilter_part.remote(f, mode, schema, *col)
                for col in shuffle(_edgefilter_split, refs, P, schema)]
         import ray.data as rd

@@ -39,8 +39,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import (bucket, pair_key, returns, shuffle,
-                                        split)
+from raphtory_ray.core.exchange import (bucket, num_partitions, pair_key,
+                                        returns, shuffle, split)
 
 _OPEN = np.iinfo(np.int64).max
 _NEG = np.iinfo(np.int64).min
@@ -159,8 +159,9 @@ class PersistentGraphFrame:
         self.events = events
         self.vertices = vertices   # optional dimension table (vid, gid, ...)
         if _parts is None:
-            refs = events.materialize().to_arrow_refs()
-            P = max(4, min(32, len(refs) * 2))
+            mat = events.materialize()
+            refs = mat.to_arrow_refs()
+            P = num_partitions(mat.count())
             both = [_pintervals.options(num_returns=2).remote(*col)
                     for col in shuffle(_psplit, refs, P)]
             _parts = ([b[0] for b in both], [b[1] for b in both])

@@ -27,8 +27,9 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
-                                        split_table)
+from raphtory_ray.core.exchange import (bucket, cluster_cpus, columns,
+                                        groups, num_partitions, returns,
+                                        shuffle, split_table)
 from raphtory_ray.graph.graph_frame import GraphFrame
 from raphtory_ray.stages.extract import HashStage, ImportExtractor
 
@@ -54,8 +55,7 @@ def _pool_size() -> tuple:
     floor avoids the slow 1→N autoscaling ramp that dominated ingest wall
     time; max leaves ≥2 slots for read/shuffle tasks. (Round-1 verdict
     item 1: two CHAINED pools with min=2 each deadlocked 4-CPU runs.)"""
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = cluster_cpus()
     return (max(1, cpus // 4), max(2, cpus - 2))
 
 
@@ -83,10 +83,8 @@ def build_gid_index(files_ds) -> pa.Array:
     # Dataset execution for this trivial distinct costs seconds of
     # streaming-executor setup + 100 micro-tasks (measured 8s of the 13s
     # ingest at sf0.1); these grouped tasks run in ~0.5s
-    k = max(1, len(refs) // 16)
-    groups = [refs[i:i + k] for i in range(0, len(refs), k)]
     chunks = [c for c in ray.get([_distinct_gids.remote(*grp)
-                                  for grp in groups]) if len(c)]
+                                  for grp in groups(refs)]) if len(c)]
     if not chunks:
         return pa.array([], pa.string())
     merged = pc.unique(pa.concat_arrays(chunks))
@@ -172,10 +170,8 @@ def build_gid_index_distributed(files_ds, P: int | None = None):
     only O(P) counts, never the gid strings."""
     import ray.data as rd
     refs = files_ds.to_arrow_refs()
-    P = P or max(4, min(32, len(refs)))
-    k = max(1, len(refs) // 16)
-    pieces = [_distinct_gids.remote(*refs[i:i + k])
-              for i in range(0, len(refs), k)]
+    P = P or num_partitions(files_ds.count())
+    pieces = [_distinct_gids.remote(*g) for g in groups(refs)]
     parts = [_gid_dedup_part.remote(*col)
              for col in shuffle(_gid_piece_route, pieces, P)]
     sorted_ds = rd.from_arrow_refs(parts).sort("gid")
@@ -402,8 +398,7 @@ def load_graph(corpus_path: str,
     # blocks — a Dataset execution costs ~0.5s of streaming-executor setup
     # per split, and from_arrow_refs fetches metadata per ref, so ~16
     # grouped tasks beat 100+ micro-blocks on both counts
-    k = max(1, len(refs) // 16)
-    grp = [refs[i:i + k] for i in range(0, len(refs), k)]
+    grp = groups(refs)
     files_ds = rd.from_arrow_refs([_files_part.remote(*g) for g in grp])
     if distributed_resolve:
         dict_refs, n = build_gid_index_distributed(files_ds)

@@ -93,8 +93,7 @@ def copurchase_edges(sf_dir: str) -> rd.Dataset:
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_partkey", "l_linenumber"]).materialize()
-    out = route_fanout(li, ["l_orderkey"], _pairs_part,
-                       rows_per_part=100_000)
+    out = route_fanout(li, ["l_orderkey"], _pairs_part)
     if out is None:
         z = pa.array([], pa.int64())
         return rd.from_arrow(pa.table({"src": z, "dst": z}))

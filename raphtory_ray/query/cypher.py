@@ -56,8 +56,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from raphtory_ray.core.exchange import (GOLD, returns, shuffle, split_table,
-                                        splitmix64)
+from raphtory_ray.core.exchange import (GOLD, num_partitions, returns,
+                                        shuffle, split_table, splitmix64)
 from raphtory_ray.query.parser import (BinOp, Case, Chain, Func, Lit, Not,
                                        Prop, Query, ReturnItem, Var,
                                        expr_text, parse_cypher)
@@ -127,6 +127,12 @@ def _join_part(keys: list, nl: int, j: int, k: int, split_left: bool,
                      coalesce_keys=True)
 
 
+# Rows per join / fan-out partition. On the perfbench window-queries
+# two-hop count (5k vertices, 20k events; 1-core host, 2 logical Ray
+# CPUs, 3 seeds x 8 alternating reps) the default 16k rows gave P = 2 and
+# a median 0.356 s against 0.336 s at 50k rows (P = 1).
+CYPHER_ROWS_PER_PARTITION = 50_000
+
 # rows of ONE side of one partition above which the join fans out into
 # sub-tasks (a hub key routes its whole neighbourhood to one partition;
 # the north rule calls for explicit skew valves at 10^12 scale)
@@ -147,19 +153,10 @@ def hash_join(left, right, keys: list, P: int | None = None,
     has zero-column blocks and schema() is None — the hints let the
     empty-result path still produce a correctly-schemaed join output."""
     import ray.data as rd
-    auto_p = P is None
-    if P is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        P = max(8, cpus)
     mat_l, mat_r = left.materialize(), right.materialize()
     rows_l, rows_r = mat_l._block_num_rows(), mat_r._block_num_rows()
-    if auto_p:
-        # shrink the default fan-out to the input: ~50k rows/partition,
-        # CPU-capped — a 3-hop expansion over a few thousand pairs
-        # shouldn't pay 32-way route+join task waves per hop
-        total = sum(rows_l) + sum(rows_r)
-        P = max(1, min(P, -(-total // 50_000)))
+    P = P or num_partitions(sum(rows_l) + sum(rows_r),
+                            per=CYPHER_ROWS_PER_PARTITION)
     refs_l = [r for r, c in zip(mat_l.to_arrow_refs(), rows_l) if c]
     refs_r = [r for r, c in zip(mat_r.to_arrow_refs(), rows_r) if c]
     if not refs_l or (not refs_r and join_type == "inner"):
@@ -860,12 +857,10 @@ def _closure_levels(base, frontier, sv: str, inner: str, mid: str,
     newly-discovered pairs, and the loop terminates when a level finds
     none. Returns the tagged level Datasets."""
     import ray.data as rd
-    cpus = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    P2 = max(1, min(16, cpus))
     fr = frontier.materialize()
-    fr_refs = [r for r, n in zip(fr.to_arrow_refs(), fr._block_num_rows())
-               if n]
+    rows = fr._block_num_rows()
+    fr_refs = [r for r, n in zip(fr.to_arrow_refs(), rows) if n]
+    P2 = num_partitions(sum(rows), per=CYPHER_ROWS_PER_PARTITION)
     seen = [_closure_seed.remote(sv, inner, *col)
             for col in shuffle(_route, fr_refs, P2, [sv, inner])]
     levels = []
@@ -1203,15 +1198,15 @@ def _hint_key_cols(hint: pa.Table, names: list) -> pa.Table:
     return hint
 
 
-import os as _os
-_CROSS_CAP = int(_os.environ.get("RA_CROSS_JOIN_CAP", "200000"))
+# rows of the smaller side above which a cartesian product is refused
+_CROSS_CAP = 200_000
 
 
 def _cross_join(left, right, lhint: pa.Table, rhint: pa.Table):
     """Cartesian product of two variable-disjoint pattern results with no
     bridging predicate. The smaller side is materialized, capped at
-    RA_CROSS_JOIN_CAP rows (an unguarded product is never the right plan
-    at scale) and broadcast ONCE via ray.put; each left block emits the
+    _CROSS_CAP rows (an unguarded product is never the right plan at
+    scale) and broadcast ONCE via ray.put; each left block emits the
     repeat×tile combination — vectorized takes, no per-row Python."""
     import ray.data as rd
     mat_l, mat_r = left.materialize(), right.materialize()
@@ -1220,8 +1215,7 @@ def _cross_join(left, right, lhint: pa.Table, rhint: pa.Table):
         raise NotImplementedError(
             f"cartesian product across patterns: both sides exceed "
             f"{_CROSS_CAP} rows ({cl} x {cr}); add a bridging WHERE "
-            "equality (compiled to a distributed equi-join) or raise "
-            "RA_CROSS_JOIN_CAP")
+            "equality (compiled to a distributed equi-join)")
     if cl < cr:                      # broadcast the smaller side
         mat_l, mat_r = mat_r, mat_l
         lhint, rhint = rhint, lhint
@@ -1656,32 +1650,43 @@ def _agg_part(cols: list, val: str, fn: str, alias: str,
 
 def _int_keys(ds, cols: list) -> bool:
     """True iff every key column is integer-typed (eligible for the
-    splitmix `_route` fast path, which casts keys to int64)."""
-    try:
-        schema = ds.schema()
-        types = dict(zip(schema.names, schema.types))
-        return all(pa.types.is_integer(types[c]) for c in cols)
-    except Exception:
+    splitmix `_route` fast path, which casts keys to int64). A lost
+    schema or a missing key column is not integer-keyed."""
+    schema = ds.schema()
+    if schema is None:
         return False
+    types = dict(zip(schema.names, schema.types))
+    return all(c in types and pa.types.is_integer(types[c]) for c in cols)
 
 
-def route_fanout(mat, keys: list, task, task_args: tuple = (),
-                 rows_per_part: int = 50_000):
+def route_fanout(mat, keys: list, task, task_args: tuple = ()):
     """MATERIALIZED Dataset → one ``task(*task_args, *pieces)`` per hash
     partition of the int64 ``keys`` (the join's `_route` tasks; partition
-    count ~rows_per_part rows each, CPU-capped — the shared fan-out
-    behind `_distinct`, `_hash_group_agg` and the co-purchase pair
-    derivation). Returns the list of result refs, or None when every
+    count from exchange.num_partitions at CYPHER_ROWS_PER_PARTITION — the
+    shared fan-out behind `_distinct`, `_hash_group_agg` and the
+    co-purchase pair derivation). Returns the list of result refs, or None when every
     block is empty."""
     rows = mat._block_num_rows()
     refs = [r for r, c in zip(mat.to_arrow_refs(), rows) if c]
     if not refs:
         return None
-    cpus = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    P = max(1, min(max(8, cpus), -(-sum(rows) // rows_per_part)))
+    P = num_partitions(sum(rows), per=CYPHER_ROWS_PER_PARTITION)
     return [task.remote(*task_args, *col)
             for col in shuffle(_route, refs, P, keys)]
+
+
+def _empty_agg(schema, cols: list, val: str, alias: str) -> pa.Table:
+    """Empty aggregate result with the key and value types of ``schema``,
+    or int64 columns when the schema is lost (None: Ray skips map fns on
+    empty blocks, so an all-empty local pass has no schema) or lacks one
+    of the columns."""
+    if schema is not None and set(cols + [val]) <= set(schema.names):
+        types = dict(zip(schema.names, schema.types))
+    else:
+        types = dict.fromkeys(cols + [val], pa.int64())
+    z = {c: pa.array([], types[c]) for c in cols}
+    z[alias] = pa.array([], types[val])
+    return pa.table(z)
 
 
 def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str):
@@ -1701,15 +1706,7 @@ def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str):
     pre = ds.map_batches(local, batch_format="pyarrow",
                          zero_copy_batch=True).materialize()
     if not any(pre._block_num_rows()):
-        # typed empty result (the input schema survives the local pass)
-        try:
-            types = dict(zip(pre.schema().names, pre.schema().types))
-            z = {c: pa.array([], types[c]) for c in cols}
-            z[alias] = pa.array([], types[val])
-        except Exception:
-            z = {c: pa.array([], pa.int64()) for c in cols}
-            z[alias] = pa.array([], pa.int64())
-        return rd.from_arrow(pa.table(z))
+        return rd.from_arrow(_empty_agg(pre.schema(), cols, val, alias))
     if not _int_keys(pre, cols):
         from ray.data.aggregate import Max, Min, Sum
         agg = {"sum": Sum, "min": Min, "max": Max}[fn](val)

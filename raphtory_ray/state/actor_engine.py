@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 import ray
 
-from raphtory_ray.core.exchange import bucket
+from raphtory_ray.core.exchange import bucket, cluster_cpus
 from raphtory_ray.state.supersteps import iterate, resume
 
 GATHER_MODES = ("central", "p2p-tiled")
@@ -219,7 +219,7 @@ class ShardedPageRank:
         self.P, self.n = P, n
         self.dtype = np.dtype(dtype)
         self._sink_mask_full = outdeg == 0      # central-gather bookkeeping
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        cpus = cluster_cpus()
         # default leaves one CPU of headroom so a forgotten engine can't
         # wedge the whole cluster; the scaling bench passes num_workers
         # explicitly to use every CPU
@@ -257,8 +257,10 @@ class ShardedPageRank:
         if gather_mode not in GATHER_MODES:
             raise ValueError(f"gather_mode must be one of {GATHER_MODES}, "
                              f"got {gather_mode!r}")
-        it0, full = resume(checkpoint, "rank",
-                           np.full(self.n, 1.0 / self.n, dtype=self.dtype))
+        it0, full, stop = resume(
+            checkpoint, "rank",
+            np.full(self.n, 1.0 / self.n, dtype=self.dtype), iter_count,
+            lambda m: m["norm"] <= tol * self.n)
         if it0:
             full = full.astype(self.dtype)
             self.seed_ranks(full)
@@ -298,7 +300,7 @@ class ShardedPageRank:
             return float(sum(o[1] for o in outs)), norm <= tol * self.n
 
         _, it, times = iterate(superstep, advance, sink, start=it0,
-                               stop=iter_count)
+                               stop=stop)
         return scores(), it, times
 
     def _compose(self, per_actor_ref_lists) -> list:

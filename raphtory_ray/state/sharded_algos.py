@@ -28,6 +28,7 @@ from collections import deque
 import numpy as np
 import ray
 
+from raphtory_ray.core.exchange import cluster_cpus
 from raphtory_ray.state.actor_engine import _index_in, _owned_vids
 
 
@@ -245,7 +246,7 @@ class ShardedAlgos:
         exchange.bucket, the hash the owned slices use)."""
         self.g = g
         self.n = g.n
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        cpus = cluster_cpus()
         self._W = num_workers or max(1, min(cpus - 1, len(g.und_refs)))
         self._shards = None
 

@@ -2,10 +2,10 @@
 
 Design (the TaskRunner equivalent, SURVEY §7.2.3):
 
-- The temporal edge Dataset is deduplicated ONCE to simple edges via a
-  Ray Data ``groupby(["src","dst"])`` (the foundational shuffle, SURVEY
-  §2.7) and materialized as Arrow blocks pinned in the object store
-  (``to_arrow_refs``) — topology is shuffled once, never re-shipped.
+- The temporal edge Dataset is deduplicated ONCE to simple edges by
+  ``_shuffle_pairs``, a raw-task hash shuffle over core/exchange (the
+  foundational shuffle, SURVEY §2.7), into Arrow blocks pinned in the
+  object store — topology is shuffled once, never re-shipped.
 - Vertex state is O(V) dense numpy arrays, stepped by the one loop of
   state/supersteps.py: plain per-block kernels (core/kernels.py) do the
   partial combine, ``advance`` the tiny final one (SURVEY §2.5). Several
@@ -16,9 +16,10 @@ Design (the TaskRunner equivalent, SURVEY §7.2.3):
   (pipelines/checkpoint.py) and makes Ray's task retries safe.
 
 Scale notes (explicit, per north_rule):
-- Undirected/directed block sets are hash-partitioned by the Ray Data
-  shuffle; skew from hub vertices only affects per-block *message counts*,
-  which are pre-combined inside the task (np.bincount = a full local
+- Undirected/directed block sets are hash-partitioned by
+  ``_shuffle_pairs`` (``exchange.bucket`` of the owning endpoint); skew
+  from hub vertices only affects per-block *message counts*, which are
+  pre-combined inside the task (np.bincount = a full local
   combiner), so a hot destination vertex costs one float per block — the
   salted-combine degenerate case is built in.
 - O(V) driver state is the documented trade-off: it holds to ~10^8-10^9
@@ -37,8 +38,10 @@ import pyarrow as pa
 import ray
 
 from raphtory_ray.core import kernels as K
-from raphtory_ray.core.exchange import (bucket, columns, returns, shuffle,
-                                        split)
+from raphtory_ray.core.exchange import (ROWS_PER_PARTITION,  # noqa: F401
+                                        bucket, cluster_cpus, columns,
+                                        groups, num_partitions, returns,
+                                        shuffle, split)
 from raphtory_ray.state.supersteps import resume, superstep_loop
 
 
@@ -167,6 +170,11 @@ def _saving(advance, checkpoint, key: str):
         checkpoint.save(it, {key: cur}, metrics={"changed": changed})
         return cur, done
     return step
+
+
+def _unchanged(metrics: dict) -> bool:
+    """Stop test of a saved label superstep: no label changed."""
+    return metrics["changed"] == 0
 
 
 def _alive_count_partial(block: pa.Table, alive: np.ndarray):
@@ -345,18 +353,6 @@ def _balance_partial(block: pa.Table, n: int, wcol: str):
             np.bincount(s, weights=w, minlength=n))   # outgoing
 
 
-# The one partition rule of this module. R rows per partition is chosen so
-# that sf0.1 (567,452 edges) on 32 CPUs keeps the layout rounds 3-5
-# measured: 32 topology blocks, 8 superstep groups, a 16-way triangle grid.
-# A graph below R rows is one partition, so its superstep is one task.
-ROWS_PER_PARTITION = 16_000
-
-
-def num_partitions(rows: int, cpus: int) -> int:
-    """ceil(rows / ROWS_PER_PARTITION), at least 1, at most min(cpus, 64)."""
-    return max(1, min(64, cpus, -(-int(rows) // ROWS_PER_PARTITION)))
-
-
 def round_groups(blocks: int, cpus: int) -> int:
     """Groups the blocks of a synchronous superstep round are coalesced
     into: ~cpus/4 (round 3), at least 1, at most the block count."""
@@ -368,10 +364,6 @@ def triangle_grid(edges: int, cpus: int) -> int:
     edge count, so each triangle partition holds ~2R oriented edges
     (wedge expansion is the hot step)."""
     return max(1, num_partitions(edges, cpus) // 2)
-
-
-def _cluster_cpus() -> int:
-    return int(ray.cluster_resources().get("CPU", 8))
 
 
 @ray.remote
@@ -499,7 +491,7 @@ class BspGraph:
         if self._sharded is None:
             from raphtory_ray.state.sharded_algos import ShardedAlgos
             self._sharded = ShardedAlgos(
-                self, num_workers=max(1, min(16, _cluster_cpus() - 2)))
+                self, num_workers=max(1, min(16, cluster_cpus() - 2)))
         return self._sharded
 
     @property
@@ -514,10 +506,9 @@ class BspGraph:
         blocks (self.refs) stay fine-grained for the throughput-bound
         wedge/probe paths."""
         if self._csr_refs is None:
-            G = round_groups(len(self.refs), _cluster_cpus())
-            k = -(-len(self.refs) // G)
-            groups = [self.refs[i:i + k] for i in range(0, len(self.refs), k)]
-            self._csr_refs = [_csr_by_dst.remote(*g) for g in groups]
+            G = round_groups(len(self.refs), cluster_cpus())
+            self._csr_refs = [_csr_by_dst.remote(*g)
+                              for g in groups(self.refs, G)]
         return self._csr_refs
 
     # ------------------------------------------------------------ construction
@@ -533,7 +524,7 @@ class BspGraph:
         read only src/dst, and a column-select stage would start a fresh
         Dataset execution even on materialized input."""
         mat = edges_ds.materialize()
-        nb = num_blocks or num_partitions(mat.count(), _cluster_cpus())
+        nb = num_blocks or num_partitions(mat.count())
         refs = _shuffle_pairs(mat.to_arrow_refs(), nb, key="dst")
         num_edges = int(sum(ray.get([_block_rows.remote(r) for r in refs])))
         return cls(n, refs, num_edges)
@@ -552,8 +543,8 @@ class BspGraph:
     def und_refs(self) -> list:
         """Blocks of deduplicated undirected neighbour pairs (u, v): both
         orientations present, self-loop once — SURVEY §1.3 rules. Built once
-        via a second groupby-dedup shuffle, into as many blocks as the
-        directed topology."""
+        by a second ``_shuffle_pairs``, keyed by src, into as many blocks as
+        the directed topology."""
         if self._und_refs is None:
             both = [_both_dirs.remote(r) for r in self.refs]
             self._und_refs = _shuffle_pairs(both, len(self.refs), key="src")
@@ -568,11 +559,11 @@ class BspGraph:
         Throughput-bound consumers (wedge/probe shuffles, degrees) keep the
         fine blocks."""
         if self._und_step_refs is None:
-            G = round_groups(len(self.und_refs), _cluster_cpus())
-            k = -(-len(self.und_refs) // G)
-            self._und_step_refs = self.und_refs if k == 1 else [
-                _merge_concat.remote(*self.und_refs[i:i + k])
-                for i in range(0, len(self.und_refs), k)]
+            G = round_groups(len(self.und_refs), cluster_cpus())
+            grp = groups(self.und_refs, G)
+            self._und_step_refs = self.und_refs \
+                if len(grp) == len(self.und_refs) else \
+                [_merge_concat.remote(*g) for g in grp]
         return self._und_step_refs
 
     # ------------------------------------------------------------ degrees
@@ -623,8 +614,9 @@ class BspGraph:
             if not s > 0:
                 raise ValueError("personalization must have positive mass")
             pv = pv / s
-        it0, prev = resume(checkpoint, "rank", np.full(n, 1.0 / n)
-                           if pv is None else pv.copy())
+        it0, prev, stop = resume(
+            checkpoint, "rank", np.full(n, 1.0 / n) if pv is None
+            else pv.copy(), iter_count, lambda m: m["norm"] <= tol * n)
 
         def degrees(parts):
             outdeg = np.zeros(n, dtype=np.int64)
@@ -657,7 +649,7 @@ class BspGraph:
 
         return superstep_loop(self.csr_refs, _pr_superstep, advance, prev,
                               setup=(_csr_out_degree, degrees), start=it0,
-                              stop=iter_count, checkpoint=checkpoint)
+                              stop=stop, checkpoint=checkpoint)
 
     def wcc(self, checkpoint=None) -> np.ndarray:
         """Hash-min label propagation; label = min vid in component
@@ -665,11 +657,13 @@ class BspGraph:
         to a fixpoint, so the loop needs ~log(diameter) supersteps. A
         ``checkpoint`` saves every superstep's labels and resumes from
         the latest complete one."""
-        it0, label = resume(checkpoint, "component",
-                            np.arange(self.n, dtype=np.int64))
+        it0, label, stop = resume(checkpoint, "component",
+                                  np.arange(self.n, dtype=np.int64),
+                                  done=_unchanged)
         return superstep_loop(self.und_step_refs, _wcc_min_owned,
                               _saving(_wcc_advance, checkpoint, "component"),
-                              label, start=it0, checkpoint=checkpoint)[0]
+                              label, start=it0, stop=stop,
+                              checkpoint=checkpoint)[0]
 
     def lpa(self, iter_count=20, labels=None, until_converged=True,
             checkpoint=None):
@@ -685,9 +679,10 @@ class BspGraph:
                 and self.num_edges >= self._SHARDED_EDGE_THRESHOLD:
             return self.sharded().lpa_owned(iter_count, until_converged)
         n = self.n
-        it0, prev = resume(checkpoint, "community",
-                           np.arange(n, dtype=np.int64) if labels is None
-                           else labels.copy())
+        it0, prev, stop = resume(
+            checkpoint, "community", np.arange(n, dtype=np.int64)
+            if labels is None else labels.copy(), iter_count,
+            _unchanged if until_converged else None)
 
         def advance(prev, parts, it, *_):
             cur = prev.copy()
@@ -697,7 +692,7 @@ class BspGraph:
 
         return superstep_loop(self.und_step_refs, _lpa_vote_owned,
                               _saving(advance, checkpoint, "community"),
-                              prev, (n,), start=it0, stop=iter_count,
+                              prev, (n,), start=it0, stop=stop,
                               checkpoint=checkpoint)[:2]
 
     def kcore_set(self, k: int, iter_count: int = 10**9) -> np.ndarray:
@@ -736,7 +731,7 @@ class BspGraph:
         not depend on the block count. A graph of at most 3R edges is one
         wedge task and one probe task."""
         assert self.n < (1 << 31)
-        P = triangle_grid(self.num_edges, _cluster_cpus())
+        P = triangle_grid(self.num_edges, cluster_cpus())
         S = self._oriented_split("src", P)
         D = self._oriented_split("dst", P)
         wparts = columns([_wedge_split.options(num_returns=P).remote(

@@ -49,16 +49,25 @@ def superstep_loop(refs: list, kernel: Callable, advance: Callable, state,
     the first superstep. A ``checkpoint`` is written by ``advance``, so it
     keeps the loop on the driver. Returns (state, last superstep run or
     ``start``, per-superstep seconds)."""
+    if stop is not None and stop <= start:
+        return state, start, []
     path = _fused if len(refs) == 1 and checkpoint is None else _rounds
     return path(refs, kernel, advance, state, consts, setup, start, stop)
 
 
-def resume(checkpoint, key: str, state):
+def resume(checkpoint, key: str, state, stop: int | None = None,
+           done: Callable | None = None):
     """The one resume rule of every checkpointed loop: (iteration, state
-    ``key``) of the latest complete manifest of ``checkpoint``
-    (pipelines.checkpoint.CheckpointManager), else (0, ``state``)."""
+    ``key``, stop) of the latest complete manifest of ``checkpoint``
+    (pipelines.checkpoint.CheckpointManager), else (0, ``state``, stop).
+    When the manifest's metrics already meet the caller's stop test
+    ``done(metrics)``, stop drops to that iteration, so a run that
+    converged resumes to zero supersteps."""
     st = checkpoint.load_latest() if checkpoint is not None else None
-    return (0, state) if st is None else (st["iteration"], st["state"][key])
+    if st is None:
+        return 0, state, stop
+    it = st["iteration"]
+    return it, st["state"][key], it if done and done(st["metrics"]) else stop
 
 
 def iterate(parts: Callable, advance: Callable, state, consts: tuple = (),

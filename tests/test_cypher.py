@@ -653,6 +653,31 @@ def test_cross_join_cap(ray_session, monkeypatch):
         cypher(gf, "MATCH (a), (b) RETURN count(*) AS n").take_all()
 
 
+def test_empty_aggregate_types(ray_session):
+    """An empty grouped aggregate keeps the value type when its schema is
+    known, and is int64 when the schema is lost or lacks a column; an
+    all-empty input loses its schema in the local pass, so it ends int64."""
+    import ray.data as rd
+    from raphtory_ray.query.cypher import (_empty_agg, _hash_group_agg,
+                                           _int_keys)
+    sch = pa.schema([("k", pa.int32()), ("v", pa.float64())])
+    typed = _empty_agg(sch, ["k"], "v", "s")
+    assert typed.num_rows == 0
+    assert typed.schema == pa.schema([("k", pa.int32()), ("s", pa.float64())])
+    i64 = pa.schema([("k", pa.int64()), ("s", pa.int64())])
+    assert _empty_agg(None, ["k"], "v", "s").schema == i64
+    assert _empty_agg(pa.schema([("k", pa.int32())]), ["k"], "v",
+                      "s").schema == i64
+    empty = rd.from_arrow(sch.empty_table())
+    out = _hash_group_agg(empty, ["k"], "v", "sum", "s").take_all()
+    assert out == []
+    assert _hash_group_agg(empty, ["k"], "v", "sum",
+                           "s").schema().types == [pa.int64(), pa.int64()]
+    assert _int_keys(empty, ["k"])
+    assert not _int_keys(empty, ["missing"])
+    assert not _int_keys(empty.map_batches(lambda b: b), ["k"])  # lost
+
+
 def test_is_null_anti_join(ray_session):
     """OPTIONAL MATCH + IS NULL = nodes with no qualifying out-edge."""
     gf, edges, verts = _gf()

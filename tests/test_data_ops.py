@@ -1260,10 +1260,12 @@ def test_hll_group_registers_parity(ray_session):
         assert abs(est - true) / true < 0.15      # p=8 ~6.5% stderr
 
 
-def test_user_route_wave_multi_partition(ray_session):
-    """round-5 review fix: pin num_partitions > 1 so the multi-partition
-    route/piece path is actually exercised — results identical to P=1."""
+def test_user_route_wave_multi_partition(ray_session, monkeypatch):
+    """round-5 review fix: force P > 1 (by shrinking the partition rule's
+    rows per partition) so the multi-partition route/piece path is
+    actually exercised — results identical to P=1."""
     import ray.data as rd
+    from raphtory_ray.core import exchange
     from raphtory_ray.data.asof import (sessionize, funnel_counts,
                                         cohort_retention)
     rng = np.random.default_rng(5)
@@ -1277,13 +1279,14 @@ def test_user_route_wave_multi_partition(ray_session):
              rng.integers(0, 3, n)])})
     ds = rd.from_arrow(t).repartition(5)
     for P in (1, 4):
-        kw = {"num_partitions": P}
-        s = sessionize(ds, gap=100, **kw).to_pandas() \
+        monkeypatch.setattr(exchange, "ROWS_PER_PARTITION", -(-n // P))
+        assert exchange.num_partitions(n, cpus=4) == P
+        s = sessionize(ds, gap=100).to_pandas() \
             .sort_values("event_id").reset_index(drop=True)
-        f = funnel_counts(ds, ["view", "click", "purchase"], window=2000,
-                          **kw).to_pandas() \
+        f = funnel_counts(ds, ["view", "click", "purchase"],
+                          window=2000).to_pandas() \
             .sort_values("user_id").reset_index(drop=True)
-        c = cohort_retention(ds, period=1000, **kw).to_pandas() \
+        c = cohort_retention(ds, period=1000).to_pandas() \
             .sort_values(["cohort", "k"]).reset_index(drop=True)
         if P == 1:
             s1, f1, c1 = s, f, c

@@ -1,5 +1,6 @@
 """Every program file compiles with warnings as errors, so a compile-time
-warning (an invalid escape sequence, say) cannot come back unnoticed."""
+warning (an invalid escape sequence, say) cannot come back unnoticed; and
+only core/exchange.py asks Ray for the cluster's CPUs."""
 
 from __future__ import annotations
 
@@ -29,3 +30,14 @@ def test_program_files_compile_without_warnings():
             except (SyntaxError, Warning) as e:
                 failed.append(f"{path.relative_to(ROOT)}: {e}")
     assert not failed, "\n".join(failed)
+
+
+def test_cluster_cpus_read_only_in_exchange():
+    """Partition, group and worker counts size from exchange.cluster_cpus;
+    a second ``cluster_resources(`` lookup would bring back a private
+    sizing rule."""
+    exchange = ROOT / "raphtory_ray" / "core" / "exchange.py"
+    hits = [str(p.relative_to(ROOT)) for p in _program_files()
+            if p != exchange and "cluster_resources(" in p.read_text()]
+    assert hits == []
+    assert "cluster_resources(" in exchange.read_text()

@@ -215,3 +215,39 @@ def test_resumed_pagerank_reports_checkpointed_iterations(ray_session,
     assert it == 5 and times == []
     np.testing.assert_array_equal(again, first)
     assert g.pagerank(iter_count=4, tol=0.0, checkpoint=ck)[1] == 5
+
+
+def test_converged_checkpoint_reruns_zero_supersteps(ray_session, tmp_path):
+    """A run that converged under a checkpoint is done: a second call on
+    the same directory applies the stop test to the latest manifest's
+    metrics, runs no superstep and returns the same result and iteration
+    count (PageRank on ``norm``, LPA and WCC on ``changed``)."""
+    from raphtory_ray.pipelines.checkpoint import CheckpointManager
+    from raphtory_ray.state.actor_engine import ShardedPageRank
+    g, _ = _one_block_graph(seed=6)
+
+    def twice(name, run):
+        ck = CheckpointManager(str(tmp_path / name), num_partitions=2)
+        first = run(ck)
+        kept = ck.iterations()
+        again = run(ck)
+        assert ck.iterations() == kept, name
+        return first, again
+
+    for name, run in [
+            ("pr", lambda ck: g.pagerank(iter_count=50, checkpoint=ck)),
+            ("lpa", lambda ck: g.lpa(iter_count=50, checkpoint=ck))]:
+        (a, it_a, *_), (b, it_b, *rest) = twice(name, run)
+        assert it_a == it_b and it_a < 50, name
+        if rest:
+            assert rest[0] == [], name          # no superstep timed
+        np.testing.assert_array_equal(a, b)
+    a, b = twice("wcc", lambda ck: g.wcc(checkpoint=ck))
+    np.testing.assert_array_equal(a, b)
+
+    def sharded(ck):
+        with ShardedPageRank.from_bsp(g) as eng:
+            return eng.pagerank(checkpoint=ck)
+    (a, it_a, _), (b, it_b, times) = twice("sharded", sharded)
+    assert it_a == it_b and times == []
+    np.testing.assert_array_equal(a, b)
