@@ -1706,7 +1706,10 @@ def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str):
     pre = ds.map_batches(local, batch_format="pyarrow",
                          zero_copy_batch=True).materialize()
     if not any(pre._block_num_rows()):
-        return rd.from_arrow(_empty_agg(pre.schema(), cols, val, alias))
+        schema = pre.schema()
+        if schema is None:            # the local pass lost it; the input
+            schema = ds.schema()      # may still carry the types
+        return rd.from_arrow(_empty_agg(schema, cols, val, alias))
     if not _int_keys(pre, cols):
         from ray.data.aggregate import Max, Min, Sum
         agg = {"sum": Sum, "min": Min, "max": Max}[fn](val)

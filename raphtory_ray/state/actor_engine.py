@@ -1,7 +1,8 @@
 """Actor-sharded BSP engine — vertex state lives IN the partition actors.
 
-This is the at-scale superstep path the north_star describes ("CSR adjacency
-blocks held in stateful actor-pool partitions"): P actors each own
+This is the at-scale PageRank path the north_star describes ("CSR adjacency
+blocks held in stateful actor-pool partitions"), and the only actor engine:
+every other BspGraph algorithm runs state/supersteps. P actors each own
 
 - a dst-partitioned CSR edge block (rows sorted by dst, built once),
 - the rank slice for the vids they own (hash(v) % P == part_id),

@@ -23,9 +23,11 @@ Scale notes (explicit, per north_rule):
   combiner), so a hot destination vertex costs one float per block — the
   salted-combine degenerate case is built in.
 - O(V) driver state is the documented trade-off: it holds to ~10^8-10^9
-  vertices (8 GB/array). Beyond that the same superstep bodies run against
-  hash-partitioned state actors; the kernels are unchanged. (10^12-file
-  scale needs that path; this sandbox cannot exercise it.)
+  vertices (8 GB/array). Beyond that vertex state must live in
+  hash-partitioned actors; only PageRank has that path today
+  (state/actor_engine.ShardedPageRank). LPA, WCC, k-core and HITS keep
+  the O(V) driver state. (10^12-file scale needs the actor path; this
+  sandbox cannot exercise it.)
 - Triangle counting / reciprocity run as fully partitioned wedge/probe
   semi-joins (hash-shuffled oriented blocks; no task or driver ever holds
   the full edge set) — see triangle_counts / reciprocal_counts.
@@ -456,19 +458,6 @@ class BspGraph:
     """Simple-graph engine: dedup'd directed edge blocks (+ lazily derived
     undirected neighbour blocks) in the object store."""
 
-    # from this edge count an lpa with default labels and no checkpoint
-    # routes through the actor-sharded owned-slice sparse-delta engine
-    # (state/sharded_algos); every other lpa, and every wcc, runs the
-    # superstep loop. Pool start is not cheap: on the perfbench
-    # edge-algos graph (1-core host, 2 logical Ray CPUs, one step group)
-    # sharded LPA took 1.7-2.1 s against 0.38-0.49 s for the fused task
-    # loop (0.49-0.73 s as task rounds). The routing stays: round 5
-    # measured the sharded engine 2.5x faster at sf0.1 on 32 CPUs, where
-    # the rounds' O(V) driver ray.put dominates, and perfbench pins the
-    # 1-CPU pool hang that routing edge-algos to the task path would
-    # remove.
-    _SHARDED_EDGE_THRESHOLD = 50_000
-
     def __init__(self, n: int, refs: list, num_edges: int):
         self.n = n
         self.refs = refs                  # directed simple (src,dst) blocks
@@ -479,20 +468,6 @@ class BspGraph:
         self._outdeg = None
         self._indeg = None
         self._bdeg = None
-        self._sharded = None
-
-    def sharded(self):
-        """Cached actor-sharded LPA engine (built on the first lpa routed
-        to it). Worker count capped at 16: the owned-delta rounds are
-        latency-bound, and past ~16 actors per-round scheduling overtakes
-        the per-actor compute (measured at sf0.1: W=16 lpa 0.25 s vs
-        W=31 0.37 s); two CPUs are left free so Dataset stages can still
-        make progress while the pool is resident."""
-        if self._sharded is None:
-            from raphtory_ray.state.sharded_algos import ShardedAlgos
-            self._sharded = ShardedAlgos(
-                self, num_workers=max(1, min(16, cluster_cpus() - 2)))
-        return self._sharded
 
     @property
     def csr_refs(self) -> list:
@@ -670,14 +645,8 @@ class BspGraph:
         """Synchronous LPA (label_propagation.rs:40-112). Each src-owned
         undirected block resolves its vertices' votes (incl. self vote)
         entirely in its kernel; advance only scatters disjoint updates.
-        From _SHARDED_EDGE_THRESHOLD edges, with default labels and no
-        ``checkpoint``, the vote rounds run on the actor-sharded
-        owned-slice sparse-delta path (sharded_algos.lpa_owned — identical
-        labels, parity-tested). A ``checkpoint`` saves every superstep's
-        labels and resumes from the latest complete one."""
-        if checkpoint is None and labels is None \
-                and self.num_edges >= self._SHARDED_EDGE_THRESHOLD:
-            return self.sharded().lpa_owned(iter_count, until_converged)
+        Returns (labels, iterations). A ``checkpoint`` saves every
+        superstep's labels and resumes from the latest complete one."""
         n = self.n
         it0, prev, stop = resume(
             checkpoint, "community", np.arange(n, dtype=np.int64)

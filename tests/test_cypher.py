@@ -656,7 +656,8 @@ def test_cross_join_cap(ray_session, monkeypatch):
 def test_empty_aggregate_types(ray_session):
     """An empty grouped aggregate keeps the value type when its schema is
     known, and is int64 when the schema is lost or lacks a column; an
-    all-empty input loses its schema in the local pass, so it ends int64."""
+    all-empty typed input loses its schema in the local pass, so its key
+    and value types come from the input's schema."""
     import ray.data as rd
     from raphtory_ray.query.cypher import (_empty_agg, _hash_group_agg,
                                            _int_keys)
@@ -672,6 +673,9 @@ def test_empty_aggregate_types(ray_session):
     out = _hash_group_agg(empty, ["k"], "v", "sum", "s").take_all()
     assert out == []
     assert _hash_group_agg(empty, ["k"], "v", "sum",
+                           "s").schema().types == [pa.int32(), pa.float64()]
+    lost = empty.map_batches(lambda b: b)
+    assert _hash_group_agg(lost, ["k"], "v", "sum",
                            "s").schema().types == [pa.int64(), pa.int64()]
     assert _int_keys(empty, ["k"])
     assert not _int_keys(empty, ["missing"])

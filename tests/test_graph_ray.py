@@ -230,7 +230,6 @@ def test_single_partition_parity(ray_session):
     np.testing.assert_array_equal(g.wcc(), K.wcc(s, d, n))
     want_lpa = K.lpa(s, d, n)[0]
     np.testing.assert_array_equal(g.lpa()[0], want_lpa)
-    np.testing.assert_array_equal(g.sharded().lpa_owned()[0], want_lpa)
     tot, loc = g.triangle_counts()
     tot_k, loc_k = K.triangle_counts(s, d, n)
     assert tot == tot_k

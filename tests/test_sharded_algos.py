@@ -1,12 +1,20 @@
-"""ShardedAlgos (actor-partitioned owned-delta LPA) — equivalence with the
-task path in state/shards.py on random graphs, plus structural checks; and
-checkpointed LPA/WCC, which run the superstep loop's round path at any
-size and resume mid-run."""
+"""BspGraph LPA, WCC and personalized PageRank on random graphs against
+the numpy kernels and dense references, plus structural checks; LPA on a
+graph of 50k+ edges, also at one logical CPU; and checkpointed LPA/WCC,
+which run the superstep loop's round path and resume mid-run."""
 
 from __future__ import annotations
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +53,6 @@ def _killed_and_resumed(run, path: str, k: int):
         run(_dies_after(path, k))
     assert CheckpointManager(path).iterations()[-1] == k
     return run(CheckpointManager(path))
-
-
-def test_lpa_matches_task_engine(rnd_graph):
-    from raphtory_ray.state.sharded_algos import ShardedAlgos
-    want, it_w = rnd_graph.lpa(iter_count=7, until_converged=False)
-    with ShardedAlgos(rnd_graph, num_workers=3) as eng:
-        got, it_g = eng.lpa_owned(iter_count=7, until_converged=False)
-    assert it_w == it_g
-    assert np.array_equal(got, want)
 
 
 def test_wcc_disconnected_and_isolated(ray_session):
@@ -112,56 +111,90 @@ def test_personalized_pagerank_validates_input(rnd_graph):
         rnd_graph.pagerank(personalization=np.zeros(rnd_graph.n))
 
 
-# ------------- round-5: owned-slice sparse-delta LPA / WCC ---------------
-
-def test_lpa_owned_delta_matches_task_engine(rnd_graph):
-    from raphtory_ray.state.sharded_algos import ShardedAlgos
-    want_c, _ = rnd_graph.lpa()
-    want_p, _ = rnd_graph.lpa(iter_count=3, until_converged=False)
-    with ShardedAlgos(rnd_graph, num_workers=3) as eng:
-        got_c, _ = eng.lpa_owned()
-        got_p, it_p = eng.lpa_owned(iter_count=3, until_converged=False)
-    assert np.array_equal(got_c, want_c)
-    assert np.array_equal(got_p, want_p)
-    assert it_p == 3
-
-
 def test_owned_delta_engine_reusable_and_isolated_vertices(ray_session):
-    """Repeat calls on a cached engine re-init cleanly; isolated vertices
-    keep their own label."""
+    """Repeat lpa calls on one graph give the same labels, the numpy
+    kernel's; isolated vertices keep their own label."""
+    from raphtory_ray.core import kernels as K
     from raphtory_ray.state.shards import BspGraph
-    from raphtory_ray.state.sharded_algos import ShardedAlgos
     src = np.array([0, 1, 2, 5, 6, 7])
     dst = np.array([1, 2, 0, 6, 7, 5])
     g = BspGraph.from_arrays(src, dst, 10, num_blocks=3)
-    with ShardedAlgos(g, num_workers=2) as eng:
-        l1, _ = eng.lpa_owned()
-        l2, _ = eng.lpa_owned()           # second run on same pool
-    assert np.array_equal(l1, l2)
+    l1, it1 = g.lpa()
+    l2, it2 = g.lpa()
+    assert it1 == it2 and np.array_equal(l1, l2)
+    want, want_it = K.lpa(src, dst, 10)
+    assert it1 == want_it
+    np.testing.assert_array_equal(l1, want)
     assert np.array_equal(l1[[3, 4, 8, 9]], [3, 4, 8, 9])
 
 
-def test_bspgraph_auto_routes_large_graph_to_sharded(ray_session):
-    """From _SHARDED_EDGE_THRESHOLD edges lpa runs through the owned-delta
-    actor engine with the numpy kernel's labels and iterations; wcc stays
-    on the superstep loop."""
+def test_lpa_on_large_graph_matches_kernel(ray_session):
+    """A graph of 50k+ edges gives the numpy kernel's LPA labels and
+    iteration counts, fixed and converging, and its WCC labels."""
     from raphtory_ray.core import kernels as K
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(3)
     n = 9000
-    src = rng.integers(0, n, 60_000)
-    dst = rng.integers(0, n, 60_000)
+    src, dst = rng.integers(0, n, 60_000), rng.integers(0, n, 60_000)
     g = BspGraph.from_arrays(src, dst, n, num_blocks=6)
-    if g.num_edges < BspGraph._SHARDED_EDGE_THRESHOLD:
-        pytest.skip("dedup dropped below threshold")
+    assert g.num_edges >= 50_000
     np.testing.assert_array_equal(g.wcc(), K.wcc(src, dst, n))
-    assert g._sharded is None
     want_l, want_it = K.lpa(src, dst, n, iter_count=4, until_converged=False)
-    got_l, got_it = g.lpa(iter_count=4, until_converged=False)  # sharded
-    assert g._sharded is not None
+    got_l, got_it = g.lpa(iter_count=4, until_converged=False)
     assert got_it == want_it == 4
     np.testing.assert_array_equal(got_l, want_l)
-    g._sharded.shutdown()
+    want_l, want_it = K.lpa(src, dst, n)
+    got_l, got_it = g.lpa()
+    assert got_it == want_it
+    np.testing.assert_array_equal(got_l, want_l)
+
+
+_ONE_CPU_LPA = """
+import sys
+
+import numpy as np
+import ray
+
+sys.path.insert(0, sys.argv[1])
+from raphtory_ray.core import kernels as K
+from raphtory_ray.state.shards import BspGraph
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+rng = np.random.default_rng(3)
+n = 9000
+src, dst = rng.integers(0, n, 60_000), rng.integers(0, n, 60_000)
+g = BspGraph.from_arrays(src, dst, n, num_blocks=6)
+assert g.num_edges >= 50_000
+labels, it = g.lpa()
+total, _ = g.triangle_counts()
+want, want_it = K.lpa(src, dst, n)
+assert it == want_it, (it, want_it)
+np.testing.assert_array_equal(labels, want)
+assert total == K.triangle_counts(src, dst, n)[0]
+ray.shutdown()
+print("done", it, total)
+"""
+
+
+def test_one_cpu_lpa_then_triangles_finish():
+    """At one logical CPU, an LPA of 50k+ edges and the task-based call
+    after it both finish, with the numpy kernel's labels. A timeout ends
+    the run, so a call that never gets a CPU fails the test instead of
+    hanging the suite."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_LPA, str(ROOT)],
+        cwd=str(ROOT), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("lpa then triangle_counts did not finish in 120 s "
+                    "at one logical CPU")
+    assert proc.returncode == 0, err[-2000:]
+    assert "done" in out.split()
 
 
 def test_owned_delta_checkpoint_resume(ray_session, tmp_path):
@@ -194,18 +227,14 @@ def test_owned_delta_checkpoint_resume(ray_session, tmp_path):
     assert meta["metrics"]["changed"] == 0     # the last superstep converged
 
 
-def test_lpa_owned_converged_iteration_under_checkpoint(rnd_graph, tmp_path):
+def test_lpa_converged_iteration_under_checkpoint(rnd_graph, tmp_path):
     """A checkpoint does not shift the reported convergence iteration: a
     checkpointed lpa, uninterrupted or killed after superstep 1, 2 or 3
-    and resumed, gives the iteration and labels of the pool and of the
-    run without a checkpoint."""
+    and resumed, gives the iteration and labels of the run without a
+    checkpoint."""
     from raphtory_ray.pipelines.checkpoint import CheckpointManager
-    from raphtory_ray.state.sharded_algos import ShardedAlgos
-    want_t, it_t = rnd_graph.lpa()
-    with ShardedAlgos(rnd_graph, num_workers=3) as eng:
-        want, it_w = eng.lpa_owned()
-    assert it_w == it_t < 20              # converged before the cap
-    assert np.array_equal(want, want_t)
+    want, it_w = rnd_graph.lpa()
+    assert it_w < 20                      # converged before the cap
     got, it_g = rnd_graph.lpa(
         checkpoint=CheckpointManager(str(tmp_path / "full")))
     assert it_g == it_w and np.array_equal(got, want)
@@ -219,7 +248,7 @@ def test_lpa_owned_converged_iteration_under_checkpoint(rnd_graph, tmp_path):
 
 def test_bspgraph_checkpoint_runs_superstep_loop(ray_session, tmp_path):
     """BspGraph.lpa/wcc with checkpoint= run the superstep loop on a small
-    graph too, start no actor pool, and resume to identical labels."""
+    graph too, and resume to identical labels."""
     from raphtory_ray.pipelines.checkpoint import CheckpointManager
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(11)
@@ -236,7 +265,6 @@ def test_bspgraph_checkpoint_runs_superstep_loop(ray_session, tmp_path):
     w_want = g.wcc()
     w_got = g.wcc(checkpoint=CheckpointManager(str(tmp_path / "w")))
     assert np.array_equal(w_got, w_want)
-    assert g._sharded is None
 
 
 def test_lpa_with_labels_honours_checkpoint(rnd_graph, tmp_path):
@@ -288,16 +316,15 @@ def _clustered(seed: int, clusters: int, size: int, p: float):
 
 def test_checkpointed_lpa_wcc_on_large_graph_skip_the_pool(ray_session,
                                                           tmp_path):
-    """From _SHARDED_EDGE_THRESHOLD edges, checkpointed lpa and wcc still
-    run the superstep loop (no actor pool starts); killed after superstep
-    k and resumed, they give the labels of an uninterrupted run and of
-    the numpy kernels, and LPA converges at the iteration of the run
+    """On a graph of 50k+ edges, checkpointed lpa and wcc killed after
+    superstep k and resumed give the labels of an uninterrupted run and
+    of the numpy kernels, and LPA converges at the iteration of the run
     without a checkpoint."""
     from raphtory_ray.core import kernels as K
     from raphtory_ray.state.shards import BspGraph
     src, dst, n = _clustered(5, 223, 30, 0.3)
     g = BspGraph.from_arrays(src, dst, n, num_blocks=4)
-    assert g.num_edges >= BspGraph._SHARDED_EDGE_THRESHOLD
+    assert g.num_edges >= 50_000
     want_l, want_it = K.lpa(src, dst, n)
     want_w = K.wcc(src, dst, n)
     assert 3 < want_it < 20
@@ -305,13 +332,10 @@ def test_checkpointed_lpa_wcc_on_large_graph_skip_the_pool(ray_session,
                                         str(tmp_path / "lpa"), 3)
     got_w = _killed_and_resumed(lambda c: g.wcc(checkpoint=c),
                                 str(tmp_path / "wcc"), 1)
-    assert g._sharded is None
     assert got_it == want_it
     np.testing.assert_array_equal(got_l, want_l)
     np.testing.assert_array_equal(got_w, want_w)
     np.testing.assert_array_equal(g.wcc(), want_w)
-    plain_l, plain_it = g.lpa()                # the actor pool
-    assert g._sharded is not None
-    g._sharded.shutdown()
+    plain_l, plain_it = g.lpa()
     assert plain_it == got_it
     np.testing.assert_array_equal(plain_l, got_l)

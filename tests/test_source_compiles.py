@@ -1,10 +1,12 @@
 """Every program file compiles with warnings as errors, so a compile-time
-warning (an invalid escape sequence, say) cannot come back unnoticed; and
-only core/exchange.py asks Ray for the cluster's CPUs."""
+warning (an invalid escape sequence, say) cannot come back unnoticed;
+only core/exchange.py asks Ray for the cluster's CPUs; and no program
+file names a fixed checkout directory."""
 
 from __future__ import annotations
 
 import pathlib
+import re
 import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -41,3 +43,14 @@ def test_cluster_cpus_read_only_in_exchange():
             if p != exchange and "cluster_resources(" in p.read_text()]
     assert hits == []
     assert "cluster_resources(" in exchange.read_text()
+
+
+def test_no_fixed_checkout_path():
+    """A program file that puts a fixed checkout directory on sys.path
+    runs that directory's code when started from any other checkout; a
+    script finds its own root from ``__file__`` instead. No program file
+    names this checkout's path or inserts a literal path into sys.path."""
+    literal = re.compile(r"sys\.path\.insert\(\s*\d+\s*,\s*[rbuf]?[\"']")
+    hits = [str(p.relative_to(ROOT)) for p in _program_files()
+            if str(ROOT) in p.read_text() or literal.search(p.read_text())]
+    assert hits == []

@@ -79,7 +79,8 @@ def main():
     import ray
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
