@@ -269,16 +269,6 @@ RA_BLOCKS = int(os.environ.get("RA_BLOCKS", "32"))
 RA_STEPS = int(os.environ.get("RA_STEPS", "10"))
 
 
-def _scaling_gather_mode() -> str:
-    """RA_GATHER: the ShardedPageRank all-gather for the scaling runs."""
-    from raphtory_ray.state.actor_engine import GATHER_MODES
-    mode = os.environ.get("RA_GATHER", "central")
-    if mode not in GATHER_MODES:
-        raise SystemExit(f"RA_GATHER must be one of {GATHER_MODES}, "
-                         f"got {mode!r}")
-    return mode
-
-
 def _scaling_edges_path() -> str:
     return f"/tmp/raphtory_ray_cache/ra_n{RA_NODES}_k{RA_K}"
 
@@ -291,7 +281,6 @@ def run_scaling_single(num_cpus: int) -> dict:
     layout, only the worker count varies, as on an N- vs 4N-node cluster."""
     import time
 
-    gather_mode = _scaling_gather_mode()
     import ray
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=num_cpus, include_dashboard=False)
@@ -321,16 +310,10 @@ def run_scaling_single(num_cpus: int) -> dict:
     build_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # fp32 rank transport for the scaling workload (documented trade-off:
-    # halves the bandwidth-bound per-edge streams; global sums/convergence
-    # stay f64; conformance paths elsewhere run the f64 default)
-    dtype = os.environ.get("RA_DTYPE", "float32")
-    eng = ShardedPageRank.from_bsp(g, num_workers=min(num_cpus, RA_BLOCKS),
-                                   dtype=dtype)
+    eng = ShardedPageRank.from_bsp(g, num_workers=min(num_cpus, RA_BLOCKS))
     init_s = time.perf_counter() - t0
 
-    _scores, _it, step_times = eng.pagerank(iter_count=RA_STEPS, tol=0.0,
-                                            gather_mode=gather_mode)
+    _scores, _it, step_times = eng.pagerank(iter_count=RA_STEPS, tol=0.0)
     # median of post-warmup steps: superstep time on a shared box is noisy
     # (plasma allocation churn, kernel compaction); median is the robust
     # per-superstep cost estimate
@@ -342,8 +325,6 @@ def run_scaling_single(num_cpus: int) -> dict:
         "num_nodes": RA_NODES,
         "num_edges": g.num_edges,
         "num_partitions": RA_BLOCKS,
-        "dtype": dtype,
-        "gather_mode": gather_mode,
         "graph_build_sec": build_s,
         "engine_init_sec": init_s,
         "supersteps": RA_STEPS,
@@ -566,7 +547,6 @@ def run_scaling(sf_dir: str, cpus=(8, 32)) -> dict:
     Pinning with taskset would instead force Ray's system processes
     (raylet/GCS/driver) to contend with the workers inside the mask, which
     no real cluster node would see."""
-    _scaling_gather_mode()
     reps = int(os.environ.get("RA_REPS", "2"))
     cpus = tuple(int(x) for x in
                  os.environ.get("RA_CPUS", ",".join(map(str, cpus))).split(","))
@@ -623,7 +603,6 @@ def run_scaling_weak(cpus=(8, 32)) -> dict:
     with the cluster; efficiency = thr_hi / (thr_lo * hi/lo). Partition
     count scales with the data so per-worker partition count (and
     therefore per-worker state) is identical at both levels."""
-    _scaling_gather_mode()
     reps = int(os.environ.get("RA_REPS", "2"))
     cpus = tuple(int(x) for x in
                  os.environ.get("RA_CPUS", ",".join(map(str, cpus))).split(","))

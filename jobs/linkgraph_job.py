@@ -46,7 +46,6 @@ def _write_nodestate(out_dir: str, names: list[str], arrays, n: int,
 
 
 def main() -> None:
-    from raphtory_ray.state.actor_engine import GATHER_MODES
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--input", default=None,
                     help="corpus parquet dir (repo,path,commit,lang,"
@@ -60,15 +59,11 @@ def main() -> None:
     ap.add_argument("--tol", type=float, default=1e-6)
     ap.add_argument("--num-blocks", type=int, default=None)
     ap.add_argument("--engine", choices=["task", "sharded"], default="task",
-                    help="pagerank execution engine: 'task' (Ray Data task "
-                         "rounds, small/medium graphs) or 'sharded' "
-                         "(state/actor_engine.ShardedPageRank — CSR pinned "
-                         "in actors, the 10^9-edge path)")
-    ap.add_argument("--gather-mode", default="central",
-                    choices=GATHER_MODES,
-                    help="sharded-engine all-gather: central (driver-"
-                         "assembled rank vector) | p2p-tiled (actor-"
-                         "published slices)")
+                    help="pagerank step placement: 'task' (the "
+                         "superstep loop's task rounds, or one task for "
+                         "one step block) or 'sharded' "
+                         "(state/actor_engine.ShardedPageRank — CSR held "
+                         "in actors); both give the same scores")
     ap.add_argument("--sssp-source", type=int, default=0,
                     help="source vid for the 'sssp' algorithm "
                          "(delta-stepping, unit weights)")
@@ -163,7 +158,7 @@ def main() -> None:
                 with ShardedPageRank.from_bsp(g) as eng:
                     rank, iters, _ = eng.pagerank(
                         iter_count=args.iterations, tol=args.tol,
-                        checkpoint=ckpt, gather_mode=args.gather_mode)
+                        checkpoint=ckpt)
             else:
                 rank, iters = g.pagerank(iter_count=args.iterations,
                                          tol=args.tol, checkpoint=ckpt)[:2]

@@ -1689,13 +1689,15 @@ def _empty_agg(schema, cols: list, val: str, alias: str) -> pa.Table:
     return pa.table(z)
 
 
-def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str):
+def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str,
+                    typed=None):
     """Grouped decomposable aggregate (fn ∈ sum/min/max — combine of
     partials equals the total): per-block partial (combiner — the shuffle
     moves one row per distinct key per block), then for all-integer keys
     one raw hash-route + per-partition Arrow aggregate — the join's
     `_route` tasks, no sort exchange. Falls back to Ray's groupby for
-    non-integer keys."""
+    non-integer keys. ``typed()``, when given, is the schema of ``ds``
+    for an all-empty input whose lazy passes lost it."""
     import ray.data as rd
 
     def local(b: pa.Table) -> pa.Table:
@@ -1709,6 +1711,8 @@ def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str):
         schema = pre.schema()
         if schema is None:            # the local pass lost it; the input
             schema = ds.schema()      # may still carry the types
+        if schema is None and typed is not None:
+            schema = typed()
         return rd.from_arrow(_empty_agg(schema, cols, val, alias))
     if not _int_keys(pre, cols):
         from ray.data.aggregate import Max, Min, Sum
@@ -1733,9 +1737,14 @@ def group_count(ds, cols: list, alias: str = "n"):
                               for c in g.column_names])
         return g.select(cols + ["__cnt"])
 
+    def typed():                      # the count pass's schema
+        schema = ds.schema()
+        return None if schema is None else pa.schema(
+            [*zip(schema.names, schema.types), ("__cnt", pa.int64())])
+
     pre = ds.map_batches(local, batch_format="pyarrow",
                          zero_copy_batch=True)
-    return _hash_group_agg(pre, cols, "__cnt", "sum", alias)
+    return _hash_group_agg(pre, cols, "__cnt", "sum", alias, typed)
 
 
 def _distinct(ds, cols: list):

@@ -10,7 +10,8 @@ Design (the TaskRunner equivalent, SURVEY §7.2.3):
   state/supersteps.py: plain per-block kernels (core/kernels.py) do the
   partial combine, ``advance`` the tiny final one (SURVEY §2.5). Several
   step blocks run task rounds that ``ray.put`` the state; one step block
-  runs the whole loop in one task.
+  runs the whole loop in one task; resident holders take one actor call
+  each per superstep.
 - Supersteps are idempotent pure functions of (blocks, state_k) → state_{k+1},
   which is what makes per-iteration checkpoint/resume trivial
   (pipelines/checkpoint.py) and makes Ray's task retries safe.
@@ -24,9 +25,10 @@ Scale notes (explicit, per north_rule):
   salted-combine degenerate case is built in.
 - O(V) driver state is the documented trade-off: it holds to ~10^8-10^9
   vertices (8 GB/array). Beyond that vertex state must live in
-  hash-partitioned actors; only PageRank has that path today
-  (state/actor_engine.ShardedPageRank). LPA, WCC, k-core and HITS keep
-  the O(V) driver state. (10^12-file scale needs the actor path; this
+  hash-partitioned actors, which no algorithm has today: PageRank's
+  resident placement (state/actor_engine.ShardedPageRank) keeps its CSR
+  slices in actors but its rank vector on the driver, like LPA, WCC,
+  k-core and HITS. (10^12-file scale needs actor-held vertex state; this
   sandbox cannot exercise it.)
 - Triangle counting / reciprocity run as fully partitioned wedge/probe
   semi-joins (hash-shuffled oriented blocks; no task or driver ever holds
@@ -44,7 +46,7 @@ from raphtory_ray.core.exchange import (ROWS_PER_PARTITION,  # noqa: F401
                                         bucket, cluster_cpus, columns,
                                         groups, num_partitions, returns,
                                         shuffle, split)
-from raphtory_ray.state.supersteps import resume, superstep_loop
+from raphtory_ray.state.supersteps import _task, resume, superstep_loop
 
 
 def _np(col) -> np.ndarray:
@@ -76,7 +78,6 @@ def _degree_partial(block: pa.Table, col: str):
     return np.unique(s if col == "src" else d, return_counts=True)
 
 
-@ray.remote
 def _csr_by_dst(*blocks: pa.Table):
     """One-time prep: rows sorted by dst + group index — the static CSR
     adjacency slice each superstep gathers over (north_star's 'CSR
@@ -454,6 +455,66 @@ def load_partitioned_blocks(out_dir: str) -> list | None:
             for i in range(P)]
 
 
+def pagerank(steps: list, n: int, damping=0.85, iter_count=20, tol=1e-6,
+             use_l2_norm=True, checkpoint=None, personalization=None):
+    """Reference-exact PageRank (pagerank.rs:55-179) over ``steps``, the
+    CSR slices of an n-vertex graph as object refs or resident holders
+    (supersteps.superstep_loop). Returns (scores, iterations,
+    per-superstep seconds list).
+
+    ``personalization`` (beyond the reference — pagerank.rs has no
+    restart vector; standard PPR used for seed-biased relevance in
+    training-data curation): a length-n non-negative weight vector;
+    teleport AND sink mass restart proportionally to it instead of
+    uniformly. ``None`` keeps the reference's uniform recurrence on the
+    exact same float-op order as before (bit-stable oracles)."""
+    pv = None
+    if personalization is not None:
+        pv = np.asarray(personalization, np.float64)
+        if pv.shape != (n,):
+            raise ValueError(f"personalization must be length {n}")
+        s = pv.sum()
+        if not s > 0:
+            raise ValueError("personalization must have positive mass")
+        pv = pv / s
+    it0, prev, stop = resume(
+        checkpoint, "rank", np.full(n, 1.0 / n) if pv is None
+        else pv.copy(), iter_count, lambda m: m["norm"] <= tol * n)
+
+    def degrees(parts):
+        outdeg = np.zeros(n, dtype=np.int64)
+        for ids, cnt in parts:
+            np.add.at(outdeg, ids, cnt)   # partials overlap across slices
+        inv_outdeg = np.zeros(n)
+        nz = outdeg > 0
+        inv_outdeg[nz] = 1.0 / outdeg[nz]
+        return inv_outdeg, ~nz
+
+    def advance(prev, parts, it, inv_outdeg, sink_mask):
+        contrib = np.zeros(n)
+        for uds, sums in parts:
+            # dst-owned blocks → disjoint vid sets → plain scatter,
+            # O(V) total work per superstep
+            contrib[uds] = sums
+        sink = prev[sink_mask].sum()
+        if pv is None:
+            cur = (1.0 - damping) / n + damping * contrib \
+                + (damping / n) * sink
+        else:
+            cur = (1.0 - damping) * pv + damping * contrib \
+                + damping * sink * pv
+        diff = cur - prev
+        norm = float(np.sqrt(np.square(diff).sum())) if use_l2_norm \
+            else float(np.abs(diff).sum())
+        if checkpoint is not None:
+            checkpoint.save(it, {"rank": cur}, metrics={"norm": norm})
+        return cur, norm <= tol * n
+
+    return superstep_loop(steps, _pr_superstep, advance, prev,
+                          setup=(_csr_out_degree, degrees), start=it0,
+                          stop=stop, checkpoint=checkpoint)
+
+
 class BspGraph:
     """Simple-graph engine: dedup'd directed edge blocks (+ lazily derived
     undirected neighbour blocks) in the object store."""
@@ -482,7 +543,7 @@ class BspGraph:
         wedge/probe paths."""
         if self._csr_refs is None:
             G = round_groups(len(self.refs), cluster_cpus())
-            self._csr_refs = [_csr_by_dst.remote(*g)
+            self._csr_refs = [_task(_csr_by_dst).remote(*g)
                               for g in groups(self.refs, G)]
         return self._csr_refs
 
@@ -570,61 +631,10 @@ class BspGraph:
     # ------------------------------------------------------------ algorithms
     def pagerank(self, damping=0.85, iter_count=20, tol=1e-6, use_l2_norm=True,
                  checkpoint=None, personalization=None):
-        """Reference-exact PageRank (pagerank.rs:55-179). Returns
-        (scores, iterations, per-superstep seconds list).
-
-        ``personalization`` (beyond the reference — pagerank.rs has no
-        restart vector; standard PPR used for seed-biased relevance in
-        training-data curation): a length-n non-negative weight vector;
-        teleport AND sink mass restart proportionally to it instead of
-        uniformly. ``None`` keeps the reference's uniform recurrence on the
-        exact same float-op order as before (bit-stable oracles)."""
-        n = self.n
-        pv = None
-        if personalization is not None:
-            pv = np.asarray(personalization, np.float64)
-            if pv.shape != (n,):
-                raise ValueError(f"personalization must be length {n}")
-            s = pv.sum()
-            if not s > 0:
-                raise ValueError("personalization must have positive mass")
-            pv = pv / s
-        it0, prev, stop = resume(
-            checkpoint, "rank", np.full(n, 1.0 / n) if pv is None
-            else pv.copy(), iter_count, lambda m: m["norm"] <= tol * n)
-
-        def degrees(parts):
-            outdeg = np.zeros(n, dtype=np.int64)
-            for ids, cnt in parts:
-                np.add.at(outdeg, ids, cnt)   # partials overlap across slices
-            inv_outdeg = np.zeros(n)
-            nz = outdeg > 0
-            inv_outdeg[nz] = 1.0 / outdeg[nz]
-            return inv_outdeg, ~nz
-
-        def advance(prev, parts, it, inv_outdeg, sink_mask):
-            contrib = np.zeros(n)
-            for uds, sums in parts:
-                # dst-owned blocks → disjoint vid sets → plain scatter,
-                # O(V) total work per superstep
-                contrib[uds] = sums
-            sink = prev[sink_mask].sum()
-            if pv is None:
-                cur = (1.0 - damping) / n + damping * contrib \
-                    + (damping / n) * sink
-            else:
-                cur = (1.0 - damping) * pv + damping * contrib \
-                    + damping * sink * pv
-            diff = cur - prev
-            norm = float(np.sqrt(np.square(diff).sum())) if use_l2_norm \
-                else float(np.abs(diff).sum())
-            if checkpoint is not None:
-                checkpoint.save(it, {"rank": cur}, metrics={"norm": norm})
-            return cur, norm <= tol * n
-
-        return superstep_loop(self.csr_refs, _pr_superstep, advance, prev,
-                              setup=(_csr_out_degree, degrees), start=it0,
-                              stop=stop, checkpoint=checkpoint)
+        """Reference-exact PageRank (pagerank.rs:55-179) over the CSR
+        slices; see ``pagerank``."""
+        return pagerank(self.csr_refs, self.n, damping, iter_count, tol,
+                        use_l2_norm, checkpoint, personalization)
 
     def wcc(self, checkpoint=None) -> np.ndarray:
         """Hash-min label propagation; label = min vid in component

@@ -18,10 +18,14 @@ granularity; per-row Python closures cannot scale):
 The BspGraph algorithms and run_supersteps are instances of one loop,
 ``superstep_loop``: a plain kernel reduces each ownership-partitioned
 block's messages LOCALLY to disjoint partials, and ``advance`` scatters
-them into the next O(V) state. With several step blocks (or a
-checkpoint) each superstep is a round: ray.put the state, one task per
-block, advance on the driver. With one step block a single task runs the
-whole loop next to the block — same kernel, same advance, same bits."""
+them into the next O(V) state. Three placements run the same kernel,
+the same advance and so the same bits:
+
+- with several step blocks (or a checkpoint) each superstep is a round:
+  ray.put the state, one task per block, advance on the driver;
+- with one step block a single task runs the whole loop next to it;
+- with resident holders (``resident``) each superstep is one actor call
+  per holder, against the block the holder built once and keeps."""
 
 from __future__ import annotations
 
@@ -46,13 +50,37 @@ def superstep_loop(refs: list, kernel: Callable, advance: Callable, state,
     """Run supersteps ``start + 1 .. stop`` (unbounded if ``stop`` is None)
     until ``advance`` reports done. ``setup = (part, combine)`` appends
     ``combine([part(block) for each block])`` to ``consts`` once, before
-    the first superstep. A ``checkpoint`` is written by ``advance``, so it
-    keeps the loop on the driver. Returns (state, last superstep run or
-    ``start``, per-superstep seconds)."""
+    the first superstep. ``refs`` are step-block object refs or the
+    holders of ``resident``; the placement follows from which. A
+    ``checkpoint`` is written by ``advance``, so it keeps the loop on the
+    driver. Returns (state, last superstep run or ``start``,
+    per-superstep seconds)."""
     if stop is not None and stop <= start:
         return state, start, []
-    path = _fused if len(refs) == 1 and checkpoint is None else _rounds
+    path = _resident if refs and isinstance(refs[0], ray.actor.ActorHandle) \
+        else _fused if len(refs) == 1 and checkpoint is None else _rounds
     return path(refs, kernel, advance, state, consts, setup, start, stop)
+
+
+@ray.remote(max_restarts=-1, max_task_retries=-1)
+class _Holder:
+    """One resident step block, ``make(*blocks)``, built once. A lost
+    holder is restarted by Ray from its constructor's arguments and the
+    call retried; kernels are pure functions of (block, state), so the
+    retry returns the same partial."""
+
+    def __init__(self, make: Callable, *blocks):
+        self.block = make(*blocks)
+
+    def run(self, fn: Callable, *args):
+        return fn(self.block, *args)
+
+
+def resident(make: Callable, groups: list) -> list:
+    """One whole-CPU holder of ``make(*group)`` per group of block refs.
+    The caller keeps the refs alive while the holders live: a restart
+    rebuilds from them."""
+    return [_Holder.options(num_cpus=1).remote(make, *g) for g in groups]
 
 
 def resume(checkpoint, key: str, state, stop: int | None = None,
@@ -111,6 +139,11 @@ def _fused(refs, *args):
 def _rounds(refs, *args):
     return _run(lambda fn, *a: ray.get([_task(fn).remote(r, *a)
                                         for r in refs]), ray.put, *args)
+
+
+def _resident(holders, *args):
+    return _run(lambda fn, *a: ray.get([h.run.remote(fn, *a)
+                                        for h in holders]), ray.put, *args)
 
 
 def _user_step(block: pa.Table, state, message: Callable, combine: str):

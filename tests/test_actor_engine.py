@@ -1,10 +1,10 @@
-"""ShardedPageRank (actor-partitioned engine) — equivalence with the task
-engine, golden conformance, checkpoint/resume (kill-and-resume contract)."""
+"""ShardedPageRank (resident CSR holders) — bit-identity with the task
+engine, golden conformance, holder loss, checkpoint/resume, and the job's
+two engines."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 GOLDEN_EVENTS = [
     (10, 1, 3), (11, 1, 2), (12, 1, 2), (9, 1, 2), (12, 2, 4), (13, 2, 5),
@@ -24,141 +24,133 @@ def _golden_graph():
 
 
 def test_golden_fixture(ray_session):
-    """test_algorithms.py:326-340 golden floats + iteration count, in
-    every gather mode."""
-    from raphtory_ray.state.actor_engine import GATHER_MODES, ShardedPageRank
+    """test_algorithms.py:326-340 golden floats + iteration count, and the
+    task engine's bits."""
+    from raphtory_ray.state.actor_engine import ShardedPageRank
     g, m = _golden_graph()
     golden = np.array([GOLDEN_PR[k] for k in sorted(m, key=m.get)])
-    for mode in GATHER_MODES:
-        with ShardedPageRank.from_bsp(g) as eng:
-            pr, it, _ = eng.pagerank(gather_mode=mode)
-        assert it == 10, mode
-        assert np.allclose(pr, golden, atol=1e-6), mode
+    with ShardedPageRank.from_bsp(g) as eng:
+        pr, it, _ = eng.pagerank()
+    assert it == 10
+    assert np.allclose(pr, golden, atol=1e-6)
+    np.testing.assert_array_equal(pr, g.pagerank()[0])
 
 
 def test_matches_task_engine(ray_session):
-    from raphtory_ray.state.actor_engine import GATHER_MODES, ShardedPageRank
+    """Resident holders over any grouping of the dst-owned blocks give the
+    task engine's scores bit for bit: every dst's rows come from one block
+    and keep its order. Converged and at fixed steps, at 1, 2 and 3
+    holders."""
+    from raphtory_ray.state.actor_engine import ShardedPageRank
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(5)
     src = rng.integers(0, 1500, 9000)
     dst = rng.integers(0, 1500, 9000)
     g = BspGraph.from_arrays(src, dst, 1500, num_blocks=6)
-    pr_task, it_task, _ = g.pagerank()
-    for mode in GATHER_MODES:
-        with ShardedPageRank.from_bsp(g) as eng:
-            pr_act, it_act, _ = eng.pagerank(gather_mode=mode)
-        assert it_task == it_act, mode
-        assert np.allclose(pr_task, pr_act, atol=1e-12), mode
+    for kw in ({}, {"iter_count": 8, "tol": 0.0}):
+        pr_task, it_task, _ = g.pagerank(**kw)
+        for W in (1, 2, 3):
+            with ShardedPageRank.from_bsp(g, num_workers=W) as eng:
+                pr_act, it_act, _ = eng.pagerank(**kw)
+            assert it_task == it_act, (kw, W)
+            np.testing.assert_array_equal(pr_task, pr_act)
 
 
-def test_unknown_gather_mode_raises(ray_session):
-    """A mode outside GATHER_MODES is refused before any superstep runs."""
-    from raphtory_ray.state.actor_engine import ShardedPageRank
-    g, _ = _golden_graph()
-    with ShardedPageRank.from_bsp(g) as eng:
-        with pytest.raises(ValueError, match="gather_mode"):
-            eng.pagerank(gather_mode="bogus")
+class _KillAt:
+    """Checkpoint double: keeps nothing, and kills one holder (Ray may
+    restart it) when superstep ``k`` is saved."""
+
+    def __init__(self, holder, k: int):
+        self.holder, self.k = holder, k
+
+    def load_latest(self):
+        return None
+
+    def save(self, it, state, metrics):
+        if it == self.k:
+            import ray
+            ray.kill(self.holder, no_restart=False)
 
 
-def _assert_central_matches_p2p_tiled(seed):
-    from raphtory_ray.state.actor_engine import ShardedPageRank
-    from raphtory_ray.state.shards import BspGraph
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, 900, 6000)
-    dst = rng.integers(0, 900, 6000)
-    g = BspGraph.from_arrays(src, dst, 900, num_blocks=5)
-    pr = {}
-    for mode in ("central", "p2p-tiled"):
-        with ShardedPageRank.from_bsp(g) as eng:
-            pr[mode] = eng.pagerank(iter_count=8, tol=0.0, gather_mode=mode)
-    assert pr["central"][1] == pr["p2p-tiled"][1]
-    np.testing.assert_allclose(pr["central"][0], pr["p2p-tiled"][0],
-                               rtol=0, atol=1e-15)
-
-
-def test_central_gather_matches_p2p(ray_session):
-    """gather_mode='central' (driver-assembled all-gather) is numerically
-    identical to the p2p-tiled slice path ((partition, dst)-blocked rows,
-    slice transport)."""
-    _assert_central_matches_p2p_tiled(13)
-
-
-def test_p2p_tiled_matches_central(ray_session):
-    """The same comparison on a second random graph."""
-    _assert_central_matches_p2p_tiled(23)
-
-
-def test_central_gather_checkpoint_resume(ray_session, tmp_path):
-    from raphtory_ray.pipelines.checkpoint import CheckpointManager
+def test_holder_loss_mid_run_is_bit_identical(ray_session):
+    """A holder killed at superstep k is restarted by Ray from its block
+    refs and the next call retried: scores and iterations equal an
+    uninterrupted run."""
     from raphtory_ray.state.actor_engine import ShardedPageRank
     from raphtory_ray.state.shards import BspGraph
-    rng = np.random.default_rng(14)
-    src = rng.integers(0, 700, 4000)
-    dst = rng.integers(0, 700, 4000)
-    g = BspGraph.from_arrays(src, dst, 700, num_blocks=4)
-    with ShardedPageRank.from_bsp(g) as eng:
-        full, _, _ = eng.pagerank(iter_count=7, tol=0.0,
-                                  gather_mode="central")
-    ck = CheckpointManager(str(tmp_path / "ck"), num_partitions=4)
-    with ShardedPageRank.from_bsp(g) as eng:
-        eng.pagerank(iter_count=3, tol=0.0, checkpoint=ck,
-                     gather_mode="central")
-    with ShardedPageRank.from_bsp(g) as eng:
-        resumed, it_res, steps = eng.pagerank(iter_count=7, tol=0.0,
-                                              checkpoint=ck,
-                                              gather_mode="central")
-    assert it_res == 7 and len(steps) == 4
-    np.testing.assert_array_equal(full, resumed)
-
-
-def test_fp32_transport_within_contract(ray_session):
-    """fp32 rank transport (the scaling workload's bandwidth trade-off)
-    stays inside the 1e-6 contract vs the f64 task engine."""
-    from raphtory_ray.state.actor_engine import ShardedPageRank
-    from raphtory_ray.state.shards import BspGraph
-    rng = np.random.default_rng(7)
-    src = rng.integers(0, 1500, 9000)
-    dst = rng.integers(0, 1500, 9000)
-    g = BspGraph.from_arrays(src, dst, 1500, num_blocks=6)
-    pr_task, _, _ = g.pagerank(iter_count=15, tol=0.0)
-    with ShardedPageRank.from_bsp(g, dtype="float32") as eng:
-        pr_32, _, _ = eng.pagerank(iter_count=15, tol=0.0)
-    assert np.allclose(pr_32, pr_task, atol=1e-6)
-    assert np.allclose(pr_32, pr_task, rtol=5e-5)
+    rng = np.random.default_rng(11)
+    src = rng.integers(0, 800, 5000)
+    dst = rng.integers(0, 800, 5000)
+    g = BspGraph.from_arrays(src, dst, 800, num_blocks=4)
+    want, it_want, _ = g.pagerank()
+    assert it_want > 3
+    with ShardedPageRank.from_bsp(g, num_workers=2) as eng:
+        got, it_got, _ = eng.pagerank(checkpoint=_KillAt(eng.holders[1], 3))
+    assert it_got == it_want
+    np.testing.assert_array_equal(got, want)
 
 
 def test_checkpoint_resume(ray_session, tmp_path):
-    """Kill-and-resume in every gather mode: run 3 supersteps with
-    checkpointing, build a FRESH engine (simulated restart), resume from the
-    manifest, final scores match an uninterrupted run bit-for-bit and no
-    superstep is recomputed."""
+    """Kill-and-resume: run 3 supersteps with checkpointing, build a FRESH
+    engine (simulated restart), resume from the manifest, final scores
+    match an uninterrupted run bit-for-bit and no superstep is
+    recomputed."""
     from raphtory_ray.pipelines.checkpoint import CheckpointManager
-    from raphtory_ray.state.actor_engine import GATHER_MODES, ShardedPageRank
+    from raphtory_ray.state.actor_engine import ShardedPageRank
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(9)
     src = rng.integers(0, 800, 5000)
     dst = rng.integers(0, 800, 5000)
     g = BspGraph.from_arrays(src, dst, 800, num_blocks=4)
 
-    for mode in GATHER_MODES:
-        with ShardedPageRank.from_bsp(g) as ref_eng:
-            full, it_full, _ = ref_eng.pagerank(iter_count=8, tol=0.0,
-                                                gather_mode=mode)
-        ck = CheckpointManager(str(tmp_path / mode), num_partitions=4)
-        with ShardedPageRank.from_bsp(g) as eng1:   # "killed" at 3
-            eng1.pagerank(iter_count=3, tol=0.0, checkpoint=ck,
-                          gather_mode=mode)
-        assert ck.iterations()[-1] == 3
-        meta = ck.load_latest()
-        assert meta["metrics"]["norm"] > 0        # lineage metrics recorded
+    full, it_full, _ = g.pagerank(iter_count=8, tol=0.0)
+    ck = CheckpointManager(str(tmp_path / "ck"), num_partitions=4)
+    with ShardedPageRank.from_bsp(g) as eng1:   # "killed" at 3
+        eng1.pagerank(iter_count=3, tol=0.0, checkpoint=ck)
+    assert ck.iterations()[-1] == 3
+    meta = ck.load_latest()
+    assert meta["metrics"]["norm"] > 0        # lineage metrics recorded
 
-        with ShardedPageRank.from_bsp(g) as eng2:     # fresh actors = restart
-            resumed, it_res, steps = eng2.pagerank(iter_count=8, tol=0.0,
-                                                   checkpoint=ck,
-                                                   gather_mode=mode)
-        assert it_res == 8, mode
-        assert len(steps) == 5, mode              # only 4..8 recomputed
-        assert np.array_equal(full, resumed), mode
+    with ShardedPageRank.from_bsp(g) as eng2:     # fresh actors = restart
+        resumed, it_res, steps = eng2.pagerank(iter_count=8, tol=0.0,
+                                               checkpoint=ck)
+    assert it_res == it_full == 8
+    assert len(steps) == 5                    # only 4..8 recomputed
+    np.testing.assert_array_equal(full, resumed)
+
+
+def test_job_engines_write_the_same_pagerank(ray_session, tmp_path,
+                                             monkeypatch):
+    """jobs/linkgraph_job.py with --engine task and --engine sharded on the
+    test corpus: the written pagerank node state is bit-identical and
+    METRICS.json reports the same iteration count."""
+    import json
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from jobs import linkgraph_job
+    from raphtory_ray.sources.corpus import ensure_corpus
+    corpus = ensure_corpus(n_files=200, root=str(tmp_path / "corpus"))
+    monkeypatch.setattr(ray, "shutdown", lambda: None)   # keep the session
+    out = {}
+    for engine in ("task", "sharded"):
+        d = tmp_path / engine
+        monkeypatch.setattr(sys, "argv", [
+            "linkgraph_job.py", "--input", corpus, "--output", str(d),
+            "--algorithms", "pagerank", "--num-blocks", "3",
+            "--engine", engine])
+        linkgraph_job.main()
+        metrics = json.loads((d / "pagerank" / "METRICS.json").read_text())
+        assert metrics["engine"] == engine
+        parts = sorted((d / "pagerank").glob("part-*.parquet"))
+        out[engine] = (pa.concat_tables(map(pq.read_table, parts)),
+                       metrics["iterations"])
+    (task, it_task), (sharded, it_sharded) = out["task"], out["sharded"]
+    assert it_task == it_sharded > 0
+    assert task.num_rows > 0 and task.equals(sharded)
 
 
 def test_graphgen_deterministic(ray_session):

@@ -657,10 +657,11 @@ def test_empty_aggregate_types(ray_session):
     """An empty grouped aggregate keeps the value type when its schema is
     known, and is int64 when the schema is lost or lacks a column; an
     all-empty typed input loses its schema in the local pass, so its key
-    and value types come from the input's schema."""
+    and value types come from the input's schema; group_count's keys
+    too, through its own count pass."""
     import ray.data as rd
     from raphtory_ray.query.cypher import (_empty_agg, _hash_group_agg,
-                                           _int_keys)
+                                           _int_keys, group_count)
     sch = pa.schema([("k", pa.int32()), ("v", pa.float64())])
     typed = _empty_agg(sch, ["k"], "v", "s")
     assert typed.num_rows == 0
@@ -677,6 +678,8 @@ def test_empty_aggregate_types(ray_session):
     lost = empty.map_batches(lambda b: b)
     assert _hash_group_agg(lost, ["k"], "v", "sum",
                            "s").schema().types == [pa.int64(), pa.int64()]
+    counted = group_count(empty, ["k"]).schema()
+    assert counted.types == [pa.int32(), pa.int64()]
     assert _int_keys(empty, ["k"])
     assert not _int_keys(empty, ["missing"])
     assert not _int_keys(empty.map_batches(lambda b: b), ["k"])  # lost

@@ -6,9 +6,13 @@ battery lives in __ray_entry__ + tools/check_oracle.py (driver gate).
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
+
+ENTRY = str(pathlib.Path(__file__).resolve().parent.parent / "__ray_entry__.py")
 
 
 def _doc_ds(texts):
@@ -595,7 +599,7 @@ def test_gopher_rules_duckdb_parity_random_text(ray_session):
     con.register("documents", tbl)
     import importlib.util
     spec = importlib.util.spec_from_file_location(
-        "entry_mod", "/root/repo/__ray_entry__.py")
+        "entry_mod", ENTRY)
     m = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(m)
     want = con.execute(m.oracle_sql()["doc_gopher_filter"]).arrow().to_pylist()
@@ -633,7 +637,7 @@ def test_text_oracles_duckdb_parity_random_text(ray_session):
     tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                     "text": pa.array(texts)})
     spec = importlib.util.spec_from_file_location(
-        "entry_mod2", "/root/repo/__ray_entry__.py")
+        "entry_mod2", ENTRY)
     m = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(m)
     con = duckdb.connect()
@@ -821,7 +825,7 @@ def test_chunk_oracle_parity_unicode(ray_session):
     got = sorted(chunk_batch(tbl, size=120, overlap=30).to_pylist(),
                  key=lambda r: (r["doc_id"], r["chunk_id"]))
     spec = importlib.util.spec_from_file_location(
-        "entry_mod3", "/root/repo/__ray_entry__.py")
+        "entry_mod3", ENTRY)
     m = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(m)
     con = duckdb.connect()
@@ -866,7 +870,7 @@ def test_normalize_adversarial_parity(ray_session):
                     "text": pa.array(texts)})
     got = normalize_batch(tbl).to_pylist()
     spec = importlib.util.spec_from_file_location(
-        "entry_mod4", "/root/repo/__ray_entry__.py")
+        "entry_mod4", ENTRY)
     m = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(m)
     con = duckdb.connect()

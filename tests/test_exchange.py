@@ -1,6 +1,6 @@
 """core/exchange: the one routing hash and map-side split every shuffle
 uses. The pinned bucket values are the ownership contract: BspGraph
-blocks, the actor engines' owned slices and every split must agree."""
+blocks and every split must agree."""
 
 from __future__ import annotations
 
@@ -105,10 +105,9 @@ def test_shuffle_returns_P_columns(ray_session, P):
 
 def test_from_arrays_blocks_are_dst_owned(ray_session):
     """BspGraph.from_arrays puts each edge in the block that owns its dst
-    under the same hash the actor engines use for their vertex slices."""
+    under the ownership hash."""
     import ray
 
-    from raphtory_ray.state.actor_engine import _owned_vids
     from raphtory_ray.state.shards import BspGraph
     rng = np.random.default_rng(3)
     n = 500
@@ -119,6 +118,6 @@ def test_from_arrays_blocks_are_dst_owned(ray_session):
         total = 0
         for p, blk in enumerate(ray.get(g.refs)):
             d = blk["dst"].to_numpy()
-            assert np.isin(d, _owned_vids(n, P, p)).all()
+            assert (bucket(d, P) == p).all()
             total += blk.num_rows
         assert total == g.num_edges == len(set(zip(src, dst)))

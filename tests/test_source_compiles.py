@@ -1,7 +1,7 @@
 """Every program file compiles with warnings as errors, so a compile-time
 warning (an invalid escape sequence, say) cannot come back unnoticed;
 only core/exchange.py asks Ray for the cluster's CPUs; and no program
-file names a fixed checkout directory."""
+or test file names a fixed checkout directory."""
 
 from __future__ import annotations
 
@@ -45,12 +45,27 @@ def test_cluster_cpus_read_only_in_exchange():
     assert "cluster_resources(" in exchange.read_text()
 
 
+def _names_checkout_file(text: str) -> bool:
+    """True if a quoted absolute path in ``text`` ends in a file of this
+    checkout: some directory of another checkout prefixes it."""
+    for lit in re.findall(r"[\"'](/[^\"'\s{}]+)[\"']", text):
+        parts = pathlib.PurePosixPath(lit).parts[1:]
+        if any(ROOT.joinpath(*parts[i:]).is_file()
+               for i in range(1, len(parts))):
+            return True
+    return False
+
+
 def test_no_fixed_checkout_path():
-    """A program file that puts a fixed checkout directory on sys.path
-    runs that directory's code when started from any other checkout; a
-    script finds its own root from ``__file__`` instead. No program file
-    names this checkout's path or inserts a literal path into sys.path."""
+    """A program or test file that puts a fixed checkout directory on
+    sys.path, or loads a file from one, runs or reads that directory's
+    copy when started from any other checkout; a script finds its own
+    root from ``__file__`` instead. No program or test file names this
+    checkout's path, a file under a fixed checkout path, or inserts a
+    literal path into sys.path."""
     literal = re.compile(r"sys\.path\.insert\(\s*\d+\s*,\s*[rbuf]?[\"']")
-    hits = [str(p.relative_to(ROOT)) for p in _program_files()
-            if str(ROOT) in p.read_text() or literal.search(p.read_text())]
+    files = _program_files() + sorted((ROOT / "tests").rglob("*.py"))
+    hits = [str(p.relative_to(ROOT)) for p in files
+            if str(ROOT) in p.read_text() or literal.search(p.read_text())
+            or _names_checkout_file(p.read_text())]
     assert hits == []
