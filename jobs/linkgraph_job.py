@@ -94,7 +94,10 @@ def main() -> None:
     args = ap.parse_args()
 
     import ray
-    if not ray.is_initialized():
+    # shut down only a session this job started: an in-process caller that
+    # already runs Ray keeps its session
+    own_session = not ray.is_initialized()
+    if own_session:
         ray.init(address=os.environ.get("RAY_ADDRESS", "auto"),
                  include_dashboard=False, ignore_reinit_error=True)
 
@@ -124,7 +127,8 @@ def main() -> None:
         _run_data_ops(args.docs, args.output, data_todo)
 
     if not todo and not cypher_todo and not gql_todo:
-        ray.shutdown()
+        if own_session:
+            ray.shutdown()
         return
     if not args.input:
         raise SystemExit("graph work requested but --input not given")
@@ -233,7 +237,8 @@ def main() -> None:
                        "wall_sec": time.perf_counter() - t0}, f)
         open(os.path.join(d, "_SUCCESS"), "w").write("ok")
         print(f"[job] graphql done", flush=True)
-    ray.shutdown()
+    if own_session:
+        ray.shutdown()
 
 
 def _run_data_ops(docs_dir: str, output: str, ops: list) -> None:

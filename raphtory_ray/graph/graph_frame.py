@@ -2,8 +2,15 @@
 dimension table, with lazily-composed views.
 
 Mirrors the reference's view algebra (SURVEY §1.4): a view never
-materializes; ``window``/``layer``/``subgraph``/``filter_*`` return a new
-GraphFrame whose edge Dataset has an extra vectorized filter stage. The
+materializes. A row-local view (``window``/``shrink_*``/``at``/``before``/
+``after``, ``layer``/``exclude_layer``/``default_layer``/``valid_layers``,
+``filter_exploded_edges``, ``subgraph``/``exclude_nodes``) returns a new
+GraphFrame over the SAME base edges with one more pending per-block
+``pa.Table -> pa.Table`` predicate. On a frame whose base is materialized
+that is data, not a Dataset stage: ``BspGraph.from_graph`` applies the
+predicates in one plain task per block and starts no Ray Data execution.
+Otherwise (a lazy base, or any reader of ``edges``) the predicates become
+ONE ``map_batches`` stage, built on first read of ``edges``. The
 temporal model is the reference's event log: one row per
 (src, dst, t, event_id[, layer, ...properties]) edge event
 (timeindex.rs:28 EventTime = (t, event_id); half-open windows
@@ -37,7 +44,9 @@ from raphtory_ray.graph.filter import FilterExpr
 class GraphFrame:
     """edges: ray.data.Dataset with at least (src:int64, dst:int64) and
     optionally (t:int64, event_id:int64, layer:string, w:float64, + any
-    temporal property columns).
+    temporal property columns). Assigning it sets the base Dataset;
+    reading it gives the base with the pending predicates ``preds`` (a
+    tuple of per-block filters, in view order) as one Dataset stage.
     n: number of vertices (dense vid space [0, n)).
     vertices: optional pyarrow.Table (vid:int64, gid:string, + metadata
     columns such as node_type).
@@ -47,7 +56,7 @@ class GraphFrame:
 
     def __init__(self, edges, n: int, vertices: pa.Table | None = None,
                  node_events=None):
-        self.edges = edges
+        self.edges = edges     # the base: pending predicates start empty
         self.n = int(n)
         self.vertices = vertices
         self.node_events = node_events
@@ -59,8 +68,43 @@ class GraphFrame:
         self.graph_events: pa.Table | None = None
         self.graph_meta: dict = {}
 
-    def _derive(self, edges) -> "GraphFrame":
-        g = GraphFrame(edges, self.n, self.vertices, self.node_events)
+    @property
+    def edges(self):
+        """The view's edge-event Dataset, built once on first read: the
+        base Dataset plus ONE ``map_batches`` stage that applies every
+        pending predicate in order (none when nothing is pending)."""
+        if self._view is None:
+            preds = self.preds
+            self._view = self._base if not preds else self._base.map_batches(
+                lambda b: _apply_preds(preds, b), batch_format="pyarrow",
+                zero_copy_batch=True)
+        return self._view
+
+    @edges.setter
+    def edges(self, ds) -> None:
+        """A new base Dataset, with no pending predicates."""
+        self._base, self.preds, self._view = ds, (), None
+
+    def view_blocks(self):
+        """(Arrow block refs of the view, their total rows) when this frame
+        is pending views over materialized edge blocks, else None. One
+        plain task per block applies the predicates, so no Ray Data
+        execution starts."""
+        from ray.data.dataset import MaterializedDataset
+        if not self.preds or not isinstance(self._base, MaterializedDataset):
+            return None
+        outs = [_view_block.remote(r, self.preds)
+                for r in self._base.to_arrow_refs()]
+        return [o[0] for o in outs], sum(ray.get([o[1] for o in outs]))
+
+    def _derive(self, *preds, edges=None) -> "GraphFrame":
+        """A frame with this one's bounds and properties over the same base
+        edges and pending predicates plus ``preds`` — or, given ``edges``,
+        over that Dataset alone."""
+        g = GraphFrame(self._base if edges is None else edges, self.n,
+                       self.vertices, self.node_events)
+        if edges is None:
+            g.preds = self.preds + preds
         g.start, g.end = self.start, self.end
         g.graph_events, g.graph_meta = self.graph_events, self.graph_meta
         return g
@@ -79,7 +123,7 @@ class GraphFrame:
             "name": pa.array(list(props), pa.string()),
             "value": pa.array([str(v) for v in props.values()], pa.string()),
         })
-        g = self._derive(self.edges)
+        g = self._derive()
         g.graph_events = rows if prev is None \
             else pa.concat_tables([prev, rows])
         return g
@@ -87,7 +131,7 @@ class GraphFrame:
     def add_metadata(self, props: dict) -> "GraphFrame":
         """Constant graph metadata (add_metadata, last write wins —
         update_metadata semantics)."""
-        g = self._derive(self.edges)
+        g = self._derive()
         g.graph_meta = {**self.graph_meta, **props}
         return g
 
@@ -147,16 +191,12 @@ class GraphFrame:
                 m = m2 if m is None else pc.and_(m, m2)
             return b if m is None else b.filter(m)
 
-        ne = self.node_events
-        if ne is not None:
+        g = self._derive(filt)
+        if g.node_events is not None:
             # node-property events are window-filtered too
             # (test_history.py:35-38: windowed node history)
-            ne = ne.map_batches(filt, batch_format="pyarrow",
-                                zero_copy_batch=True)
-        g = GraphFrame(self.edges.map_batches(filt, batch_format="pyarrow",
-                                              zero_copy_batch=True),
-                       self.n, self.vertices, ne)
-        g.graph_events, g.graph_meta = self.graph_events, self.graph_meta
+            g.node_events = g.node_events.map_batches(
+                filt, batch_format="pyarrow", zero_copy_batch=True)
         # reference views expose their bounds (GraphView.start/end,
         # time.rs): window() REPORTS the requested bounds (falling back to
         # the parent's where unspecified), shrink_* the intersection
@@ -214,8 +254,7 @@ class GraphFrame:
                 m = pc.or_(m, pc.is_null(b["layer"]))
             return b.filter(pc.fill_null(m, False))
 
-        return self._derive(self.edges.map_batches(
-            filt, batch_format="pyarrow", zero_copy_batch=True))
+        return self._derive(filt)
 
     # GraphView.layers(names) — multi-layer view; layer() already
     # accepts a Sequence, so the plural is the same entry point
@@ -233,8 +272,7 @@ class GraphFrame:
             hit = pc.is_in(b["layer"], value_set=lset)
             return b.filter(pc.invert(pc.fill_null(hit, False)))
 
-        return self._derive(self.edges.map_batches(
-            filt, batch_format="pyarrow", zero_copy_batch=True))
+        return self._derive(filt)
 
     exclude_layers = exclude_layer
 
@@ -244,16 +282,17 @@ class GraphFrame:
         """Events of the unnamed default layer (layer id 0,
         layer_graph.rs default_layer): rows whose layer is null/'_default',
         or everything when the graph has no layer column."""
-        if "layer" not in self.edges.schema().names:
-            return self._derive(self.edges)
+        if "layer" not in self._base.schema().names:
+            return self._derive()
+
+        name = self.DEFAULT_LAYER
 
         def filt(b: pa.Table) -> pa.Table:
             m = pc.or_kleene(pc.is_null(b["layer"]),
-                             pc.equal(b["layer"], self.DEFAULT_LAYER))
+                             pc.equal(b["layer"], name))
             return b.filter(pc.fill_null(m, True))
 
-        return self._derive(self.edges.map_batches(
-            filt, batch_format="pyarrow", zero_copy_batch=True))
+        return self._derive(filt)
 
     def subgraph(self, vids) -> "GraphFrame":
         """Induced subgraph on a vertex set: keep events with both endpoints
@@ -267,8 +306,7 @@ class GraphFrame:
             d = b["dst"].to_numpy(zero_copy_only=False)
             return b.filter(pa.array(mask[s] & mask[d]))
 
-        return self._derive(self.edges.map_batches(
-            filt, batch_format="pyarrow", zero_copy_batch=True))
+        return self._derive(filt)
 
     def exclude_nodes(self, vids) -> "GraphFrame":
         """Induced subgraph on the COMPLEMENT of the given vertex set
@@ -330,8 +368,7 @@ class GraphFrame:
         else:
             def filt(b: pa.Table) -> pa.Table:
                 return b.filter(f)
-        return self._derive(self.edges.map_batches(
-            filt, batch_format="pyarrow", zero_copy_batch=True))
+        return self._derive(filt)
 
     def filter_edges(self, f, mode: str = "latest") -> "GraphFrame":
         """Per-EDGE property filter (edge_property_filtered_graph.rs): an
@@ -356,7 +393,7 @@ class GraphFrame:
         out = [_edgefilter_part.remote(f, mode, schema, *col)
                for col in shuffle(_edgefilter_split, refs, P, schema)]
         import ray.data as rd
-        return self._derive(rd.from_arrow_refs(out))
+        return self._derive(edges=rd.from_arrow_refs(out))
 
     def filter_nodes(self, f) -> "GraphFrame":
         """Node filter (node_filtered_graph.rs): evaluate the FilterExpr on
@@ -477,9 +514,7 @@ class GraphFrame:
         keep = [x for x in names if x in known]
         if keep:
             return self.layer(keep)
-        return self._derive(self.edges.map_batches(
-            lambda b: b.slice(0, 0), batch_format="pyarrow",
-            zero_copy_batch=True))
+        return self._derive(lambda b: b.slice(0, 0))
 
     def exclude_valid_layer(self, names: str | Sequence[str]) \
             -> "GraphFrame":
@@ -725,6 +760,23 @@ class GraphFrame:
         v_s = v[order]
         last = np.r_[v_s[1:] != v_s[:-1], True]
         return allp.take(pa.array(order[last]))
+
+
+def _apply_preds(preds: tuple, block: pa.Table) -> pa.Table:
+    """A block through a frame's pending view predicates, in order."""
+    for p in preds:
+        block = p(block)
+    return block
+
+
+@ray.remote(num_returns=2)
+def _view_block(block: pa.Table, preds: tuple):
+    """One materialized edge block through the view predicates, and its
+    row count. An empty block skips them, as in Ray Data's map_batches (it
+    may have lost its columns)."""
+    if block.num_rows:
+        block = _apply_preds(preds, block)
+    return block, block.num_rows
 
 
 def _filter_leaf_names(f: FilterExpr) -> set:

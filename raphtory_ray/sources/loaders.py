@@ -315,7 +315,7 @@ def load_edge_props(ds, src_col: str, dst_col: str, metadata_cols,
     meta = canonical.groupby(gkey).map_groups(last_row,
                                               batch_format="pyarrow")
     if gf is not None:
-        out = gf._derive(gf.edges)
+        out = gf._derive()
         out.edge_meta = meta
         return out
     return meta

@@ -550,7 +550,14 @@ class BspGraph:
     # ------------------------------------------------------------ construction
     @classmethod
     def from_graph(cls, gf, num_blocks: int | None = None) -> "BspGraph":
-        return cls.from_edges(gf.edges, gf.n, num_blocks)
+        """A GraphFrame's simple-edge blocks. A view of a materialized
+        frame comes as filtered block refs (GraphFrame.view_blocks), built
+        by plain tasks with no Ray Data execution; any other frame goes
+        through from_edges."""
+        blocks = gf.view_blocks()
+        if blocks is None:
+            return cls.from_edges(gf.edges, gf.n, num_blocks)
+        return cls._from_blocks(*blocks, gf.n, num_blocks)
 
     @classmethod
     def from_edges(cls, edges_ds, n: int, num_blocks: int | None = None) -> "BspGraph":
@@ -558,10 +565,18 @@ class BspGraph:
         ownership makes every message-combine (groupby dst) task-local.
         Blocks go to the shuffle with all their columns: the split tasks
         read only src/dst, and a column-select stage would start a fresh
-        Dataset execution even on materialized input."""
+        Dataset execution even on materialized input. The Dataset is
+        materialized once (one execution when it has stages), and
+        P = num_partitions(its rows), as for a frame's view blocks."""
         mat = edges_ds.materialize()
-        nb = num_blocks or num_partitions(mat.count())
-        refs = _shuffle_pairs(mat.to_arrow_refs(), nb, key="dst")
+        return cls._from_blocks(mat.to_arrow_refs(), mat.count(), n,
+                                num_blocks)
+
+    @classmethod
+    def _from_blocks(cls, refs: list, rows: int, n: int,
+                     num_blocks: int | None) -> "BspGraph":
+        refs = _shuffle_pairs(refs, num_blocks or num_partitions(rows),
+                              key="dst")
         num_edges = int(sum(ray.get([_block_rows.remote(r) for r in refs])))
         return cls(n, refs, num_edges)
 

@@ -14,3 +14,22 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def count_executions(monkeypatch):
+    """Counter of Ray Data executions: the returned function gives the
+    number of ``StreamingExecutor.execute`` calls in this process since the
+    fixture started. A test asserts that a call starts none by comparing
+    the count before and after it."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return lambda: len(calls)

@@ -123,7 +123,8 @@ def test_job_engines_write_the_same_pagerank(ray_session, tmp_path,
                                              monkeypatch):
     """jobs/linkgraph_job.py with --engine task and --engine sharded on the
     test corpus: the written pagerank node state is bit-identical and
-    METRICS.json reports the same iteration count."""
+    METRICS.json reports the same iteration count. The job runs in the
+    caller's Ray session and leaves it running."""
     import json
     import sys
 
@@ -134,7 +135,6 @@ def test_job_engines_write_the_same_pagerank(ray_session, tmp_path,
     from jobs import linkgraph_job
     from raphtory_ray.sources.corpus import ensure_corpus
     corpus = ensure_corpus(n_files=200, root=str(tmp_path / "corpus"))
-    monkeypatch.setattr(ray, "shutdown", lambda: None)   # keep the session
     out = {}
     for engine in ("task", "sharded"):
         d = tmp_path / engine
@@ -143,6 +143,7 @@ def test_job_engines_write_the_same_pagerank(ray_session, tmp_path,
             "--algorithms", "pagerank", "--num-blocks", "3",
             "--engine", engine])
         linkgraph_job.main()
+        assert ray.is_initialized()
         metrics = json.loads((d / "pagerank" / "METRICS.json").read_text())
         assert metrics["engine"] == engine
         parts = sorted((d / "pagerank").glob("part-*.parquet"))

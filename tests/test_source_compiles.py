@@ -1,10 +1,12 @@
 """Every program file compiles with warnings as errors, so a compile-time
 warning (an invalid escape sequence, say) cannot come back unnoticed;
-only core/exchange.py asks Ray for the cluster's CPUs; and no program
-or test file names a fixed checkout directory."""
+only core/exchange.py asks Ray for the cluster's CPUs; no program or test
+file names a fixed checkout directory; and a GraphFrame view adds a
+pending predicate, not a Dataset stage."""
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import warnings
@@ -69,3 +71,35 @@ def test_no_fixed_checkout_path():
             if str(ROOT) in p.read_text() or literal.search(p.read_text())
             or _names_checkout_file(p.read_text())]
     assert hits == []
+
+
+def test_views_are_pending_predicates():
+    """In graph/graph_frame.py only the lazy ``edges`` builder stages the
+    frame's edges through ``map_batches``: no method that returns a
+    GraphFrame calls ``self.edges.map_batches``, and no frame is built
+    over a ``map_batches`` result. A row-local view appends a predicate
+    instead, so building its BspGraph starts no Dataset execution."""
+    path = ROOT / "raphtory_ray" / "graph" / "graph_frame.py"
+    tree = ast.parse(path.read_text())
+    frame = next(n for n in tree.body
+                 if isinstance(n, ast.ClassDef) and n.name == "GraphFrame")
+    staged, builders = [], []
+    for fn in frame.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        view = fn.returns is not None and "GraphFrame" in ast.unparse(
+            fn.returns)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = ast.unparse(node.func)
+            if callee in ("self._base.map_batches", "self.edges.map_batches"):
+                builders.append(fn.name)
+                if view:
+                    staged.append(f"{fn.name}: {callee}")
+            if callee.split(".")[-1] in ("GraphFrame", "_derive") and any(
+                    "map_batches" in ast.unparse(a)
+                    for a in node.args + [k.value for k in node.keywords]):
+                staged.append(f"{fn.name}: {callee} over map_batches")
+    assert staged == []
+    assert "edges" in builders
