@@ -375,10 +375,10 @@ def _closure_sets_local(g: BspGraph, reverse: bool) -> list[np.ndarray]:
 
 
 def strongly_connected_components_dist(gf, max_rounds: int = 64) -> NodeState:
-    """Distributed ColorSCC (components.scc_distributed): trim + forward
-    max-color fixpoint + backward claim supersteps over the partitioned
-    blocks; same contract as the sequential Tarjan path (component id =
-    min vid in SCC). The at-scale SCC — the driver holds O(V) state,
+    """Distributed ColorSCC (components.scc_distributed): trim, forward
+    max-color and backward claim, each a superstep_loop over the graph's
+    CSR slices; same contract as the sequential Tarjan path (component id
+    = min vid in SCC). The at-scale SCC — the driver holds O(V) state,
     never the edge set."""
     from raphtory_ray.algorithms.components import scc_distributed
     comp = scc_distributed(_bsp(gf), max_rounds=max_rounds)

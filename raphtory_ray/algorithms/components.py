@@ -1,13 +1,12 @@
-"""Distributed transitive-closure components (all-nodes in/out components).
+"""Distributed transitive-closure components (all-nodes in/out components),
+the single-source closure BFS, and ColorSCC.
 
 Reference semantics: ``in_components.rs:55-224`` / ``out_components.rs:65-221``
 — per node, the set of ancestors (nodes that can reach it) / descendants
 (nodes it can reach), excluding the node itself unless it lies on a cycle.
 
-Round-3 design (replaces the driver-side ``ray.get(all edge blocks)`` +
-O(V²/8) driver bitset flagged in VERDICT r2):
-
-multi-source frontier BFS expressed as (node, member) PAIR supersteps.
+All-nodes closure (``closure_pairs``): multi-source frontier BFS expressed
+as (node, member) PAIR supersteps.
 
 - Edges are oriented once (forward for out-components, reversed for
   in-components), hash-partitioned by ``src`` and src-sorted → P static
@@ -22,12 +21,19 @@ multi-source frontier BFS expressed as (node, member) PAIR supersteps.
            core/exchange (a task-level hash shuffle);
     UPDATE tasks bit-test candidates against their seen rows, set the new
            bits, and route the survivors to owner(w) → next frontier.
-  The driver sees only per-partition new-pair COUNTS (O(P) per round).
+  The driver sees only per-partition new-pair COUNTS (O(P) per round), and
+  the rounds end when no new pair appears (at most n rounds).
 - Total transport over the run is O(closure pairs); no task and never the
   driver holds the full edge set or the full bitset.
 
 The small-n driver bitset (``algorithms/__init__._closure_sets_local``) is
 kept as a fast path below ``_LOCAL_N`` nodes.
+
+The single-source closure (``single_closure``) and ColorSCC
+(``scc_distributed``) are kernels plus advances over
+``state/supersteps.superstep_loop``, like the BspGraph algorithms: each
+superstep ships the O(V) state to the edge blocks, and the blocks never
+leave the object store.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from raphtory_ray.core.exchange import (bucket, columns, num_partitions,
-                                        returns, split)
+from raphtory_ray.core.exchange import bucket, columns, returns, split
 from raphtory_ray.state.shards import _sd, _shuffle_pairs
+from raphtory_ray.state.supersteps import superstep_loop
 
 _LOCAL_N = 1 << 13          # below this, the driver bitset path is cheaper
 _CHUNK = 1 << 22            # max expanded pairs per join slice (task memory)
@@ -165,45 +171,42 @@ def _cl_emit(S, owned: np.ndarray, n: int) -> pa.Table:
                      "member": pa.array(members.astype(np.int64), pa.int64())})
 
 
-@ray.remote
-def _frontier_block(block: pa.Table, frontier: np.ndarray, reverse: bool):
-    """Sparse BFS step over one edge block: distinct dsts reached from the
-    broadcast frontier boolmask. Edges stay in the object store."""
+def _frontier_block(block: pa.Table, state, reverse: bool):
+    """BFS step over one edge block: distinct dsts reached from the
+    frontier boolmask. Edges stay in the object store."""
     s, d = _sd(block)
     if reverse:
         s, d = d, s
-    if len(s) == 0:
-        return np.empty(0, np.int64)
-    return np.unique(d[frontier[s]])
+    return np.unique(d[state[2][s]])
+
+
+def _frontier_advance(state, parts, it, reverse):
+    seen, result, _ = state
+    nxt = np.zeros(len(seen), dtype=bool)
+    for ids in parts:
+        nxt[ids] = True
+    nxt &= ~seen
+    return (seen | nxt, result | nxt, nxt), not nxt.any()
 
 
 def single_closure(g, source: int, reverse: bool) -> np.ndarray:
-    """BFS closure of ONE node (in_components.rs single-node variant):
-    broadcast frontier boolmask per level, per-block tasks return sparse
-    reached ids. Driver state is O(V) bits — the engine-wide documented
-    trade-off — and no edge block ever leaves the object store (round-3
-    fix of the round-2 driver edge pull)."""
+    """BFS closure of ONE node (in_components.rs single-node variant), a
+    ``superstep_loop`` over the edge blocks with state (seen, result,
+    frontier): each superstep ships the O(V) frontier mask to the blocks
+    (the engine-wide documented trade-off), each block returns the
+    distinct ids it reaches, and no edge block leaves the object store.
+    The source itself is a member only if it lies on a cycle."""
     n = g.n
-    seen = np.zeros(n, dtype=bool)
-    result = np.zeros(n, dtype=bool)
     frontier = np.zeros(n, dtype=bool)
     frontier[source] = True
-    while frontier.any():
-        fref = ray.put(frontier)
-        reached = ray.get([_frontier_block.remote(r, fref, reverse)
-                           for r in g.refs])
-        nxt = np.zeros(n, dtype=bool)
-        for ids in reached:
-            nxt[ids] = True
-        result |= nxt
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return np.flatnonzero(result)
+    blank = np.zeros(n, dtype=bool)
+    state = superstep_loop(g.refs, _frontier_block, _frontier_advance,
+                           (blank, blank, frontier), (reverse,))[0]
+    return np.flatnonzero(state[1])
 
 
-def closure_pairs(g, reverse: bool, sources: np.ndarray | None = None,
-                  max_rounds: int = 10_000) -> list:
+def closure_pairs(g, reverse: bool,
+                  sources: np.ndarray | None = None) -> list:
     """Distributed closure. Returns P object refs of (node, member) Arrow
     tables (row-partitioned by hash(node)). ``sources=None`` = all nodes."""
     P = len(g.refs)
@@ -222,7 +225,7 @@ def closure_pairs(g, reverse: bool, sources: np.ndarray | None = None,
     # seed candidates: owner(u)-local direct edges out of the sources
     cand = [[_cl_seed.remote(edges[p], src_ref)] for p in range(P)]
     S = [None] * P
-    for _ in range(max_rounds):
+    while True:     # a pair new in round r is r hops away: at most n rounds
         outs = [_cl_update.options(num_returns=P + 2).remote(
             S[p], owned_refs[p], n, P, *cand[p]) for p in range(P)]
         S = [outs[p][0] for p in range(P)]
@@ -260,260 +263,112 @@ def closure_sets(g, reverse: bool) -> list[np.ndarray]:
 
 
 # ------------------------------------------------------- distributed SCC
+#
+# ColorSCC as three superstep loops per outer round over the dst-sorted
+# CSR slices (s, uds, start) that PageRank also steps over. Each kernel
+# reads only the rows of its slice and the broadcast state.
 
-def _sorted_lookup(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Positions of ``values`` in sorted ``table``; -1 where absent."""
-    if len(table) == 0:
-        return np.full(len(values), -1, np.int64)
-    pos = np.searchsorted(table, values)
-    pos[pos >= len(table)] = len(table) - 1
-    return np.where(table[pos] == values, pos, -1)
-
-
-@ray.remote
-class _SCCShard:
-    """One ColorSCC partition (VERDICT r3 #5 — sharded color state).
-
-    Holds a dst-owned edge slice PINNED in the actor plus the color /
-    member slices for the vids that hash to this bucket. Every superstep
-    exchange is SPARSE — (ids, values) arrays of only the vids that
-    CHANGED this round — so inner-loop transport is O(changed), never the
-    O(V) ``ray.put(color)`` per round of the old task path. Edges are
-    kept in two sort orders: by src (forward max-color propagation looks
-    up edges of changed srcs via searchsorted) and by dst (backward claim
-    expands frontier dsts the same way). Deactivated vids are compacted
-    OUT of the edge arrays between phases, so no per-edge active mask is
-    ever re-broadcast.
-    """
-
-    def __init__(self, p: int, P: int, n: int, edges: pa.Table):
-        s, d = _sd(edges)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        self.p, self.P, self.n = p, P, n
-        vids = np.arange(n, dtype=np.int64)
-        self.owned = vids[bucket(vids, P) == p]
-        self._set_edges(s.astype(np.int64), d.astype(np.int64))
-        self.color = np.empty(0, np.int64)
-        self.member = np.empty(0, bool)
-
-    def _set_edges(self, s: np.ndarray, d: np.ndarray):
-        o = np.argsort(s, kind="stable")
-        self.s_s, self.d_s = s[o], d[o]          # src-sorted
-        o = np.argsort(d, kind="stable")
-        self.s_d, self.d_d = s[o], d[o]          # dst-sorted
-
-    # ---- trim support -------------------------------------------------
-    def endpoints(self):
-        """Unique srcs / dsts of the remaining (all-active) edge slice."""
-        return np.unique(self.s_s), np.unique(self.d_s)
-
-    def deactivate(self, removed: np.ndarray):
-        """Drop ``removed`` vids (sorted) from the owned set and compact
-        every edge touching them; O(E_p) vectorized, no broadcasts kept."""
-        if len(removed) == 0:
-            return
-        keep = (_sorted_lookup(removed, self.s_s) < 0) \
-            & (_sorted_lookup(removed, self.d_s) < 0)
-        s, d = self.s_s[keep], self.d_s[keep]
-        self._set_edges(s, d)
-        self.owned = self.owned[_sorted_lookup(removed, self.owned) < 0]
-
-    # ---- forward max-color fixpoint ----------------------------------
-    def color_init(self):
-        """Reset colors to own-vid and run the first propagation round
-        locally (every active node is 'changed' at round 0, but that
-        frontier needs NO transport — each shard derives it from its own
-        edges). Returns the sparse (ids, new_colors) raised here."""
-        self.color = self.owned.copy()
-        self.member = np.zeros(len(self.owned), bool)
-        if len(self.d_d) == 0:
-            z = np.empty(0, np.int64)
-            return z, z
-        ud, starts = np.unique(self.d_d, return_index=True)
-        mx = np.maximum.reduceat(self.s_d, starts)
-        pos = np.searchsorted(self.owned, ud)
-        raised = mx > self.color[pos]
-        pos, mx = pos[raised], mx[raised]
-        self.color[pos] = mx
-        return self.owned[pos], mx
-
-    def color_apply(self, changed):
-        """One incremental round: ``changed`` = global sorted (ids, vals)
-        of colors raised last round. Only edges whose src is in that set
-        can raise an owned dst (max is monotone, so delta propagation
-        reaches the same fixpoint as full recompute). Returns this
-        shard's newly raised sparse (ids, vals)."""
-        ids, vals = changed
-        z = np.empty(0, np.int64)
-        if len(ids) == 0 or len(self.s_s) == 0:
-            return z, z
-        at = _sorted_lookup(ids, self.s_s)
-        hit = at >= 0
-        if not hit.any():
-            return z, z
-        cand_val = vals[at[hit]]
-        cand_pos = np.searchsorted(self.owned, self.d_s[hit])
-        o = np.argsort(cand_pos, kind="stable")
-        cand_pos, cand_val = cand_pos[o], cand_val[o]
-        up, starts = np.unique(cand_pos, return_index=True)
-        mx = np.maximum.reduceat(cand_val, starts)
-        raised = mx > self.color[up]
-        up, mx = up[raised], mx[raised]
-        self.color[up] = mx
-        return self.owned[up], mx
-
-    # ---- backward claim ----------------------------------------------
-    def claim_init(self):
-        """Mark color-class roots (color == own vid) as members; they are
-        the initial claim frontier. Sparse (ids, colors) return."""
-        roots = self.color == self.owned
-        self.member[roots] = True
-        return self.owned[roots], self.color[roots]
-
-    def claim_expand(self, frontier):
-        """Backward step, expand side: for frontier dsts w owned here,
-        emit candidate (src u, color[w]) pairs of edges u→w. Claim
-        validity (color[u] == color[w], u unclaimed) is checked by
-        owner(u) in claim_test. Deduplicated sparse pairs."""
-        ids, vals = frontier
-        z = np.empty(0, np.int64)
-        if len(ids) == 0 or len(self.d_d) == 0:
-            return z, z
-        at = _sorted_lookup(ids, self.d_d)
-        hit = at >= 0
-        if not hit.any():
-            return z, z
-        u = self.s_d[hit]
-        c = vals[at[hit]]
-        key = u.astype(np.uint64) * np.uint64(self.n) + c.astype(np.uint64)
-        _, first = np.unique(key, return_index=True)
-        return u[first], c[first]
-
-    def claim_test(self, cands):
-        """Backward step, owner side: claim owned unclaimed vids whose
-        color matches the candidate class. Newly claimed ids join the
-        next frontier (sparse return)."""
-        ids, vals = cands
-        z = np.empty(0, np.int64)
-        if len(ids) == 0 or len(self.owned) == 0:
-            return z, z
-        pos = _sorted_lookup(self.owned, ids)
-        hit = pos >= 0
-        pos, vals = pos[hit], vals[hit]
-        ok = ~self.member[pos] & (self.color[pos] == vals)
-        # cands may carry the same (u, c) from several expand shards and
-        # member is read before it is set, so dedup positions — otherwise
-        # u enters the next frontier once per duplicate
-        pos = np.unique(pos[ok])
-        self.member[pos] = True
-        return self.owned[pos], self.color[pos]
-
-    def harvest(self):
-        """(claimed ids, class colors) of this round's members."""
-        return self.owned[self.member], self.color[self.member]
+def _csr_dst(s: np.ndarray, uds: np.ndarray, start: np.ndarray):
+    """The dst of every row of a CSR slice."""
+    return np.repeat(uds, np.diff(np.r_[start, len(s)]))
 
 
-def _concat_sparse(parts):
-    """Merge per-shard sparse (ids, vals) partials, sorted by id. Shards
-    own disjoint vid sets, so ids are globally unique."""
-    ids = np.concatenate([p[0] for p in parts])
-    vals = np.concatenate([p[1] for p in parts])
-    o = np.argsort(ids, kind="stable")
-    return ids[o], vals[o]
+def _scc_trim(csr, active: np.ndarray):
+    """Distinct srcs and dsts of the slice's active, non-self-loop rows."""
+    s, d = csr[0], _csr_dst(*csr)
+    m = active[s] & active[d] & (s != d)
+    return np.unique(s[m]), np.unique(d[m])
 
 
-def _dedup_pairs(ids: np.ndarray, vals: np.ndarray, n: int):
-    """Unique (id, val) pairs sorted by (id, val) — claim candidates come
-    from EXPAND shards (keyed by edge dst), so the same (u, c) can arrive
-    from several shards; broadcasting duplicates inflates claim-round
-    transport up to P-fold on hub-heavy graphs."""
-    key = ids.astype(np.uint64) * np.uint64(n) + vals.astype(np.uint64)
-    _, first = np.unique(key, return_index=True)
-    return ids[first], vals[first]
+def _scc_trim_advance(active, parts, it):
+    """Deactivate every active vertex with no active in- or out-edge."""
+    has_out = np.zeros(len(active), dtype=bool)
+    has_in = np.zeros(len(active), dtype=bool)
+    for us, ud in parts:
+        has_out[us] = True
+        has_in[ud] = True
+    kept = active & has_out & has_in
+    return kept, np.array_equal(kept, active)
+
+
+def _scc_color(csr, state):
+    """Max color over each owned dst's active in-neighbours (-1 if none).
+    Self-loops cannot raise a color, so they need no mask."""
+    active, color = state
+    s, uds, start = csr
+    if len(uds) == 0:
+        return uds, uds
+    return uds, np.maximum.reduceat(np.where(active[s], color[s], -1), start)
+
+
+def _scc_color_advance(state, parts, it):
+    active, color = state
+    new = color.copy()
+    for uds, mx in parts:                 # disjoint by dst ownership
+        new[uds] = np.maximum(new[uds], mx)
+    return (active, new), np.array_equal(new, color)
+
+
+def _scc_claim(csr, state):
+    """Active, unclaimed srcs of rows into a member of their own color."""
+    active, color, member = state
+    s, d = csr[0], _csr_dst(*csr)
+    m = member[d] & active[s] & ~member[s] & (color[s] == color[d])
+    return np.unique(s[m])
+
+
+def _scc_claim_advance(state, parts, it):
+    active, color, member = state
+    new = member.copy()
+    for ids in parts:
+        new[ids] = True
+    return (active, color, new), np.array_equal(new, member)
 
 
 def scc_distributed(g, max_rounds: int = 64) -> np.ndarray:
-    """Strongly connected components via sharded ColorSCC
-    (trim → forward max-color fixpoint → backward claim from color roots;
-    Orzan-style coloring — public algorithm). Component id = min vid in
-    SCC, matching the sequential Tarjan path (scc.rs:20-117 contract).
+    """Strongly connected components via ColorSCC (trim → forward
+    max-color fixpoint → backward claim from color roots; Orzan-style
+    coloring, a public algorithm). Component id = min vid in SCC,
+    matching the sequential Tarjan path (scc.rs:20-117 contract).
 
-    Scale shape (r4, closes VERDICT r3 #5): edges live dst-hash-sharded
-    inside P persistent actors; color / member state is SLICED across the
-    same actors. Every inner-round exchange — raised colors, claim
-    frontier, claim candidates — is a sparse (ids, vals) pair of only the
-    vids that changed, so superstep transport is O(changed), not O(V);
-    the old task path re-``ray.put`` the full color array each round.
-    The driver holds O(V) comp/active bitmaps only (the engine's
-    documented norm) and does O(changed) work per round. Convergence:
-    every round removes at least the SCC of each color-class root, so
-    rounds track the depth of the SCC condensation chain; a
-    ``max_rounds`` safety valve falls back to the driver Tarjan on the
+    Each outer round runs three ``superstep_loop`` calls over the graph's
+    dst-sorted CSR slices (``g.csr_refs``): trim to a fixpoint (state
+    ``active``), forward max-color propagation (``(active, color)``), and
+    the backward claim within each color class (``(active, color,
+    member)``). The loop ships the O(V) state to the slices each
+    superstep, the engine's documented driver-state trade-off; no task or
+    the driver ever holds the edge set. The harvest runs on the driver:
+    per color class, id = min member vid. Every round removes at least
+    the SCC of each color-class root, so rounds track the depth of the SCC
+    condensation chain; after ``max_rounds`` the driver Tarjan settles the
     (by then small) residual."""
     n = g.n
-    P = num_partitions(g.num_edges)
-    parts = _shuffle_pairs(g.refs, P, key="dst")
-    shards = [_SCCShard.remote(p, P, n, parts[p]) for p in range(P)]
+    steps = g.csr_refs
+    vids = np.arange(n, dtype=np.int64)
     comp = np.full(n, -1, dtype=np.int64)
     active = np.ones(n, dtype=bool)
-    try:
-        for rounds in range(max_rounds):
-            if not active.any():
-                break
-            # ---- trim to fixpoint: no in- or out-edge → own SCC
-            while True:
-                eps = ray.get([sh.endpoints.remote() for sh in shards])
-                has_out = np.zeros(n, dtype=bool)
-                has_in = np.zeros(n, dtype=bool)
-                for us, ud in eps:
-                    has_out[us] = True
-                    has_in[ud] = True
-                trivial = active & ~(has_out & has_in)
-                if not trivial.any():
-                    break
-                ids = np.flatnonzero(trivial)
-                comp[ids] = ids
-                active[ids] = False
-                rref = ray.put(ids)
-                ray.get([sh.deactivate.remote(rref) for sh in shards])
-            if not active.any():
-                break
-            # ---- forward max-color fixpoint (sparse delta rounds)
-            changed = _concat_sparse(
-                ray.get([sh.color_init.remote() for sh in shards]))
-            while len(changed[0]):
-                cref = ray.put(changed)
-                changed = _concat_sparse(
-                    ray.get([sh.color_apply.remote(cref) for sh in shards]))
-            # ---- backward claim from color roots, within color classes
-            frontier = _concat_sparse(
-                ray.get([sh.claim_init.remote() for sh in shards]))
-            while len(frontier[0]):
-                fref = ray.put(frontier)
-                cands = _dedup_pairs(*_concat_sparse(
-                    ray.get([sh.claim_expand.remote(fref)
-                             for sh in shards])), n=n)
-                if not len(cands[0]):
-                    break
-                cref = ray.put(cands)
-                frontier = _concat_sparse(
-                    ray.get([sh.claim_test.remote(cref) for sh in shards]))
-            # ---- assign SCC ids: per color class, id = min member vid
-            ids, cls = _concat_sparse(
-                ray.get([sh.harvest.remote() for sh in shards]))
-            if len(ids):
-                o = np.argsort(cls, kind="stable")
-                ids_o, cls_o = ids[o], cls[o]
-                ucls, starts = np.unique(cls_o, return_index=True)
-                mins = np.minimum.reduceat(ids_o, starts)
-                comp[ids_o] = mins[np.searchsorted(ucls, cls_o)]
-                active[ids] = False
-                rref = ray.put(np.sort(ids))
-                ray.get([sh.deactivate.remote(rref) for sh in shards])
-    finally:
-        for sh in shards:
-            ray.kill(sh)
+    for _ in range(max_rounds):
+        if not active.any():
+            break
+        kept = superstep_loop(steps, _scc_trim, _scc_trim_advance, active)[0]
+        trivial = np.flatnonzero(active & ~kept)
+        comp[trivial] = trivial
+        active = kept
+        if not active.any():
+            break
+        color = superstep_loop(steps, _scc_color, _scc_color_advance,
+                               (active, vids))[0][1]
+        roots = active & (color == vids)
+        member = superstep_loop(steps, _scc_claim, _scc_claim_advance,
+                                (active, color, roots))[0][2]
+        ids = np.flatnonzero(member)
+        cls = color[ids]
+        o = np.argsort(cls, kind="stable")
+        ids_o, cls_o = ids[o], cls[o]
+        ucls, starts = np.unique(cls_o, return_index=True)
+        comp[ids_o] = np.minimum.reduceat(ids_o, starts)[
+            np.searchsorted(ucls, cls_o)]
+        active = active & ~member
     if active.any():
         # residual fallback: driver Tarjan on the (small) leftover subgraph
         from raphtory_ray.algorithms.extra import _tarjan_residual

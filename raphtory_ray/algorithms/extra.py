@@ -19,6 +19,7 @@ import ray
 
 from raphtory_ray.graph.graph_frame import GraphFrame
 from raphtory_ray.graph.node_state import NodeState
+from raphtory_ray.state.shards import _sd
 
 
 def _csr(gf, weights_col: str | None = None, reverse: bool = False,
@@ -53,17 +54,20 @@ def _csr(gf, weights_col: str | None = None, reverse: bool = False,
     return g.n, d, indptr
 
 
-def strongly_connected_components(gf) -> NodeState:
-    """Iterative Tarjan (scc.rs:20-117); component id = min vid in SCC."""
-    n, adj, indptr = _csr(gf)
+def _tarjan(adj: np.ndarray, indptr: np.ndarray, active: np.ndarray,
+            comp: np.ndarray) -> np.ndarray:
+    """Iterative Tarjan (scc.rs:20-117) over the CSR (adj, indptr),
+    restricted to the ``active`` vertices: a copy of ``comp`` with every
+    active vertex labelled by the min vid of its SCC."""
     UNSET = -1
+    n = len(active)
     index = np.full(n, UNSET, dtype=np.int64)
     low = np.zeros(n, dtype=np.int64)
     on_stack = np.zeros(n, dtype=bool)
-    comp = np.arange(n, dtype=np.int64)
     stack: list[int] = []
     counter = 0
-    for root in range(n):
+    comp = comp.copy()
+    for root in np.flatnonzero(active).tolist():
         if index[root] != UNSET:
             continue
         work = [(root, 0)]
@@ -77,6 +81,8 @@ def strongly_connected_components(gf) -> NodeState:
             advanced = False
             for ei in range(indptr[v] + pi, indptr[v + 1]):
                 w = int(adj[ei])
+                if not active[w]:
+                    continue
                 if index[w] == UNSET:
                     work[-1] = (v, ei - indptr[v] + 1)
                     work.append((w, 0))
@@ -101,6 +107,14 @@ def strongly_connected_components(gf) -> NodeState:
                 label = min(members)
                 for w in members:
                     comp[w] = label
+    return comp
+
+
+def strongly_connected_components(gf) -> NodeState:
+    """Iterative Tarjan (scc.rs:20-117); component id = min vid in SCC."""
+    n, adj, indptr = _csr(gf)
+    comp = _tarjan(adj, indptr, np.ones(n, dtype=bool),
+                   np.arange(n, dtype=np.int64))
     return NodeState(comp, gf if isinstance(gf, GraphFrame) else None, "scc")
 
 
@@ -446,79 +460,23 @@ def _time_bounds(gf: GraphFrame, start, end):
     return start, end
 
 
+@ray.remote
+def _residual_edges(block: pa.Table, active: np.ndarray):
+    """The block's non-self-loop edges with both endpoints active."""
+    s, d = _sd(block)
+    m = active[s] & active[d] & (s != d)
+    return s[m], d[m]
+
+
 def _tarjan_residual(g, active: np.ndarray, comp: np.ndarray) -> np.ndarray:
     """Driver Tarjan restricted to the residual ``active`` subgraph —
     the safety valve of components.scc_distributed when ColorSCC hits its
     round cap (deep SCC-condensation chains). Pulls ONLY the residual's
     edges (both endpoints active)."""
-    import ray as _ray
-    import pyarrow as _pa
-
-    @_ray.remote
-    def _residual_edges(block, active_ref):
-        act = _ray.get(active_ref) if isinstance(active_ref,
-                                                 _ray.ObjectRef) else active_ref
-        s = block["src"].to_numpy(zero_copy_only=False)
-        d = block["dst"].to_numpy(zero_copy_only=False)
-        m = act[s] & act[d] & (s != d)
-        return _pa.table({"src": _pa.array(s[m]), "dst": _pa.array(d[m])})
-
-    a_ref = _ray.put(active)
-    tabs = _ray.get([_residual_edges.remote(r, a_ref) for r in g.refs])
-    s = np.concatenate([t["src"].to_numpy(zero_copy_only=False)
-                        for t in tabs]) if tabs else np.empty(0, np.int64)
-    d = np.concatenate([t["dst"].to_numpy(zero_copy_only=False)
-                        for t in tabs]) if tabs else np.empty(0, np.int64)
-    n = g.n
+    a_ref = ray.put(active)
+    parts = ray.get([_residual_edges.remote(r, a_ref) for r in g.refs])
+    s = np.concatenate([p[0] for p in parts] or [np.empty(0, np.int64)])
+    d = np.concatenate([p[1] for p in parts] or [np.empty(0, np.int64)])
     order = np.argsort(s, kind="stable")
-    adj = d[order]
-    indptr = np.searchsorted(s[order], np.arange(n + 1))
-    UNSET = -1
-    index = np.full(n, UNSET, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    counter = 0
-    comp = comp.copy()
-    for root in np.flatnonzero(active):
-        root = int(root)
-        if index[root] != UNSET:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for ei in range(indptr[v] + pi, indptr[v + 1]):
-                w = int(adj[ei])
-                if not active[w]:
-                    continue
-                if index[w] == UNSET:
-                    work[-1] = (v, ei - indptr[v] + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                label = min(members)
-                for w in members:
-                    comp[w] = label
-    return comp
+    indptr = np.searchsorted(s[order], np.arange(g.n + 1))
+    return _tarjan(d[order], indptr, active, comp)

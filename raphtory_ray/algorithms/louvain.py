@@ -16,18 +16,20 @@ delta > tol) and modularity.rs ModularityUnDir:
   (self-loop weights excluded from k, hence from m2 — reference quirk,
   mirrored exactly).
 
-Execution split (Ray-Data-first, round-3): the event→weighted-simple-edge
+Execution split (Ray-Data-first): the event→weighted-simple-edge
 reduction is a distributed hash shuffle on (src, dst) with per-partition
 latest-event resolution; the half-edges are then re-partitioned by
 owner(u) and PINNED in the object store. While a level's half-edge count
-exceeds _LOCAL_HALF_EDGES, each local-move pass runs as per-partition Ray
-tasks (_lv_pass_task — complete per owned node since all of a node's
-half-edges share its owner partition) and each aggregation as
-_lv_agg_task; the driver holds only O(V_level) state arrays (com/k/sizes,
-the engine-wide documented trade-off) and the sparse per-pass moves —
-never an edge array. Coarsened levels below the threshold fall to the
-driver-local vectorized loop (the reference's own louvain is a sequential
-single-thread loop, louvain.rs:44-71).
+exceeds _LOCAL_HALF_EDGES, its local-move passes are a
+``state/supersteps.superstep_loop`` over those partitions: the kernel
+(_lv_pass) finds each owned node's best move, complete since all of a
+node's half-edges share its owner partition, and ``advance`` applies the
+guards over the sparse merged moves. Each pass ships the O(V_level)
+state (com/k_com/sizes and the mover mask, the engine-wide documented
+trade-off) to the partitions; the driver never holds an edge array.
+Aggregation runs as _lv_agg_task. Coarsened levels below the threshold
+fall to the driver-local vectorized loop (the reference's own louvain is
+a sequential single-thread loop, louvain.rs:44-71).
 Parallel-move correctness: moves are applied Jacobi-style per pass; the
 singleton-swap guard (only let a singleton join a singleton with a smaller
 community id) prevents the classic two-node oscillation, and passes are
@@ -44,6 +46,7 @@ import ray
 from raphtory_ray.core.exchange import (bucket, cluster_cpus,
                                         num_partitions, pair_key, returns,
                                         shuffle, split)
+from raphtory_ray.state.supersteps import superstep_loop
 
 # Half-edges per move partition: round 5 measured 300k per partition 2x
 # slower (compute-bound at 4-way) than 16-way; below ~50k scheduling
@@ -262,13 +265,12 @@ def _aggregate(u, v, w, self_w, k, com):
 
 # ------------------------------------------- distributed local-move level
 #
-# Round-3 (VERDICT r2 item 5): the per-pass vote/move computation runs in
-# per-partition Ray tasks over half-edges hash-partitioned by owner(u) —
-# ALL of a node's half-edges live in its owner partition, so each task's
-# best-candidate selection is complete for its owned nodes. The driver
-# keeps O(V_level) state arrays (com / k / sizes — the engine-wide
-# documented trade-off, same as the PageRank superstep state) but never a
-# driver-resident edge array above _LOCAL_HALF_EDGES.
+# Half-edges are hash-partitioned by owner(u): ALL of a node's half-edges
+# live in its owner partition, so each partition's best-candidate
+# selection is complete for its owned nodes. The driver keeps O(V_level)
+# state arrays (com / k / sizes — the engine-wide documented trade-off,
+# same as the PageRank superstep state) but never a driver-resident edge
+# array above _LOCAL_HALF_EDGES.
 
 _LOCAL_HALF_EDGES = 60_000   # below this, driver-local vectorized passes
                               # beat P task rounds per pass
@@ -344,17 +346,17 @@ def _half_edge_parts(gf, weight_col: str | None, tol: float, n: int):
     return [g[0] for g in gath], self_w, k, total
 
 
-@ray.remote
-def _lv_pass_task(edges, com, k, k_com, m2, resolution, tol, moved):
+def _lv_pass(edges, state, k, m2, resolution, tol):
     """Best improving candidate move per owned node (modularity.rs
-    move_delta) over this partition's half-edges. Tie-break jitter is a
-    pure hash of (node, candidate) — deterministic at any parallelism."""
+    move_delta) over this partition's half-edges, for the movers and
+    their neighbours. Tie-break jitter is a pure hash of (node,
+    candidate) — deterministic at any parallelism."""
+    com, k_com, moved = state[0], state[1], state[4]
     u, v, w = edges
-    if moved is not None:
-        act = moved.copy()                # broadcast arrays are read-only
-        act[u[moved[v]]] = True           # neighbours of movers
-        sel = act[u]
-        u, v, w = u[sel], v[sel], w[sel]
+    act = moved.copy()                    # broadcast arrays are read-only
+    act[u[moved[v]]] = True               # neighbours of movers
+    sel = act[u]
+    u, v, w = u[sel], v[sel], w[sel]
     empty = (np.empty(0, np.int64), np.empty(0, np.int64),
              np.empty(0, np.float64))
     if len(u) == 0:
@@ -384,60 +386,53 @@ def _lv_pass_task(edges, com, k, k_com, m2, resolution, tol, moved):
     return cu[order2][last], ccand[order2][last], delta[order2][last]
 
 
+def _lv_advance(state, parts, it, k, *_):
+    """Apply one pass's moves Jacobi-style, with _one_level's guards:
+    drop singleton swaps and returns to last pass's community, and stop
+    on no move, three stalled gains or a trickle of movers. Partials are
+    combined in partition order."""
+    com, k_com, sizes, prev_com, moved, gain, stall = state
+    bu = np.concatenate([o[0] for o in parts])
+    bc = np.concatenate([o[1] for o in parts])
+    delta = np.concatenate([o[2] for o in parts])
+    swap = (sizes[com[bu]] == 1) & (sizes[bc] == 1) & (bc > com[bu])
+    keep = ~(swap | (prev_com[bu] == bc))
+    bu, bc = bu[keep], bc[keep]
+    if len(bu) == 0:
+        return state, True
+    new_gain = float(delta[keep].sum())
+    old = com[bu]
+    new_com = com.copy()
+    new_com[bu] = bc
+    sizes, k_com = sizes.copy(), k_com.copy()
+    np.add.at(sizes, old, -1)
+    np.add.at(sizes, bc, 1)
+    np.add.at(k_com, old, -k[bu])
+    np.add.at(k_com, bc, k[bu])
+    moved = np.zeros(len(com), dtype=bool)
+    moved[bu] = True
+    stall = stall + 1 if new_gain >= gain * 0.999 else 0
+    done = stall >= 3 or len(bu) < max(8, len(com) // 500)
+    return (new_com, k_com, sizes, com, moved, np.array(new_gain),
+            np.array(stall)), done
+
+
 def _one_level_dist(edge_refs, k, n, resolution, tol, max_passes=64):
-    """_one_level with the candidate generation in per-partition tasks;
-    identical guards (singleton-swap, no-return, stall + trickle cutoffs)
-    applied on the driver over the SPARSE merged moves."""
+    """_one_level as a ``superstep_loop`` over the owner(u) half-edge
+    partitions: the kernel finds each owned node's best move, and the
+    advance applies _one_level's guards over the merged sparse moves.
+    The state is (com, k_com, sizes, prev_com, moved, gain, stall); the
+    first pass's all-True ``moved`` scores every half-edge. ``gain``
+    stays inf until a pass applies a move."""
     com = np.arange(n, dtype=np.int64)
     m2 = float(k.sum())
     if m2 <= 0:
         return com, False
-    kref = ray.put(k)
-    k_com = k.copy()
-    sizes = np.ones(n, np.int64)
-    prev_com = com.copy()
-    moved_mask = None
-    moved_any = False
-    prev_gain = np.inf
-    stall = 0
-    for _ in range(max_passes):
-        cref, kcref = ray.put(com), ray.put(k_com)
-        mref = ray.put(moved_mask) if moved_mask is not None else None
-        outs = ray.get([_lv_pass_task.remote(e, cref, kref, kcref, m2,
-                                             resolution, tol, mref)
-                        for e in edge_refs])
-        bu = np.concatenate([o[0] for o in outs])
-        bc = np.concatenate([o[1] for o in outs])
-        delta = np.concatenate([o[2] for o in outs])
-        if len(bu) == 0:
-            break
-        swap = (sizes[com[bu]] == 1) & (sizes[bc] == 1) & (bc > com[bu])
-        ret = prev_com[bu] == bc
-        dropm = swap | ret
-        gain = float(delta[~dropm].sum())
-        bu, bc = bu[~dropm], bc[~dropm]
-        if len(bu) == 0:
-            break
-        prev_com = com.copy()
-        old = com[bu]
-        com[bu] = bc
-        moved_any = True
-        np.add.at(sizes, old, -1)
-        np.add.at(sizes, bc, 1)
-        np.add.at(k_com, old, -k[bu])
-        np.add.at(k_com, bc, k[bu])
-        moved_mask = np.zeros(n, dtype=bool)
-        moved_mask[bu] = True
-        if gain >= prev_gain * 0.999:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-        prev_gain = gain
-        if len(bu) < max(8, n // 500):
-            break
-    return com, moved_any
+    state = (com, k.copy(), np.ones(n, np.int64), com,
+             np.ones(n, dtype=bool), np.array(np.inf), np.array(0))
+    state = superstep_loop(edge_refs, _lv_pass, _lv_advance, state,
+                           (k, m2, resolution, tol), stop=max_passes)[0]
+    return state[0], bool(np.isfinite(state[5]))
 
 
 @ray.remote

@@ -7,7 +7,7 @@ delta-stepping algorithm (Meyer & Sanders, J. Algorithms 49(1), 2003) run
 as frontier supersteps over hash(src)-owned weighted simple-edge CSR
 partitions pinned in the object store.
 
-Execution shape (the engine's task-path contract):
+Execution shape (one superstep loop, ``state/supersteps.superstep_loop``):
 - one distributed shuffle reduces the event log to per-(src,dst) weights
   (``reduce='min'`` matches the dijkstra query's first-seen-cheapest
   semantics; ``'latest'`` matches the temporal-property resolution used by
@@ -15,13 +15,16 @@ Execution shape (the engine's task-path contract):
   lives in exactly one partition;
 - each partition builds a src-keyed CSR once, split into LIGHT (w <= delta)
   and HEAVY (w > delta) halves, and pins it;
-- per relaxation round the driver broadcasts only the sparse frontier
-  (vids + dists); each partition task gathers the frontier sources it owns,
-  relaxes their edges vectorized, and returns a per-dst local min — O(P)
-  objects to the driver, work proportional to frontier out-degree, never
-  O(E) per round;
-- the driver holds the O(V) dist/pred arrays and the bucket discipline
-  (same documented O(V)-driver-state trade-off as run_supersteps).
+- each relax round is one superstep over those CSR refs. The state is
+  (dist, pred, active, settled, frontier, heavy, r). The kernel relaxes
+  the frontier's edges in one half and returns a per-dst local min with
+  its argmin src: O(P) objects, work proportional to the partition's
+  sources plus the frontier's out-degree, never O(E) per round.
+  ``advance`` merges the partials in partition order and runs the
+  bucket discipline;
+- the loop ships the O(V) state to the partitions each superstep, the
+  engine's documented driver-state trade-off (as for WCC and PageRank);
+  one partition runs the whole loop in one task.
 
 Buckets: nodes are settled in increasing floor(dist/delta) order; each
 bucket runs light-edge rounds to a local fixpoint, then one heavy-edge
@@ -40,6 +43,7 @@ import ray
 from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
                                         shuffle, split)
 from raphtory_ray.graph.node_state import NodeState
+from raphtory_ray.state.supersteps import superstep_loop
 
 # Event rows per SSSP partition. Relax rounds are synchronous task waves
 # whose per-round frontiers are often tiny (BFS-wave shape), so P trades
@@ -122,22 +126,18 @@ def _sp_csr(part, delta: float):
     return (half(light), half(~light))
 
 
-@ray.remote
-def _sp_relax(csr_pair, which: int, f_vids: np.ndarray,
-              f_dist: np.ndarray):
-    """Relax the frontier's edges in this partition's light (0) or heavy
-    (1) CSR half. Returns sparse (dst, min_cand, argmin_src)."""
-    srcs, indptr, dst, w = csr_pair[which]
+def _sp_relax(csr_pair, state, delta):
+    """Relax the frontier's edges in this partition's light or heavy CSR
+    half, as the state's phase says. Returns sparse (dst, min_cand,
+    argmin_src)."""
+    dist, frontier, heavy = state[0], state[4], state[5]
+    srcs, indptr, dst, w = csr_pair[int(heavy)]
     z = np.empty(0, np.int64)
-    if len(srcs) == 0 or len(f_vids) == 0:
-        return (z, np.empty(0, np.float64), z.copy())
-    pos = np.searchsorted(srcs, f_vids)
-    ok = pos < len(srcs)
-    ok[ok] &= srcs[pos[ok]] == f_vids[ok]
-    idx, fd = pos[ok], f_dist[ok]
+    idx = np.flatnonzero(frontier[srcs])
     counts = indptr[idx + 1] - indptr[idx]
     nz = counts > 0
-    idx, fd, counts = idx[nz], fd[nz], counts[nz]
+    idx, counts = idx[nz], counts[nz]
+    fd = dist[srcs[idx]]
     total = int(counts.sum())
     if total == 0:
         return (z, np.empty(0, np.float64), z.copy())
@@ -155,7 +155,48 @@ def _sp_relax(csr_pair, which: int, f_vids: np.ndarray,
     return (cd[first], cand[first], csrc[first])
 
 
-# ------------------------------------------------------------ driver loop
+def _sp_bucket(dist, pred, active, delta):
+    """Open the lowest non-empty bucket: its active vertices become the
+    settled light frontier. Done when no vertex is active."""
+    av = np.flatnonzero(active)
+    b = np.floor(dist[av] / delta)
+    r = b.min(initial=np.inf)
+    frontier = np.zeros_like(active)
+    frontier[av[b == r]] = True
+    return (dist, pred, active & ~frontier, frontier, frontier,
+            np.array(False), np.array(r)), len(av) == 0
+
+
+def _sp_advance(state, parts, it, delta):
+    """Merge one relax round into dist/pred, then run the bucket
+    discipline: light rounds to the bucket's fixpoint, one heavy round
+    from everything settled in it, then the next bucket."""
+    dist, pred, active, settled, _, heavy, r = state
+    dist, pred = dist.copy(), pred.copy()
+    improved = np.zeros_like(active)
+    for cd, cand, csrc in parts:
+        # partitions are src-disjoint, so one dst may appear in several
+        # outputs: apply them in partition order, keeping pred consistent
+        better = cand < dist[cd]
+        cd = cd[better]
+        dist[cd] = cand[better]
+        pred[cd] = csrc[better]
+        improved[cd] = True
+    if heavy:
+        return _sp_bucket(dist, pred, active | improved, delta)
+    iv = np.flatnonzero(improved)
+    ib = np.floor(dist[iv] / delta) == r
+    frontier = np.zeros_like(active)
+    frontier[iv[ib]] = True
+    active = active.copy()
+    active[iv[~ib]] = True
+    if frontier.any():
+        return (dist, pred, active & ~frontier, settled | frontier, frontier,
+                heavy, r), False
+    return (dist, pred, active, settled, settled, np.array(True), r), False
+
+
+# ------------------------------------------------------------ entry point
 
 def sssp_delta_stepping(gf, source: int,
                         weight_col: str | None = None,
@@ -201,59 +242,12 @@ def sssp_delta_stepping(gf, source: int,
 
     n = gf.n
     dist = np.full(n, np.inf)
-    pred = np.full(n, -1, np.int64)
     dist[source] = 0.0
     active = np.zeros(n, bool)
     active[source] = True
-
-    def relax(which, fv):
-        fd = dist[fv]
-        fv_ref, fd_ref = ray.put(fv), ray.put(fd)
-        outs = ray.get([_sp_relax.remote(c, which, fv_ref, fd_ref)
-                        for c in csrs])
-        improved = np.zeros(n, bool)
-        for cd, cand, csrc in outs:
-            if len(cd) == 0:
-                continue
-            better = cand < dist[cd]
-            cd, cand, csrc = cd[better], cand[better], csrc[better]
-            if len(cd) == 0:
-                continue
-            # partitions are src-disjoint, so one dst may appear in several
-            # outputs: apply sequentially, keeping pred consistent
-            order = np.lexsort((csrc, cand, cd))
-            cd, cand, csrc = cd[order], cand[order], csrc[order]
-            first = np.r_[True, cd[1:] != cd[:-1]]
-            cd, cand, csrc = cd[first], cand[first], csrc[first]
-            better = cand < dist[cd]
-            cd, cand, csrc = cd[better], cand[better], csrc[better]
-            dist[cd] = cand
-            pred[cd] = csrc
-            improved[cd] = True
-        return improved
-
-    while active.any():
-        av = np.flatnonzero(active)
-        r = np.floor(dist[av] / delta).min()
-        settled = np.zeros(n, bool)
-        frontier = np.zeros(n, bool)
-        in_bucket = np.floor(dist[av] / delta) == r
-        frontier[av[in_bucket]] = True
-        # light-edge rounds to bucket fixpoint
-        while frontier.any():
-            settled |= frontier
-            active &= ~frontier
-            improved = relax(0, np.flatnonzero(frontier))
-            iv = np.flatnonzero(improved)
-            ib = np.floor(dist[iv] / delta) == r
-            frontier = np.zeros(n, bool)
-            frontier[iv[ib]] = True
-            active[iv[~ib]] = True
-        # one heavy-edge round from everything settled in this bucket
-        sv = np.flatnonzero(settled)
-        if len(sv):
-            improved = relax(1, sv)
-            active |= improved
+    state = _sp_bucket(dist, np.full(n, -1, np.int64), active, delta)[0]
+    dist, pred = superstep_loop(csrs, _sp_relax, _sp_advance, state,
+                                (delta,))[0][:2]
     state = NodeState(dist, gf if isinstance(gf, GraphFrame) else None,
                       "sssp_dist")
     state.pred = pred

@@ -15,11 +15,15 @@ granularity; per-row Python closures cannot scale):
         iter_count=30,
         check=lambda old, new: np.array_equal(old, new))
 
-The BspGraph algorithms and run_supersteps are instances of one loop,
-``superstep_loop``: a plain kernel reduces each ownership-partitioned
-block's messages LOCALLY to disjoint partials, and ``advance`` scatters
-them into the next O(V) state. Three placements run the same kernel,
-the same advance and so the same bits:
+The iterative algorithms over O(V) vertex state are instances of one
+loop, ``superstep_loop``: the BspGraph algorithms (PageRank, WCC, LPA,
+k-core, HITS), run_supersteps, and in algorithms/ ColorSCC and the
+single-source closure BFS (components), Louvain's move passes and
+delta-stepping's relax rounds. (The all-nodes closure keeps its own
+shuffle rounds: its state is a row-partitioned bitset.) A plain kernel
+reduces each ownership-partitioned block's messages LOCALLY to disjoint
+partials, and ``advance`` scatters them into the next O(V) state. Three
+placements run the same kernel, the same advance and so the same bits:
 
 - with several step blocks (or a checkpoint) each superstep is a round:
   ray.put the state, one task per block, advance on the driver;

@@ -155,6 +155,11 @@ def _scc():
     return strongly_connected_components_dist(_gf(8)).values.tolist()
 
 
+def _closure():
+    from raphtory_ray.algorithms import in_component
+    return in_component(_gf(11), 0).tolist()
+
+
 def _sssp():
     from raphtory_ray.algorithms.sssp import sssp_delta_stepping
     return sssp_delta_stepping(_gf(10, w=True), 0, weight_col="w").values
@@ -173,6 +178,7 @@ CASES = {
     "persistent": _persistent,
     "sampling": _sampling,
     "scc": _scc,
+    "closure": _closure,
     "sssp": _sssp,
 }
 

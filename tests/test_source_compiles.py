@@ -1,8 +1,9 @@
 """Every program file compiles with warnings as errors, so a compile-time
 warning (an invalid escape sequence, say) cannot come back unnoticed;
 only core/exchange.py asks Ray for the cluster's CPUs; no program or test
-file names a fixed checkout directory; and a GraphFrame view adds a
-pending predicate, not a Dataset stage."""
+file names a fixed checkout directory; a GraphFrame view adds a
+pending predicate, not a Dataset stage; and the one actor class is the
+superstep loop's resident holder."""
 
 from __future__ import annotations
 
@@ -103,3 +104,17 @@ def test_views_are_pending_predicates():
                 staged.append(f"{fn.name}: {callee} over map_batches")
     assert staged == []
     assert "edges" in builders
+
+
+def test_one_actor_class():
+    """The iterative algorithms run on state/supersteps.superstep_loop,
+    whose resident placement holds the one actor class: no other
+    ``@ray.remote`` class exists under raphtory_ray/."""
+    found = []
+    for path in sorted((ROOT / "raphtory_ray").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0].endswith("ray.remote")
+                    for d in node.decorator_list):
+                found.append(f"{path.relative_to(ROOT)}:{node.name}")
+    assert found == ["raphtory_ray/state/supersteps.py:_Holder"]

@@ -117,9 +117,10 @@ def _one_block_graph(seed=3, n=400, m=2500):
 
 
 def _runs(g, rng):
-    """The six superstep-loop instances, each as g → result tuple."""
-    from raphtory_ray.algorithms import (eigenvector_centrality,
-                                         katz_centrality)
+    """The superstep-loop instances, each as g → result tuple."""
+    from raphtory_ray.algorithms import (eigenvector_centrality, in_component,
+                                         katz_centrality, out_component,
+                                         strongly_connected_components_dist)
     pv = rng.random(g.n)
 
     def centrality(st):
@@ -141,6 +142,9 @@ def _runs(g, rng):
             g, alpha=1e-3, beta=2.0, iter_count=500, tol=1e-12)),
         "eigenvector": lambda: centrality(eigenvector_centrality(
             g, iter_count=200, tol=1e-9)),
+        "scc": lambda: (strongly_connected_components_dist(g).values,),
+        "in_component": lambda: (in_component(g, 0),),
+        "out_component": lambda: (out_component(g, 0),),
     }
 
 
