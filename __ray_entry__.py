@@ -1604,7 +1604,7 @@ def _q_user_louvain(sf_dir: str) -> pa.Table:
     from raphtory_ray.pipelines.tpch_graph import user_graph
     gf = user_graph(sf_dir)
     gf.edges = gf.edges.materialize()
-    com = louvain(gf, 1.0, weight_col="w", seed=42)
+    com = louvain(gf, 1.0, weight_col="w")
     q = modularity(gf, com, 1.0, weight_col="w")
     q0 = modularity(gf, np.arange(gf.n, dtype=np.int64), 1.0,
                     weight_col="w")

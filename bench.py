@@ -170,7 +170,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     _, queries["triangle_count"] = best2(g.triangle_counts)
 
     from raphtory_ray.algorithms.louvain import louvain
-    _, queries["louvain"] = best2(lambda: louvain(gf, 1.0, seed=1))
+    _, queries["louvain"] = best2(lambda: louvain(gf, 1.0))
 
     from raphtory_ray.algorithms.sssp import sssp_delta_stepping
     _, queries["sssp_delta"] = best2(

@@ -19,22 +19,26 @@ delta > tol) and modularity.rs ModularityUnDir:
 Execution split (Ray-Data-first): the event→weighted-simple-edge
 reduction is a distributed hash shuffle on (src, dst) with per-partition
 latest-event resolution; the half-edges are then re-partitioned by
-owner(u) and PINNED in the object store. While a level's half-edge count
-exceeds _LOCAL_HALF_EDGES, its local-move passes are a
-``state/supersteps.superstep_loop`` over those partitions: the kernel
-(_lv_pass) finds each owned node's best move, complete since all of a
-node's half-edges share its owner partition, and ``advance`` applies the
-guards over the sparse merged moves. Each pass ships the O(V_level)
-state (com/k_com/sizes and the mover mask, the engine-wide documented
-trade-off) to the partitions; the driver never holds an edge array.
-Aggregation runs as _lv_agg_task. Coarsened levels below the threshold
-fall to the driver-local vectorized loop (the reference's own louvain is
-a sequential single-thread loop, louvain.rs:44-71).
+owner(u) and PINNED in the object store. Every level runs one move rule
+and one aggregate. Its local-move passes are the loop of
+``state/supersteps``: the kernel (_lv_pass) finds each owned node's best
+move, complete since all of a node's half-edges share its owner
+partition, and ``advance`` applies the guards over the sparse merged
+moves. Aggregation is _lv_agg. Only the placement follows the size.
+While a level's half-edge count exceeds _LOCAL_HALF_EDGES, each pass
+runs a task per partition and ships the O(V_level) state (com/k_com/
+sizes and the mover mask, the engine-wide documented trade-off); the
+driver never holds an edge array. At or below it the half-edges are
+pulled once into one driver-held block, and the passes run the fused
+loop's body in-process (the reference's own louvain is a sequential
+single-thread loop, louvain.rs:44-71).
 Parallel-move correctness: moves are applied Jacobi-style per pass; the
 singleton-swap guard (only let a singleton join a singleton with a smaller
 community id) prevents the classic two-node oscillation, and passes are
-capped. Like the reference (rng shuffle, louvain.rs:47), output labels are
-a local optimum, not a canonical partition — tests assert invariants.
+capped. Ties break by a hash of (node, candidate), not a random draw;
+the reference shuffles its node order (louvain.rs:47). Either way the
+output is a local optimum, not a canonical partition — tests assert
+invariants.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import ray
 from raphtory_ray.core.exchange import (bucket, cluster_cpus,
                                         num_partitions, pair_key, returns,
                                         shuffle, split)
-from raphtory_ray.state.supersteps import superstep_loop
+from raphtory_ray.state.supersteps import _loop, superstep_loop
 
 # Half-edges per move partition: round 5 measured 300k per partition 2x
 # slower (compute-bound at 4-way) than 16-way; below ~50k scheduling
@@ -121,8 +125,7 @@ def _latest_parts(gf, weight_col: str | None):
 
 def latest_weight_edges(gf, weight_col: str | None):
     """(src, dst, w) of the directed simple-edge graph, w = latest event's
-    ``weight_col`` (1.0 when None) — the driver-pulled form, used by the
-    small-graph local path and tests."""
+    ``weight_col`` (1.0 when None) — the driver-pulled form."""
     parts = ray.get(_latest_parts(gf, weight_col))
     s = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
     d = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
@@ -130,140 +133,7 @@ def latest_weight_edges(gf, weight_col: str | None):
     return s, d, w
 
 
-# ------------------------------------------------------------ local moves
-
-def _group_sum(codes: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n, np.float64)
-    np.add.at(out, codes, w)
-    return out
-
-
-def _one_level(u, v, w, self_w, k, n, resolution, tol, rng, max_passes=64):
-    """Vectorized local-move passes over one level's undirected half-edge
-    list (u, v, w): each pass computes every node's best candidate community
-    (modularity.rs move_delta) and applies all improving moves at once.
-    Returns (com, moved_any). ``self_w`` is per-node self-loop weight
-    (excluded from k per the reference)."""
-    com = np.arange(n, dtype=np.int64)
-    m2 = float(k.sum())
-    if m2 <= 0 or len(u) == 0:
-        return com, False
-    moved_any = False
-    prev_com = com.copy()
-    prev_gain = np.inf
-    stall = 0
-    # active-set pruning: after the first pass, only nodes adjacent to a
-    # mover (or movers themselves) can discover a better community, so
-    # later passes sort/score only that shrinking edge subset (classic
-    # sequential-Louvain queue optimization, vectorized)
-    active = np.ones(n, dtype=bool)
-    # random per-pass tie-perturbation stands in for the reference's node
-    # shuffle (louvain.rs:52): symmetric ties break arbitrarily, not by id
-    for _ in range(max_passes):
-        k_com = _group_sum(com, k, n)
-        au = active[u]
-        u_a, v_a, w_a = u[au], v[au], w[au]
-        if len(u_a) == 0:
-            break
-        cv = com[v_a]
-        # per (u, com(v)) neighbour-community weights, self-edges excluded
-        # at construction; sort once, segment-reduce
-        order = np.lexsort((cv, u_a))
-        uu, cc, ww = u_a[order], cv[order], w_a[order]
-        seg = np.r_[True, (uu[1:] != uu[:-1]) | (cc[1:] != cc[:-1])]
-        sidx = np.flatnonzero(seg)
-        su = uu[sidx]
-        sc = cc[sidx]
-        sw = np.add.reduceat(ww, sidx)
-        # weight from u to its OWN community, minus nothing (adj excludes
-        # self-loops already): a_old_excl
-        own = sc == com[su]
-        a_old = np.zeros(n, np.float64)
-        a_old[su[own]] = sw[own]
-        # candidate deltas for sc != com[su]
-        cand = ~own
-        cu, ccand, cw = su[cand], sc[cand], sw[cand]
-        a = 2.0 * (cw - a_old[cu])
-        p = 2.0 * (k[cu] * (k_com[ccand] - k_com[com[cu]]) + k[cu] ** 2)
-        delta = (a - resolution * p / m2) / m2
-        good = delta > tol
-        if not np.any(good):
-            break
-        cu, ccand, delta = cu[good], ccand[good], delta[good]
-        # best move per node: argmax delta (ties → random perturbation)
-        jitter = rng.random(len(delta)) * 1e-15
-        order2 = np.lexsort((delta + jitter, cu))
-        last = np.r_[cu[order2][1:] != cu[order2][:-1], True]
-        bu = cu[order2][last]
-        bc = ccand[order2][last]
-        # singleton-swap guard: if both u's community and the target are
-        # singletons, only move toward the smaller community id (prevents
-        # A<->B oscillation under Jacobi-parallel application)
-        sizes = np.bincount(com, minlength=n)
-        swap = (sizes[com[bu]] == 1) & (sizes[bc] == 1) & (bc > com[bu])
-        # no-return rule: a node may not move back to the community it was
-        # in one pass ago — kills 2-cycles under Jacobi application
-        ret = prev_com[bu] == bc
-        drop = swap | ret
-        gain = float(delta[order2][last][~drop].sum()) if len(bu) else 0.0
-        bu, bc = bu[~drop], bc[~drop]
-        if len(bu) == 0:
-            break
-        prev_com = com.copy()
-        com[bu] = bc
-        moved_any = True
-        moved = np.zeros(n, dtype=bool)
-        moved[bu] = True
-        active = np.zeros(n, dtype=bool)
-        active[bu] = True
-        active[u[moved[v]]] = True        # neighbours of movers
-        # stagnation cutoff: longer limit cycles repeat the same gain; a
-        # genuine refinement strictly shrinks it pass over pass
-        if gain >= prev_gain * 0.999:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-        prev_gain = gain
-        # trickle cutoff: when fewer than 0.2% of nodes still move, the
-        # modularity gain left in this level is negligible — aggregate
-        # (standard Louvain practice; keeps level-0 from spending 60+
-        # passes on stragglers)
-        if len(bu) < max(8, n // 500):
-            break
-    return com, moved_any
-
-
-def _aggregate(u, v, w, self_w, k, com):
-    """Coarse-grain to communities (modularity.rs aggregate()): compact
-    labels; new half-edges = inter-community sums; new self-loops =
-    intra-community sums (old self-loops fold in); new k = k_com."""
-    uniq, inv = np.unique(com, return_inverse=True)
-    nc = len(uniq)
-    cu, cv = inv[u], inv[v]
-    inter = cu != cv
-    # half-edge list is symmetric, so inter sums stay symmetric
-    key = cu[inter].astype(np.int64) * nc + cv[inter]
-    order = np.argsort(key, kind="stable")
-    kk = key[order]
-    seg = np.r_[True, kk[1:] != kk[:-1]]
-    sw = np.add.reduceat(w[inter][order], np.flatnonzero(seg))
-    nu = (kk[seg] // nc).astype(np.int64)
-    nv = (kk[seg] % nc).astype(np.int64)
-    # intra-community: old half-edges inside + old self-loops.
-    # half-edges count each undirected inside-pair twice (u→v and v→u),
-    # matching the reference where aggregate() sums adj_com over members
-    # and the new self-loop is neighbours.get(own) (modularity.rs:344-374)
-    new_self = np.zeros(nc, np.float64)
-    np.add.at(new_self, cu[~inter], w[~inter])
-    np.add.at(new_self, inv, self_w)
-    new_k = np.zeros(nc, np.float64)
-    np.add.at(new_k, inv, k)
-    return inv, nu, nv, sw, new_self, new_k, nc
-
-
-# ------------------------------------------- distributed local-move level
+# ------------------------------------------------------ local-move level
 #
 # Half-edges are hash-partitioned by owner(u): ALL of a node's half-edges
 # live in its owner partition, so each partition's best-candidate
@@ -272,8 +142,8 @@ def _aggregate(u, v, w, self_w, k, com):
 # same as the PageRank superstep state) but never a driver-resident edge
 # array above _LOCAL_HALF_EDGES.
 
-_LOCAL_HALF_EDGES = 60_000   # below this, driver-local vectorized passes
-                              # beat P task rounds per pass
+_LOCAL_HALF_EDGES = 60_000   # at or below this, a level's half-edges are
+                              # one driver-held block: no task per pass
 
 
 @ray.remote
@@ -299,7 +169,7 @@ def _lv_gather(*pieces):
     left unreduced — every consumer (pass segment sums, k sums, aggregate)
     is additive, so parallel edges equal their sum. Returns the edge tuple,
     sparse k sums (disjoint across partitions by ownership), and the row
-    count (so the driver can decide local vs distributed without pulling)."""
+    count (so the driver can pick the placement without pulling)."""
     u = np.concatenate([p[0] for p in pieces]) if pieces else np.empty(0, np.int64)
     v = np.concatenate([p[1] for p in pieces]) if pieces else np.empty(0, np.int64)
     w = np.concatenate([p[2] for p in pieces]) if pieces else np.empty(0, np.float64)
@@ -387,14 +257,16 @@ def _lv_pass(edges, state, k, m2, resolution, tol):
 
 
 def _lv_advance(state, parts, it, k, *_):
-    """Apply one pass's moves Jacobi-style, with _one_level's guards:
-    drop singleton swaps and returns to last pass's community, and stop
-    on no move, three stalled gains or a trickle of movers. Partials are
-    combined in partition order."""
+    """Apply one pass's moves Jacobi-style: drop singleton swaps and
+    returns to last pass's community, and stop on no move, three stalled
+    gains or a trickle of movers. Partials are combined in partition
+    order."""
     com, k_com, sizes, prev_com, moved, gain, stall = state
     bu = np.concatenate([o[0] for o in parts])
     bc = np.concatenate([o[1] for o in parts])
     delta = np.concatenate([o[2] for o in parts])
+    # singleton-swap guard: only let a singleton join a singleton with a
+    # smaller id; with the no-return rule it kills Jacobi 2-cycles
     swap = (sizes[com[bu]] == 1) & (sizes[bc] == 1) & (bc > com[bu])
     keep = ~(swap | (prev_com[bu] == bc))
     bu, bc = bu[keep], bc[keep]
@@ -411,32 +283,38 @@ def _lv_advance(state, parts, it, k, *_):
     np.add.at(k_com, bc, k[bu])
     moved = np.zeros(len(com), dtype=bool)
     moved[bu] = True
+    # stagnation: limit cycles repeat the same gain; trickle: fewer than
+    # 0.2% of nodes still move, so the gain left in this level is small
     stall = stall + 1 if new_gain >= gain * 0.999 else 0
     done = stall >= 3 or len(bu) < max(8, len(com) // 500)
     return (new_com, k_com, sizes, com, moved, np.array(new_gain),
             np.array(stall)), done
 
 
-def _one_level_dist(edge_refs, k, n, resolution, tol, max_passes=64):
-    """_one_level as a ``superstep_loop`` over the owner(u) half-edge
-    partitions: the kernel finds each owned node's best move, and the
-    advance applies _one_level's guards over the merged sparse moves.
-    The state is (com, k_com, sizes, prev_com, moved, gain, stall); the
-    first pass's all-True ``moved`` scores every half-edge. ``gain``
-    stays inf until a pass applies a move."""
+def _level(edges, k, resolution, tol, max_passes=64):
+    """One level's local-move passes: the kernel finds each owned node's
+    best move, and the advance applies the guards over the merged sparse
+    moves. ``edges`` is the owner(u) partition refs, run by
+    ``superstep_loop``, or one driver-held (u, v, w) block, run by the
+    fused loop's body in-process (no task). The state is (com, k_com,
+    sizes, prev_com, moved, gain, stall); the first pass's all-True
+    ``moved`` scores every half-edge. ``gain`` stays inf until a pass
+    applies a move."""
+    n = len(k)
     com = np.arange(n, dtype=np.int64)
     m2 = float(k.sum())
     if m2 <= 0:
         return com, False
     state = (com, k.copy(), np.ones(n, np.int64), com,
              np.ones(n, dtype=bool), np.array(np.inf), np.array(0))
-    state = superstep_loop(edge_refs, _lv_pass, _lv_advance, state,
-                           (k, m2, resolution, tol), stop=max_passes)[0]
+    args = (_lv_pass, _lv_advance, state, (k, m2, resolution, tol))
+    state = (_loop(edges, *args, None, 0, max_passes)
+             if isinstance(edges, tuple)
+             else superstep_loop(edges, *args, stop=max_passes))[0]
     return state[0], bool(np.isfinite(state[5]))
 
 
-@ray.remote
-def _lv_agg_task(edges, inv, nc: int, P: int):
+def _lv_agg(edges, inv, nc: int, P: int):
     """Map this partition's half-edges to community pairs, reduce locally,
     route inter-community halves by owner(cu); sparse intra sums last."""
     u, v, w = edges
@@ -459,62 +337,65 @@ def _lv_agg_task(edges, inv, nc: int, P: int):
     return (*split(bucket(nu, P), P, nu, nv, sw), (iid, isum))
 
 
-def _aggregate_dist(edge_refs, self_w, k, com):
-    """Distributed _aggregate: the O(E) map+reduce runs in the tasks; the
-    coarse graph stays as owner(cu)-partitioned refs. Driver work is
-    O(V_level) folds of self_w / k."""
-    P = len(edge_refs)
+_lv_agg_task = ray.remote(_lv_agg)
+
+
+def _aggregate(edges, self_w, k, com):
+    """Coarse-grain to communities (modularity.rs aggregate()): compact
+    labels; new half-edges = inter-community sums, new self-loops =
+    intra-community sums (old self-loops fold in), new k = k_com. Over
+    partition refs the O(E) map+reduce runs in tasks and the coarse graph
+    stays owner(cu)-partitioned refs; a driver-held block runs the same
+    map+reduce at P = 1, whose one routed piece is already its gather.
+    Driver work is O(V_level) folds of self_w / k."""
     uniq, inv = np.unique(com, return_inverse=True)
     nc = len(uniq)
-    iref = ray.put(inv.astype(np.int64))
-    outs = [_lv_agg_task.options(num_returns=P + 1).remote(e, iref, nc, P)
-            for e in edge_refs]
+    inv = inv.astype(np.int64)
+    if isinstance(edges, tuple):
+        edges, intra = _lv_agg(edges, inv, nc, 1)
+        intra, total = [intra], len(edges[0])
+    else:
+        P = len(edges)
+        iref = ray.put(inv)
+        outs = [_lv_agg_task.options(num_returns=P + 1).remote(e, iref, nc, P)
+                for e in edges]
+        intra = ray.get([o[P] for o in outs])
+        gath = [_lv_gather.options(num_returns=3)
+                .remote(*[outs[q][p] for q in range(P)]) for p in range(P)]
+        total = int(sum(ray.get([g[2] for g in gath])))
+        edges = [g[0] for g in gath]
     new_self = np.zeros(nc, np.float64)
-    for iid, isum in ray.get([o[P] for o in outs]):
+    for iid, isum in intra:
         np.add.at(new_self, iid, isum)
     np.add.at(new_self, inv, self_w)
     new_k = np.zeros(nc, np.float64)
     np.add.at(new_k, inv, k)
-    gath = [_lv_gather.options(num_returns=3)
-            .remote(*[outs[q][p] for q in range(P)]) for p in range(P)]
-    total = int(sum(ray.get([g[2] for g in gath])))
-    return [g[0] for g in gath], new_self, new_k, nc, inv, total
+    return edges, new_self, new_k, inv, total
 
 
 def louvain(gf, resolution: float = 1.0, weight_col: str | None = None,
-            tol: float | None = None, seed: int | None = None) -> np.ndarray:
-    """Community id per vid (louvain.rs:27-81). Deterministic for a given
-    ``seed``; like the reference, the partition is a local optimum.
+            tol: float | None = None) -> np.ndarray:
+    """Community id per vid (louvain.rs:27-81). Deterministic; like the
+    reference, the partition is a local optimum.
 
-    Levels run DISTRIBUTED (per-partition move tasks) while the half-edge
-    count exceeds _LOCAL_HALF_EDGES, then fall to the driver-local
-    vectorized loop once the coarsened graph is small — the same
-    small-n-fast-path structure as algorithms/components."""
+    Every level runs the one move rule (_level) and the one aggregate
+    (_aggregate). Only the placement follows the level's half-edge count:
+    above _LOCAL_HALF_EDGES a task per owner(u) partition each pass; at or
+    below it the half-edges are pulled to the driver once and every later
+    level runs in-process."""
     tol = 1e-8 if tol is None else tol
-    rng = np.random.default_rng(0 if seed is None else seed)
     n = gf.n
-    edge_refs, self_w, k, total = _half_edge_parts(gf, weight_col, tol, n)
+    edges, self_w, k, total = _half_edge_parts(gf, weight_col, tol, n)
     global_com = np.arange(n, dtype=np.int64)
-    nn = n
-    u = v = hw = None              # driver edge arrays exist ONLY below the
-    while True:                    # _LOCAL_HALF_EDGES threshold
-        if u is None and total <= _LOCAL_HALF_EDGES:
-            parts = ray.get(edge_refs)
-            u = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-            v = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
-            hw = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, np.float64)
-        if u is not None:
-            com, moved = _one_level(u, v, hw, self_w, k, nn, resolution,
-                                    tol, rng)
-        else:
-            com, moved = _one_level_dist(edge_refs, k, nn, resolution, tol)
+    while True:
+        if not isinstance(edges, tuple) and total <= _LOCAL_HALF_EDGES:
+            parts = ray.get(edges)
+            edges = tuple(np.concatenate([p[i] for p in parts])
+                          for i in range(3))
+        com, moved = _level(edges, k, resolution, tol)
         if not moved:
             break
-        if u is not None:
-            inv, u, v, hw, self_w, k, nn = _aggregate(u, v, hw, self_w, k, com)
-        else:
-            edge_refs, self_w, k, nn, inv, total = \
-                _aggregate_dist(edge_refs, self_w, k, com)
+        edges, self_w, k, inv, total = _aggregate(edges, self_w, k, com)
         global_com = inv[com[global_com]]
     # compact final labels
     _, out = np.unique(global_com, return_inverse=True)

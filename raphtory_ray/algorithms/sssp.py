@@ -216,21 +216,32 @@ def sssp_delta_stepping(gf, source: int,
       correct; it only tunes light/heavy work balance.
     - ``direction``: 'out' follows edges forward, 'in' reversed.
 
+    ``gf`` is a GraphFrame, or a BspGraph whose simple-edge blocks are
+    read with unit weights (a BspGraph has no ``weight_col``).
+
     Returns a NodeState of distances (np.inf = unreachable); the
     predecessor array is attached as ``state.pred`` (-1 = none/source).
     """
     from raphtory_ray.graph.graph_frame import GraphFrame
+    from raphtory_ray.state.shards import BspGraph
 
-    cols = ["src", "dst"]
-    sch = gf.edges.schema()
-    for c in ("t", "event_id"):
-        if c in sch.names and reduce == "latest":
-            cols.append(c)
-    if weight_col is not None:
-        cols.append(weight_col)
-    mat = gf.edges.select_columns(cols).materialize()
-    refs = mat.to_arrow_refs()
-    P = num_partitions(mat.count(), per=SSSP_ROWS_PER_PARTITION)
+    if isinstance(gf, BspGraph):
+        if weight_col is not None:
+            raise TypeError("sssp_delta_stepping: a BspGraph has unit "
+                            f"weights, weight_col={weight_col!r} needs a "
+                            "GraphFrame")
+        refs, rows = gf.refs, gf.num_edges
+    else:
+        cols = ["src", "dst"]
+        sch = gf.edges.schema()
+        for c in ("t", "event_id"):
+            if c in sch.names and reduce == "latest":
+                cols.append(c)
+        if weight_col is not None:
+            cols.append(weight_col)
+        mat = gf.edges.select_columns(cols).materialize()
+        refs, rows = mat.to_arrow_refs(), mat.count()
+    P = num_partitions(rows, per=SSSP_ROWS_PER_PARTITION)
     parts = [_sp_reduce.remote(reduce, *col) for col in shuffle(
         _sp_split, refs, P, weight_col, weight_map, direction == "in")]
     if delta is None:

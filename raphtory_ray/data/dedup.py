@@ -13,18 +13,16 @@ Five families (training-data pipeline core ops):
 Architecture: every family is  map_batches(signature kernel)  →
 bucket hash-shuffle  →  per-partition vectorized verify  →  verified-pair
 BLOCKS left in the object store (round 5: the pair list never transits
-the driver)  →  clusters_from_pair_refs: below _DISTRIBUTED_CC_THRESHOLD
-total pairs the (small by the check) list is pulled for a driver
-union-find; above it, distinct endpoints come back via a hash-partitioned
-unique, pairs are remapped in-task to the compact touched index space,
-and the dup-graph WCC is the engine's own distributed
-state/shards.BspGraph over _shuffle_pairs blocks. Only the sparse
-(touched-id → cluster label) map is broadcast; cluster ids are applied to
-the full id column inside map_batches (``_assign_broadcast``) — every
-dedup entrypoint RETURNS a streaming ray.data.Dataset(id, cluster_id);
-no full-column driver pulls. Degenerate-bucket truncation (max_bucket)
-is counted and surfaced via each entrypoint's ``stats`` dict + a logger
-warning (never silent).
+the driver)  →  clusters_from_pair_refs: at every pair count, distinct
+endpoints come back via a hash-partitioned unique, pairs are remapped
+in-task to the compact touched index space, and the dup-graph WCC is the
+engine's own state/shards.BspGraph over _shuffle_pairs blocks. Only the
+sparse (touched-id → cluster label) map is broadcast; cluster ids are
+applied to the full id column inside map_batches (``_assign_broadcast``)
+— every dedup entrypoint RETURNS a streaming ray.data.Dataset(id,
+cluster_id); no full-column driver pulls. Degenerate-bucket truncation
+(max_bucket) is counted and surfaced via each entrypoint's ``stats``
+dict + a logger warning (never silent).
 """
 
 from __future__ import annotations
@@ -366,33 +364,6 @@ def _verify_jaccard_distributed(band_block_refs: list, n_rows: int,
     return verified, int(sum(ray.get(dropped_refs)))
 
 
-def union_find_clusters(pairs_a: np.ndarray, pairs_b: np.ndarray,
-                        ids: np.ndarray) -> np.ndarray:
-    """cluster_id = min doc_id in each dup component (driver-side union-find
-    over the sparse dup-pair graph)."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
-
-    for a, b in zip(pairs_a.tolist(), pairs_b.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    return np.array([find(int(i)) for i in ids], dtype=np.int64)
-
-
-_DISTRIBUTED_CC_THRESHOLD = 200_000
-
-
 # -------- Dataset-native cluster assignment (round 5) -----------------------
 # The verified-pair BLOCKS stay in the object store end to end; only the
 # sparse (touched-id → label) map — the thing that genuinely must be small,
@@ -441,27 +412,20 @@ def _remap_pair_block(block: pa.Table, touched: np.ndarray) -> pa.Table:
 
 
 def clusters_from_pair_refs(pair_refs: list) -> tuple[np.ndarray, np.ndarray]:
-    """(touched_ids, labels) from verified-pair block ObjectRefs.
+    """(touched_ids, labels) from verified-pair block ObjectRefs: the
+    connected components of the dup-pair graph (Rastogi et al., ICDE'13),
+    label = min member id.
 
-    Below _DISTRIBUTED_CC_THRESHOLD total pairs the list is pulled (it is
-    small by the check itself) and union-find runs on the driver. Above it,
-    the pair blocks NEVER leave the object store: distinct endpoints come
-    back through a hash-partitioned unique (O(touched) driver memory), the
-    pairs are remapped to the compact touched index space in-task, and the
-    dup-graph WCC is the engine's own distributed BspGraph over
-    `_shuffle_pairs`-partitioned blocks."""
-    import ray
+    The pair blocks NEVER leave the object store, whatever their count:
+    distinct endpoints come back through a hash-partitioned unique
+    (O(touched) driver memory), the pairs are remapped to the compact
+    touched index space in-task, and the dup-graph WCC is the engine's own
+    BspGraph over `_shuffle_pairs`-partitioned blocks (one block runs the
+    WCC loop fused, in one task)."""
     counts = ray.get([_pair_rows.remote(r) for r in pair_refs])
     total = int(sum(counts))
     if total == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    if total < _DISTRIBUTED_CC_THRESHOLD:
-        good = [t for t in ray.get(list(pair_refs)) if t.num_rows]
-        allp = pa.concat_tables(good)
-        va = allp["a"].to_numpy(zero_copy_only=False)
-        vb = allp["b"].to_numpy(zero_copy_only=False)
-        touched = np.unique(np.concatenate([va, vb])).astype(np.int64)
-        return touched, union_find_clusters(va, vb, touched)
     P = num_partitions(total)
     parts = ray.get([_endpoint_distinct.remote(*col)
                      for col in shuffle(_endpoint_split, pair_refs, P)])
@@ -515,10 +479,10 @@ def minhash_lsh_dedup(ds, num_perm: int = 64, bands: int = 16, k: int = 5,
     → band explode → band-bucket shuffle candidate pairs → hash(doc) text
     semi-join + in-pair exact-Jaccard verify (_verify_jaccard_distributed,
     pair blocks stay in the object store) → assign_clusters_from_refs
-    (distributed WCC past _DISTRIBUTED_CC_THRESHOLD pairs; only the sparse
-    touched-id → label map is broadcast). ``stats``, if given, receives
-    ``lsh_dropped_candidates`` — the member count truncated from degenerate
-    buckets by ``max_bucket`` (also logged; never silent)."""
+    (the dup-graph BspGraph WCC; only the sparse touched-id → label map is
+    broadcast). ``stats``, if given, receives ``lsh_dropped_candidates`` —
+    the member count truncated from degenerate buckets by ``max_bucket``
+    (also logged; never silent)."""
     # prune at the read and materialize ONCE: the signature stage, the
     # verify text semi-join, and the final assign all reuse these blocks
     ds = ds.select_columns(["doc_id", "text"]).materialize()

@@ -883,14 +883,14 @@ def test_normalize_adversarial_parity(ray_session):
 # ------------------- round-5: Dataset-native dup-pair clustering ----------
 
 def test_clusters_from_pair_refs_distributed_300k(ray_session):
-    """>200k verified pairs force the distributed path: pair blocks stay
-    in the object store (no ray.get-all-pairs), endpoints deduplicate via
-    the hash-partitioned distinct, the dup-graph WCC runs on the compact
-    touched space, and labels match a driver union-find oracle."""
+    """~300k verified pairs (P > 1): pair blocks stay in the object store
+    (no ray.get-all-pairs), endpoints deduplicate via the hash-partitioned
+    distinct, the dup-graph WCC runs on the compact touched space, and
+    labels match the local WCC kernel over the compact ids. One pair in
+    one block (P = 1) and only empty blocks take the same call."""
     import ray
-    from raphtory_ray.data.dedup import (clusters_from_pair_refs,
-                                         union_find_clusters,
-                                         _DISTRIBUTED_CC_THRESHOLD)
+    from raphtory_ray.core.kernels import wcc
+    from raphtory_ray.data.dedup import clusters_from_pair_refs
     rng = np.random.default_rng(5)
     # ~300k pairs: 3000 chains of 100 sequential edges over sparse ids,
     # plus random extra intra-chain pairs
@@ -906,26 +906,37 @@ def test_clusters_from_pair_refs_distributed_300k(ray_session):
     m = a_x != b_x
     va = np.concatenate([a_chain, np.minimum(a_x[m], b_x[m])])
     vb = np.concatenate([b_chain, np.maximum(a_x[m], b_x[m])])
-    assert len(va) > _DISTRIBUTED_CC_THRESHOLD
     # split into blocks and put in the object store
     cut = np.array_split(np.arange(len(va)), 13)
     refs = [ray.put(pa.table({"a": pa.array(va[c], pa.int64()),
                               "b": pa.array(vb[c], pa.int64())}))
             for c in cut]
     touched, labels = clusters_from_pair_refs(refs)
-    # oracle: driver union-find over the same pairs
+    # oracle: the local WCC kernel over the compact ids; touched is sorted,
+    # so the min compact id of a component is its min doc id
     want_t = np.unique(np.concatenate([va, vb]))
-    want_l = union_find_clusters(va, vb, want_t)
+    ca, cb = np.searchsorted(want_t, va), np.searchsorted(want_t, vb)
+    want_l = want_t[wcc(ca, cb, len(want_t))]
     assert np.array_equal(touched, want_t)
     assert np.array_equal(labels, want_l)
     # every chain collapses to its min id
     assert len(np.unique(labels)) == 3000
 
+    def block(a, b):
+        return ray.put(pa.table({"a": pa.array(a, pa.int64()),
+                                 "b": pa.array(b, pa.int64())}))
 
-def test_minhash_end_to_end_distributed_cc_path(ray_session, monkeypatch):
-    """End-to-end minhash dedup with the distributed-WCC path forced
-    (threshold monkeypatched below the planted pair count): oracle result
-    identical to the small-path run."""
+    touched, labels = clusters_from_pair_refs([block([9], [4])])
+    assert touched.tolist() == [4, 9] and labels.tolist() == [4, 4]
+    touched, labels = clusters_from_pair_refs([block([], []), block([], [])])
+    assert len(touched) == 0 and len(labels) == 0
+
+
+def test_minhash_end_to_end_distributed_cc_path(ray_session):
+    """End-to-end minhash dedup through the dup-graph BspGraph WCC: the
+    frame equals the pinned one the driver union-find path returned on
+    this input."""
+    import pandas as pd
     import raphtory_ray.data.dedup as dd
     rng = np.random.default_rng(23)
     words = BASE.split()
@@ -937,12 +948,13 @@ def test_minhash_end_to_end_distributed_cc_path(ray_session, monkeypatch):
     texts += [texts[2] + " x"] * 11
     texts += [texts[9] + " y"] * 4
     ds = _doc_ds(texts)
-    small = dd.minhash_lsh_dedup(ds, threshold=0.6).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dd, "_DISTRIBUTED_CC_THRESHOLD", 5)
     big = dd.minhash_lsh_dedup(ds, threshold=0.6).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    assert small.equals(big)
+    want = pd.DataFrame({
+        "doc_id": np.arange(55, dtype=np.int64),
+        "cluster_id": np.r_[np.arange(40), [2] * 11, [9] * 4]
+        .astype(np.int64)})
+    assert big.equals(want)
     cl = dict(zip(big["doc_id"], big["cluster_id"]))
     assert all(cl[40 + j] == 2 for j in range(11))
     assert all(cl[51 + j] == 9 for j in range(4))

@@ -45,7 +45,7 @@ def test_louvain_reference_edge_list(ray_session):
         d += [idx[b], idx[a]]
         w += [ww, ww]
     gf = _frame(ray_session, s, d, w)
-    com = louvain(gf, 1.0, weight_col="w", seed=7)
+    com = louvain(gf, 1.0, weight_col="w")
     assert len(com) == gf.n and np.all(com >= 0)
     q = modularity(gf, com, 1.0, weight_col="w")
     q0 = modularity(gf, np.arange(gf.n, dtype=np.int64), 1.0, weight_col="w")
@@ -68,7 +68,7 @@ def test_louvain_planted_cliques(ray_session):
     s += [0, 6]
     d += [6, 0]
     gf = _frame(ray_session, s, d)
-    com = louvain(gf, 1.0, seed=3)
+    com = louvain(gf, 1.0)
     assert len(set(com[:6])) == 1
     assert len(set(com[6:])) == 1
     assert com[0] != com[6]
@@ -86,7 +86,7 @@ def test_louvain_unweighted_random(ray_session):
     s = rng.integers(0, 40, 200)
     d = rng.integers(0, 40, 200)
     gf = _frame(ray_session, np.r_[s, d], np.r_[d, s], n=40)
-    com = louvain(gf, 1.0, seed=5)
+    com = louvain(gf, 1.0)
     assert com.shape == (40,)
     assert set(np.unique(com)) == set(range(len(np.unique(com))))
     q = modularity(gf, com)

@@ -1,4 +1,5 @@
-"""Distributed Louvain level engine vs the driver-local fast path."""
+"""Louvain's two placements: task-per-partition levels (above
+_LOCAL_HALF_EDGES) and driver-held levels run in-process."""
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -39,33 +40,60 @@ def test_distributed_level_recovers_cliques(ray_session, monkeypatch):
     monkeypatch.setattr(L, "_LOCAL_HALF_EDGES", 0)   # force distributed
     s, d, nc, size = _planted()
     gf = _frame(s, d)
-    com = L.louvain(gf, 1.0, seed=3)
+    com = L.louvain(gf, 1.0)
     for c in range(nc):
         blk = com[c * size:(c + 1) * size]
         assert len(set(blk.tolist())) == 1, f"clique {c} split: {blk}"
     assert len(set(com.tolist())) == nc
 
 
-def test_distributed_matches_local_quality(ray_session, monkeypatch):
-    """Both paths are local optima of the same objective: their modularity
-    must beat singletons and land within a small gap of each other."""
-    from raphtory_ray.algorithms import louvain as L
-    rng = np.random.default_rng(11)
-    m = 600
-    s = rng.integers(0, 80, m)
-    d = rng.integers(0, 80, m)
+def _random(seed, n, m, weighted=False):
+    """m random directed edges over n nodes, self-loops dropped."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, n, m)
+    d = rng.integers(0, n, m)
+    w = rng.uniform(0.1, 5.0, m) if weighted else None
     keep = s != d
-    s, d = s[keep], d[keep]
-    gf = _frame(s, d, n=80)
-    com_local = L.louvain(gf, 1.0, seed=5)
+    return _frame(s[keep], d[keep], None if w is None else w[keep], n=n)
+
+
+def test_distributed_matches_local_quality(ray_session, monkeypatch):
+    """Both placements are local optima of the same objective: their
+    modularity must beat singletons and land within a small gap of each
+    other."""
+    from raphtory_ray.algorithms import louvain as L
+    gf = _random(11, 80, 600)
+    com_local = L.louvain(gf, 1.0)
     q_local = L.modularity(gf, com_local)
     monkeypatch.setattr(L, "_LOCAL_HALF_EDGES", 0)
-    com_dist = L.louvain(gf, 1.0, seed=5)
+    com_dist = L.louvain(gf, 1.0)
     q_dist = L.modularity(gf, com_dist)
     q0 = L.modularity(gf, np.arange(80, dtype=np.int64))
     assert q_dist > q0
     assert len(com_dist) == 80 and np.all(com_dist >= 0)
     assert q_dist >= q_local - 0.05
+
+
+@pytest.mark.parametrize("graph", [
+    "rand80", "cliques", "rand300_a", "rand300_b", "rand300_w_a",
+    "rand300_w_b"])
+def test_placement_gives_equal_labels(ray_session, monkeypatch, graph):
+    """One move rule and one aggregate at every size: the in-process levels
+    (default _LOCAL_HALF_EDGES) and task-per-partition levels (0) give the
+    same labels."""
+    from raphtory_ray.algorithms import louvain as L
+    gf, weight_col = {
+        "rand80": lambda: (_random(11, 80, 600), None),
+        "cliques": lambda: (_frame(*_planted()[:2]), None),
+        "rand300_a": lambda: (_random(21, 300, 2000), None),
+        "rand300_b": lambda: (_random(22, 300, 2000), None),
+        "rand300_w_a": lambda: (_random(23, 300, 2000, True), "w"),
+        "rand300_w_b": lambda: (_random(24, 300, 2000, True), "w"),
+    }[graph]()
+    local = L.louvain(gf, 1.0, weight_col=weight_col)
+    monkeypatch.setattr(L, "_LOCAL_HALF_EDGES", 0)
+    dist = L.louvain(gf, 1.0, weight_col=weight_col)
+    assert np.array_equal(local, dist)
 
 
 def test_distributed_modularity_matches_driver_formula(ray_session):

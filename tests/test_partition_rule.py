@@ -114,7 +114,7 @@ def _sessionize():
 def _louvain(monkeypatch):
     from raphtory_ray.algorithms import louvain as L
     monkeypatch.setattr(L, "_LOCAL_HALF_EDGES", 0)    # distributed levels
-    return L.louvain(_gf(2, n=80, m=600), 1.0, seed=5).tolist()
+    return L.louvain(_gf(2, n=80, m=600), 1.0).tolist()
 
 
 def _motifs():

@@ -129,17 +129,18 @@ def test_zero_weight_edges_terminate(ray_session):
 
 def test_sssp_paths_distributed_matches_local(ray_session):
     """single_source_shortest_path takes the distributed frontier route
-    above components._LOCAL_N; hop distances and path validity must match
-    the local BFS exactly (any shortest path satisfies the contract)."""
+    above components._LOCAL_N, from a GraphFrame and from a BspGraph of
+    the same edges; hop distances and path validity must match the local
+    BFS exactly (any shortest path satisfies the contract)."""
     from raphtory_ray.algorithms import single_source_shortest_path
     from raphtory_ray.algorithms import components as C
+    from raphtory_ray.state.shards import BspGraph
 
     rng = np.random.default_rng(9)
     n, m = C._LOCAL_N + 100, 40_000
     src = rng.integers(0, n, m)
     dst = rng.integers(0, n, m)
     gf = _frame(src, dst, np.ones(m), n)
-    paths = single_source_shortest_path(gf, 0)
 
     # local reference BFS hop distances
     dist = np.full(n, -1, np.int64)
@@ -160,13 +161,22 @@ def test_sssp_paths_distributed_matches_local(ray_session):
         frontier = nxt
 
     want = set(np.flatnonzero(dist >= 0).tolist())
-    assert set(paths) == want
     edge_set = set(zip(src.tolist(), dst.tolist()))
-    for v, chain in paths.items():
-        assert len(chain) - 1 == dist[v]          # shortest hop count
-        assert chain[0] == 0 and chain[-1] == v
-        for a, b in zip(chain, chain[1:]):        # every hop a real edge
-            assert (a, b) in edge_set
+    for g in (gf, BspGraph.from_arrays(src, dst, n)):
+        paths = single_source_shortest_path(g, 0)
+        assert set(paths) == want
+        for v, chain in paths.items():
+            assert len(chain) - 1 == dist[v]      # shortest hop count
+            assert chain[0] == 0 and chain[-1] == v
+            for a, b in zip(chain, chain[1:]):    # every hop a real edge
+                assert (a, b) in edge_set
+
+
+def test_bsp_graph_with_weight_col_raises(ray_session):
+    from raphtory_ray.state.shards import BspGraph
+    g = BspGraph.from_arrays(np.array([0, 1]), np.array([1, 2]), 3)
+    with pytest.raises(TypeError, match="unit weights"):
+        sssp_delta_stepping(g, 0, weight_col="w")
 
 
 def test_sssp_paths_cutoff_distributed(ray_session):
