@@ -1177,9 +1177,9 @@ def _q_user_props_sum(sf_dir: str) -> pa.Table:
     gf2 = gf.filter_exploded_edges(Prop("pk") > 50)
     # distributed combiner groupby-sum (round 5): the driver receives one
     # row per contributing vertex, not the event stream
-    from raphtory_ray.query.cypher import _hash_group_agg
-    agg = _hash_group_agg(gf2.edges.select_columns(["dst", "pk"]),
-                          ["dst"], "pk", "sum", "pk_sum")
+    from raphtory_ray.query.cypher import Agg, group_agg
+    agg = group_agg(gf2.edges.select_columns(["dst", "pk"]), ["dst"],
+                    [Agg("pk_sum", "sum", "pk")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
     vids = t["dst"].to_numpy(zero_copy_only=False)
     sums = t["pk_sum"].to_numpy(zero_copy_only=False)

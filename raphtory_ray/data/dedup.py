@@ -728,6 +728,14 @@ def embedding_matrix(col) -> np.ndarray:
     return vals[offs[0]:offs[-1]].reshape(-1, dim)
 
 
+def embedding_dim(ds) -> int:
+    """Length of the first row's embedding. ``take_all`` drains its
+    iterator; ``take_batch`` leaves a half-read one whose threads hold
+    block refs until garbage collection, and a ``ray.shutdown`` that
+    races them ends the process."""
+    return len(ds.limit(1).take_all()[0]["embedding"])
+
+
 def embedding_dedup(ds, threshold: float = 0.95, nbits: int = 12,
                     dim: int | None = None, max_bucket: int = 2000,
                     stats: dict | None = None):
@@ -742,8 +750,7 @@ def embedding_dedup(ds, threshold: float = 0.95, nbits: int = 12,
     brute-force oracle on the test corpus. ``stats`` receives
     ``lsh_dropped_candidates`` (see _report_dropped)."""
     if dim is None:
-        first = ds.take_batch(1, batch_format="pyarrow")
-        dim = embedding_matrix(first["embedding"]).shape[1]
+        dim = embedding_dim(ds)
     lsh = HyperplaneLSH(dim, nbits)
     h_ref = None
 

@@ -36,7 +36,7 @@ import ray
 
 from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
                                         shuffle, split_table)
-from raphtory_ray.data.dedup import embedding_matrix
+from raphtory_ray.data.dedup import embedding_dim, embedding_matrix
 
 __all__ = ["semantic_dedup", "seed_bank"]
 
@@ -65,8 +65,7 @@ def semantic_dedup(ds, n_seeds: int = 8, threshold: float = 0.9,
     identically (lowest seed index / strict vec_id order).
     """
     if dim is None:
-        first = ds.take_batch(1, batch_format="pyarrow")
-        dim = embedding_matrix(first["embedding"]).shape[1]
+        dim = embedding_dim(ds)
     S = seed_bank(dim, n_seeds, seed)
     qthr = int(round(threshold * quant))
 

@@ -18,9 +18,10 @@ idea expressed on Ray Data:
 - node properties resolve against the driver-resident ``vertices``
   dimension table, broadcast once via ``ray.put`` and gathered per batch
   with ``pc.index_in`` (never shuffled),
-- RETURN aggregates map to Ray Data ``groupby().aggregate()`` /
-  ``Dataset.aggregate`` partial+final combines; ORDER BY → ``ds.sort``;
-  LIMIT → ``ds.limit``.
+- every aggregate, DISTINCT and grouping is one hash aggregate
+  (``group_agg``): a per-block Arrow partial, one hash route on the
+  group keys, an Arrow combine + vectorized finalize per partition;
+  ORDER BY → ``ds.sort``; LIMIT → ``ds.limit``.
 
 Semantics match the reference transpiler, NOT full openCypher: bindings
 are edge EVENTS (the event table is the exploded edge list), and there
@@ -51,7 +52,10 @@ columns the query references before any shuffle.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -74,24 +78,40 @@ def _empty_from_schema(schema) -> pa.Table:
                      zip(schema.names, schema.types)})
 
 
+# every null key hashes as this integer does: a null group lands in one
+# partition whatever the column type of each block (Acero drops null
+# join keys, so a join may route them anywhere stable)
+_NULL_KEY = -(2 ** 62)
+
+
+def _key_hash(col) -> np.ndarray:
+    """uint64 hash per key value: splitmix64 of an integer, pandas'
+    hash_array of any other value (-0.0 as 0.0), one hash for null."""
+    col = col.combine_chunks()
+    if pa.types.is_integer(col.type):
+        return splitmix64(pc.fill_null(col.cast(pa.int64()), _NULL_KEY)
+                          .to_numpy(zero_copy_only=False))
+    x = col.to_numpy(zero_copy_only=False)
+    h = pd.util.hash_array(x + 0.0 if pa.types.is_floating(col.type)
+                           else x)
+    if col.null_count:
+        h[np.asarray(pc.is_null(col))] = splitmix64(
+            np.array([_NULL_KEY]))[0]
+    return h
+
+
 def _partition_ids(tbl: pa.Table, keys: list, P: int) -> np.ndarray:
     """Partition id per row — the ONE hash both the route and the skew
     count pass use (they must agree or the valve miscounts)."""
     h = np.zeros(tbl.num_rows, np.uint64)
     for k in keys:
-        col = tbl[k].combine_chunks().cast(pa.int64())
-        if col.null_count:
-            # null join keys (possible after OPTIONAL MATCH) never match;
-            # route them anywhere stable — Acero drops them in the join
-            col = pc.fill_null(col, -(2 ** 62))
-        h = h * GOLD ^ splitmix64(col.to_numpy(zero_copy_only=False)
-                                  .astype(np.int64))
+        h = h * GOLD ^ _key_hash(tbl[k])
     return (h % np.uint64(P)).astype(np.int64)
 
 
 @ray.remote
 def _route(tbl: pa.Table, P: int, keys: list):
-    """One block → P hash partitions on the int64 key columns."""
+    """One block → P hash partitions on the key columns."""
     return returns(split_table(tbl, _partition_ids(tbl, keys, P), P))
 
 
@@ -773,20 +793,26 @@ def _apply_where(ds, pending: list, bound: set, ctx: _Ctx):
     ready = [t for t, vs in pending if vs <= bound]
     rest = [(t, vs) for t, vs in pending if not vs <= bound]
     if ready:
-        fns = [_compile_expr(t, ctx) for t in ready]
-
-        def filt(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return b
-            m = None
-            for f in fns:
-                v = _as_mask(f(b), b.num_rows)
-                m = v if m is None else pc.and_kleene(m, v)
-            return b.filter(pc.fill_null(m, False))
-
-        ds = ds.map_batches(filt, batch_format="pyarrow",
+        ds = ds.map_batches(_row_filter(ready, ctx), batch_format="pyarrow",
                             zero_copy_batch=True)
     return ds, rest
+
+
+def _row_filter(terms: list, ctx: _Ctx):
+    """WHERE terms → one block function keeping the rows where every term
+    holds (null counts as false)."""
+    fns = [_compile_expr(t, ctx) for t in terms]
+
+    def filt(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:
+            return b
+        m = None
+        for f in fns:
+            v = _as_mask(f(b), b.num_rows)
+            m = v if m is None else pc.and_kleene(m, v)
+        return b.filter(pc.fill_null(m, False))
+
+    return filt
 
 
 def _node_filters(npat, var: str, ctx: _Ctx) -> list:
@@ -1041,7 +1067,7 @@ def _varlen_hop(gf, ep, sv: str, dv: str, ctx: _Ctx, pending: list,
         if hopcol is not None:
             # min hop count per pair — a pair found at level 2 may
             # reappear at level 3; shortest wins (BFS level)
-            ds = _hash_group_agg(u, [sv, inner], hopcol, "min", hopcol)
+            ds = group_agg(u, [sv, inner], [Agg(hopcol, "min", hopcol)])
         else:
             ds = _distinct(u, [sv, inner])
     if inner != dv:                        # (a)-[*..k]->(a): close cycle
@@ -1052,7 +1078,7 @@ def _varlen_hop(gf, ep, sv: str, dv: str, ctx: _Ctx, pending: list,
         ds = ds.map_batches(close, batch_format="pyarrow",
                             zero_copy_batch=True)
         if hopcol is not None:
-            ds = _hash_group_agg(ds, [sv], hopcol, "min", hopcol)
+            ds = group_agg(ds, [sv], [Agg(hopcol, "min", hopcol)])
             hint = pa.table({sv: pa.array([], pa.int64()),
                              hopcol: pa.array([], pa.int64())})
         else:
@@ -1492,7 +1518,6 @@ def _agg_input_expr(f):
 
 
 def _pct_param(f) -> float:
-    from raphtory_ray.query.parser import Lit
     if not isinstance(f.arg, list) or len(f.arg) != 2 \
             or not isinstance(f.arg[1], Lit):
         raise SyntaxError(f"{f.name}() needs a literal percentile")
@@ -1502,21 +1527,66 @@ def _pct_param(f) -> float:
     return p
 
 
-
 def _is_agg(e) -> bool:
     return isinstance(e, Func) and e.name in _AGG_FNS
 
 
-def _project_and_finish(ds, q: Query, ctx: _Ctx,
-                        hint: pa.Table | None = None):
-    """RETURN items → final columns; aggregates via Ray partial+final;
-    DISTINCT via groupby-first; ORDER BY via ds.sort; LIMIT via
-    ds.limit. ``hint`` = empty bindings table carrying the schema: Ray
-    skips map fns on empty blocks, so a fully-empty binding set reaches
-    here schemaless — unioning one locally-projected empty block
-    guarantees the output schema without probing (a schema fetch would
-    pre-execute the plan)."""
+def _projection(named: list, ctx: _Ctx):
+    """(name, expr) pairs → one block function building those columns.
+    A literal is typed FROM THE VALUE even on an empty block —
+    pa.array([]) would be null-typed, and this also runs on the empty
+    schema hint, whose columns must agree with every data block. With no
+    columns the block keeps its row count (a global count(*))."""
+    fns = [(name, _compile_expr(e, ctx)) for name, e in named]
+
+    def project(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        cols = {}
+        for name, f in fns:
+            v = f(b)
+            if not isinstance(v, (pa.Array, pa.ChunkedArray)):
+                v = pa.array([v]).slice(0, 0) if n == 0 \
+                    else pa.array([v] * n)
+            cols[name] = v
+        return pa.table(cols) if cols else b.select([])
+
+    return project
+
+
+def _group_rows(ds, proj: list, aggs: list, distinct: bool, ctx: _Ctx,
+                hint: pa.Table):
+    """The rows of a RETURN or WITH: the (name, expr) columns of ``proj``
+    plus each aggregate's input, grouped by the ``proj`` columns through
+    group_agg when there are aggregates or DISTINCT. Returns (ds, empty
+    table of the output schema). ``hint`` = empty bindings table carrying
+    the schema: Ray skips map fns on empty blocks, so a fully-empty
+    binding set reaches here schemaless — its projection gives the
+    output schema without probing (a schema fetch would pre-execute the
+    plan)."""
     import ray.data as rd
+    names = [name for name, _ in proj]
+    specs = []
+    inputs = []
+    for i, it in enumerate(aggs):
+        f: Func = it.expr
+        col = None
+        if f.arg is not None:
+            col = f"__agg{i}"
+            inputs.append((col, _agg_input_expr(f)))
+        specs.append(Agg(_out_name(it), f.name, col, f.distinct,
+                         _pct_param(f) if f.name in _PCT_FNS else 0.0))
+    project = _projection(proj + inputs, ctx)
+    phint = project(hint)
+    if specs or distinct:
+        out = _agg_final(_agg_partial(phint, names, specs), names, specs)
+        return group_agg(ds, names, specs, phint, project), out.slice(0, 0)
+    ds = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    return ds.union(rd.from_arrow(phint)), phint
+
+
+def _project_and_finish(ds, q: Query, ctx: _Ctx, hint: pa.Table):
+    """RETURN items → final columns (_group_rows: aggregates, DISTINCT);
+    ORDER BY via ds.sort; LIMIT via ds.limit."""
     aggs = [it for it in q.items if _is_agg(it.expr)]
     keys = [it for it in q.items if not _is_agg(it.expr)]
 
@@ -1550,7 +1620,6 @@ def _project_and_finish(ds, q: Query, ctx: _Ctx,
         e = it.expr
         if isinstance(e, Var) and e.name in ctx.edge_vars:
             cols = []
-            pref = f"{e.name}__"
             cols.append((f"{e.name}.src", Prop(e.name, "src")))
             cols.append((f"{e.name}.dst", Prop(e.name, "dst")))
             for c in ctx.edge_cols:
@@ -1565,48 +1634,8 @@ def _project_and_finish(ds, q: Query, ctx: _Ctx,
     proj: list = []
     for it in keys:
         proj.extend(_expand(it, ctx))
-    for h, e in hidden:
-        proj.append((h, e))
-    agg_inputs: list = []
-    for i, it in enumerate(aggs):
-        f: Func = it.expr
-        if f.arg is not None:
-            agg_inputs.append((f"__agg{i}", _agg_input_expr(f)))
-
-    fns = [(name, _compile_expr(e, ctx)) for name, e in proj + agg_inputs]
-    # global aggregates need an explicit count column: Ray 2.49's
-    # Dataset.aggregate(Count()) without `on=` always returns 0 (the
-    # grouped form is fine) — Count(on="__rows") counts correctly
-    global_agg = bool(aggs) and not keys
-
-    def project(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        cols = {}
-        for name, f in fns:
-            v = f(b)
-            if not isinstance(v, (pa.Array, pa.ChunkedArray)):
-                # type literal columns FROM THE VALUE even when n == 0 —
-                # pa.array([]) would be null-typed, and this also runs on
-                # the empty schema hint, so a null-typed hint column would
-                # disagree with every real data block downstream
-                v = pa.array([v]).slice(0, 0) if n == 0 \
-                    else pa.array([v] * n)
-            cols[name] = v
-        if global_agg or not cols:
-            cols["__rows"] = pa.array(np.zeros(n, np.int8))
-        return pa.table(cols)
-
-    ds = ds.map_batches(project, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    phint = project(hint) if hint is not None else None
-    if phint is not None:
-        ds = ds.union(rd.from_arrow(phint))
-    key_names = [name for name, _ in proj if not name.startswith("__ord")]
-
-    if aggs:
-        ds = _aggregate(ds, q, aggs, key_names, ctx, phint)
-    elif q.distinct:
-        ds = _distinct(ds, key_names + [h for h, _ in hidden])
+    ds, _hint = _group_rows(ds, proj + hidden, aggs, q.distinct, ctx, hint)
+    key_names = [name for name, _ in proj]
 
     if order_cols:
         ds = ds.sort(order_cols,
@@ -1628,167 +1657,6 @@ def _project_and_finish(ds, q: Query, ctx: _Ctx,
     out_names = key_names if not aggs else \
         key_names + [_out_name(it) for it in aggs]
     return ds, out_names
-
-
-@ray.remote
-def _distinct_part(cols: list, *parts: pa.Table) -> pa.Table:
-    t = pa.concat_tables(list(parts), promote_options="default")
-    if t.num_rows == 0:
-        return t.select(cols)
-    return t.select(cols).group_by(cols).aggregate([])
-
-
-@ray.remote
-def _agg_part(cols: list, val: str, fn: str, alias: str,
-              *parts: pa.Table) -> pa.Table:
-    t = pa.concat_tables(list(parts), promote_options="default")
-    g = t.group_by(cols).aggregate([(val, fn)])
-    g = g.rename_columns([alias if c == f"{val}_{fn}" else c
-                          for c in g.column_names])
-    return g.select(cols + [alias])
-
-
-def _int_keys(ds, cols: list) -> bool:
-    """True iff every key column is integer-typed (eligible for the
-    splitmix `_route` fast path, which casts keys to int64). A lost
-    schema or a missing key column is not integer-keyed."""
-    schema = ds.schema()
-    if schema is None:
-        return False
-    types = dict(zip(schema.names, schema.types))
-    return all(c in types and pa.types.is_integer(types[c]) for c in cols)
-
-
-def route_fanout(mat, keys: list, task, task_args: tuple = ()):
-    """MATERIALIZED Dataset → one ``task(*task_args, *pieces)`` per hash
-    partition of the int64 ``keys`` (the join's `_route` tasks; partition
-    count from exchange.num_partitions at CYPHER_ROWS_PER_PARTITION — the
-    shared fan-out behind `_distinct`, `_hash_group_agg` and the
-    co-purchase pair derivation). Returns the list of result refs, or None when every
-    block is empty."""
-    rows = mat._block_num_rows()
-    refs = [r for r, c in zip(mat.to_arrow_refs(), rows) if c]
-    if not refs:
-        return None
-    P = num_partitions(sum(rows), per=CYPHER_ROWS_PER_PARTITION)
-    return [task.remote(*task_args, *col)
-            for col in shuffle(_route, refs, P, keys)]
-
-
-def _empty_agg(schema, cols: list, val: str, alias: str) -> pa.Table:
-    """Empty aggregate result with the key and value types of ``schema``,
-    or int64 columns when the schema is lost (None: Ray skips map fns on
-    empty blocks, so an all-empty local pass has no schema) or lacks one
-    of the columns."""
-    if schema is not None and set(cols + [val]) <= set(schema.names):
-        types = dict(zip(schema.names, schema.types))
-    else:
-        types = dict.fromkeys(cols + [val], pa.int64())
-    z = {c: pa.array([], types[c]) for c in cols}
-    z[alias] = pa.array([], types[val])
-    return pa.table(z)
-
-
-def _hash_group_agg(ds, cols: list, val: str, fn: str, alias: str,
-                    typed=None):
-    """Grouped decomposable aggregate (fn ∈ sum/min/max — combine of
-    partials equals the total): per-block partial (combiner — the shuffle
-    moves one row per distinct key per block), then for all-integer keys
-    one raw hash-route + per-partition Arrow aggregate — the join's
-    `_route` tasks, no sort exchange. Falls back to Ray's groupby for
-    non-integer keys. ``typed()``, when given, is the schema of ``ds``
-    for an all-empty input whose lazy passes lost it."""
-    import ray.data as rd
-
-    def local(b: pa.Table) -> pa.Table:
-        g = b.select(cols + [val]).group_by(cols).aggregate([(val, fn)])
-        return g.rename_columns([val if c == f"{val}_{fn}" else c
-                                 for c in g.column_names])
-
-    pre = ds.map_batches(local, batch_format="pyarrow",
-                         zero_copy_batch=True).materialize()
-    if not any(pre._block_num_rows()):
-        schema = pre.schema()
-        if schema is None:            # the local pass lost it; the input
-            schema = ds.schema()      # may still carry the types
-        if schema is None and typed is not None:
-            schema = typed()
-        return rd.from_arrow(_empty_agg(schema, cols, val, alias))
-    if not _int_keys(pre, cols):
-        from ray.data.aggregate import Max, Min, Sum
-        agg = {"sum": Sum, "min": Min, "max": Max}[fn](val)
-
-        def rn(b: pa.Table) -> pa.Table:
-            g = b.rename_columns([alias if c == f"{fn}({val})" else c
-                                  for c in b.column_names])
-            return g.select(cols + [alias])
-        return pre.groupby(cols).aggregate(agg) \
-            .map_batches(rn, batch_format="pyarrow", zero_copy_batch=True)
-    return rd.from_arrow_refs(
-        route_fanout(pre, cols, _agg_part, (cols, val, fn, alias)))
-
-
-def group_count(ds, cols: list, alias: str = "n"):
-    """COUNT(*) grouped by key columns — per-block partial counts then
-    the `_hash_group_agg` sum combine."""
-    def local(b: pa.Table) -> pa.Table:
-        g = b.select(cols).group_by(cols).aggregate([([], "count_all")])
-        g = g.rename_columns(["__cnt" if c == "count_all" else c
-                              for c in g.column_names])
-        return g.select(cols + ["__cnt"])
-
-    def typed():                      # the count pass's schema
-        schema = ds.schema()
-        return None if schema is None else pa.schema(
-            [*zip(schema.names, schema.types), ("__cnt", pa.int64())])
-
-    pre = ds.map_batches(local, batch_format="pyarrow",
-                         zero_copy_batch=True)
-    return _hash_group_agg(pre, cols, "__cnt", "sum", alias, typed)
-
-
-def _distinct(ds, cols: list):
-    """DISTINCT over ``cols``: per-block Arrow group_by dedup (combiner —
-    shrinks the shuffle to distinct-per-block), then for all-integer keys
-    ONE raw hash-route + per-partition Arrow dedup (same `_route` tasks
-    as the join; partition count sized to rows like the join's auto-P),
-    else Ray's groupby-Count (sort exchange). Never groupby().map_groups,
-    which dispatches a Python UDF once PER GROUP (one call per distinct
-    row here)."""
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    def local(b: pa.Table) -> pa.Table:
-        return b.select(cols).group_by(cols).aggregate([])
-
-    pre = ds.map_batches(local, batch_format="pyarrow",
-                         zero_copy_batch=True).materialize()
-    if not any(pre._block_num_rows()):
-        return pre
-    if not _int_keys(pre, cols):
-        return pre.groupby(cols).aggregate(Count()).select_columns(cols)
-    return rd.from_arrow_refs(route_fanout(pre, cols, _distinct_part,
-                                           (cols,)))
-
-
-def _agg_hint(phint: pa.Table, aggs: list, key_names: list) -> pa.Table:
-    """Empty table with the post-aggregation schema (key columns + one
-    typed column per aggregate) — the carry hint for the segment after a
-    WITH with aggregates."""
-    cols = {k: phint[k] for k in key_names}
-    for i, it in enumerate(aggs):
-        f: Func = it.expr
-        name = _out_name(it)
-        if f.name == "count":
-            t = pa.int64()
-        elif f.name in ("avg", "stdev", "stdevp"):
-            t = pa.float64()
-        elif f.name == "collect":
-            t = pa.list_(phint[f"__agg{i}"].type)
-        else:                          # sum/min/max keep the input type
-            t = phint[f"__agg{i}"].type
-        cols[name] = pa.array([], t)
-    return pa.table(cols)
 
 
 def _apply_with(ds, wc, ctx: _Ctx, hint: pa.Table):
@@ -1818,47 +1686,8 @@ def _apply_with(ds, wc, ctx: _Ctx, hint: pa.Table):
             new_nodes.add(name)        # node-id passthrough (maybe aliased)
         else:
             new_cols.add(name)
-    agg_inputs: list = []
-    for i, it in enumerate(aggs):
-        f: Func = it.expr
-        if f.arg is not None:
-            agg_inputs.append((f"__agg{i}", _agg_input_expr(f)))
-        new_cols.add(_out_name(it))
-
-    fns = [(name, _compile_expr(e, ctx)) for name, e in proj + agg_inputs]
-    global_agg = bool(aggs) and not keys
-
-    def project(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        cols = {}
-        for name, f in fns:
-            v = f(b)
-            if not isinstance(v, (pa.Array, pa.ChunkedArray)):
-                # type literal columns FROM THE VALUE even when n == 0 —
-                # pa.array([]) would be null-typed, and this also runs on
-                # the empty schema hint, so a null-typed hint column would
-                # disagree with every real data block downstream
-                v = pa.array([v]).slice(0, 0) if n == 0 \
-                    else pa.array([v] * n)
-            cols[name] = v
-        if global_agg or not cols:
-            cols["__rows"] = pa.array(np.zeros(n, np.int8))
-        return pa.table(cols)
-
-    ds = ds.map_batches(project, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    phint = project(hint)
-    ds = ds.union(rd.from_arrow(phint))
-    key_names = [name for name, _ in proj]
-
-    if aggs:
-        ds = _aggregate(ds, None, aggs, key_names, ctx, phint)
-        hint2 = _agg_hint(phint, aggs, key_names)
-    elif wc.distinct:
-        ds = _distinct(ds, key_names)
-        hint2 = phint
-    else:
-        hint2 = phint
+    new_cols |= {_out_name(it) for it in aggs}
+    ds, hint2 = _group_rows(ds, proj, aggs, wc.distinct, ctx, hint)
 
     ctx.node_vars |= new_nodes
     ctx.col_vars |= new_cols
@@ -1871,296 +1700,254 @@ def _apply_with(ds, wc, ctx: _Ctx, hint: pa.Table):
             if missing:
                 raise KeyError(f"WITH ... WHERE references names not "
                                f"projected by the WITH: {sorted(missing)}")
-        filt_fns = [_compile_expr(t, ctx) for t in terms]
-
-        def filt(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return b
-            m = None
-            for f in filt_fns:
-                v = _as_mask(f(b), b.num_rows)
-                m = v if m is None else pc.and_kleene(m, v)
-            return b.filter(pc.fill_null(m, False))
-
-        ds = ds.map_batches(filt, batch_format="pyarrow",
-                            zero_copy_batch=True).union(
-                                rd.from_arrow(hint2))
+        ds = ds.map_batches(_row_filter(terms, ctx), batch_format="pyarrow",
+                            zero_copy_batch=True).union(rd.from_arrow(hint2))
     return ds, visible, hint2
 
 
-def _aggregate(ds, q: Query, aggs: list, key_names: list, ctx: _Ctx,
-               phint: pa.Table | None = None):
-    from ray.data.aggregate import Count, Max, Mean, Min, Sum
+# ----------------------------------------------------------- aggregation
+#
+# One path serves every aggregate, DISTINCT and GROUP-BY count: a
+# per-block Arrow partial in the map stage, one hash route on the group
+# keys (route_fanout), and one final task per partition that combines
+# the partials with Arrow's group_by and finalizes vectorized — the
+# partial/combine split of decomposable aggregates. A global aggregate is
+# the same path at P = 1.
+
+class Agg(NamedTuple):
+    """One aggregate: output column, function (a key of _DECOMPOSABLE or
+    one of _LIST_FNS), input column (None: count(*)), DISTINCT, and the
+    percentile of percentileCont/Disc."""
+    name: str
+    fn: str
+    col: str | None = None
+    distinct: bool = False
+    p: float = 0.0
+
+
+# fn → its partials, each (input, Arrow partial aggregate, Arrow combine).
+# Input "x" is the value column, "xx" its float64 square: stDev/stDevP is
+# the (n, Σx, Σx²) closed form.
+_DECOMPOSABLE = {
+    "count": [("x", "count", "sum")],
+    "sum": [("x", "sum", "sum")],
+    "min": [("x", "min", "min")],
+    "max": [("x", "max", "max")],
+    "avg": [("x", "sum", "sum"), ("x", "count", "sum")],
+    "stdev": [("x", "count", "sum"), ("x", "sum", "sum"),
+              ("xx", "sum", "sum")],
+}
+_DECOMPOSABLE["stdevp"] = _DECOMPOSABLE["stdev"]
+
+# these keep the group's values (an Arrow "list" partial), as does
+# DISTINCT in any aggregate (a "distinct" partial); the final task
+# finishes them from the values
+_LIST_FNS = ("collect",) + _PCT_FNS
+
+
+def _partials(a: Agg) -> list:
+    """(input column, Arrow partial, combine) of each partial of ``a``;
+    a list partial has no combine."""
+    if a.distinct or a.fn in _LIST_FNS:
+        return [(a.col, "distinct" if a.distinct else "list", None)]
+    if a.col is None:                          # count(*)
+        return [([], "count_all", "sum")]
+    return [(a.col if x == "x" else a.col + "__xx", f, c)
+            for x, f, c in _DECOMPOSABLE[a.fn]]
+
+
+def _pname(src, fn: str) -> str:
+    """Arrow's name for the output of aggregate ``fn`` over ``src``."""
+    return fn if src == [] else f"{src}_{fn}"
+
+
+def _agg_partial(b: pa.Table, keys: list, aggs: list) -> pa.Table:
+    """One block → one row per group of ``keys`` with every partial of
+    ``aggs`` (a global aggregate groups on a constant ``__g``)."""
+    if not keys:
+        b = b.append_column("__g", pa.array(np.zeros(b.num_rows, np.int8)))
+    specs = {}
+    for a in aggs:
+        for src, f, _c in _partials(a):
+            if isinstance(src, str) and src.endswith("__xx") \
+                    and src not in b.column_names:
+                x = pc.cast(b[a.col], pa.float64())
+                b = b.append_column(src, pc.multiply(x, x))
+            specs[_pname(src, f)] = (src, f)
+    return b.group_by(keys or ["__g"], use_threads=False) \
+        .aggregate(list(specs.values()))
+
+
+def _agg_final(t: pa.Table, keys: list, aggs: list) -> pa.Table:
+    """Partials of whole groups → one row per group (``keys`` + one
+    column per aggregate): Arrow's group_by combines the partials, each
+    list partial is read back as its groups' values. A global aggregate
+    of no rows is the one openCypher row: count and sum 0, collect [],
+    avg/min/max/percentiles null, stDev 0.0."""
+    combine = {_pname(s, f): c for a in aggs for s, f, c in _partials(a)
+               if c is not None}
+    spec = list(combine.items())
+    lists = any(c is None for a in aggs for _s, _f, c in _partials(a))
+    if lists:
+        t = t.append_column("__r", pa.array(np.arange(t.num_rows)))
+        spec.append(("__r", "list"))
+    g = t.group_by(keys or ["__g"], use_threads=False).aggregate(spec)
+    if not keys and g.num_rows == 0:
+        g = pa.table({f.name: pa.nulls(1, f.type) for f in g.schema})
+    out = {k: g[k] for k in keys}
+    if lists:                 # each group's partial rows, group by group
+        rows = g["__r_list"]
+        row_group = pc.list_parent_indices(rows)
+        rows = pc.list_flatten(rows)
+    for a in aggs:
+        parts = _partials(a)
+        src, f, c = parts[0]
+        if c is None:
+            vals = t[_pname(src, f)].take(rows)
+            gid = row_group.take(pc.list_parent_indices(vals))
+            out[a.name] = _finish_values(a, pc.list_flatten(vals), gid,
+                                         g.num_rows, not keys)
+        else:
+            out[a.name] = _finish(a.fn, [g[f"{_pname(s, f)}_{c}"]
+                                         for s, f, c in parts], not keys)
+    return pa.table(out)
+
+
+def _finish(fn: str, c: list, glob: bool):
+    """A decomposable aggregate from its combined partials ``c``."""
+    if fn == "count":
+        return pc.fill_null(c[0], 0)
+    if fn == "sum":                # openCypher: a global sum of none is 0
+        return pc.fill_null(c[0], 0) if glob else c[0]
+    if fn in ("min", "max"):
+        return c[0]
+    if fn == "avg":
+        return pc.divide(pc.cast(c[0], pa.float64()),
+                         pc.cast(c[1], pa.float64()))
+    # sqrt((n·Σx² − (Σx)²) / (n·(n−ddof))): on integral inputs every
+    # partial is an exact float64 integer, so the result is bit-identical
+    # to any engine evaluating the same closed form (sub/mul exact, div
+    # and sqrt correctly rounded). Neo4j: n ≤ ddof → 0.0.
+    ddof = 1 if fn == "stdev" else 0
+    n = np.asarray(pc.fill_null(c[0], 0), np.float64)
+    s1, s2 = (np.asarray(pc.fill_null(pc.cast(x, pa.float64()), 0.0))
+              for x in c[1:])
+    den = n * (n - ddof)
+    num = np.maximum(n * s2 - s1 * s1, 0.0)
+    return pa.array(np.where(den > 0, np.sqrt(num / np.where(den > 0, den,
+                                                              1.0)), 0.0),
+                    pa.float64())
+
+
+def _finish_values(a: Agg, v, gid, G: int, glob: bool):
+    """A list-partial aggregate from its values ``v`` and their group
+    index ``gid`` (G groups): nulls dropped (openCypher aggregates skip
+    them), DISTINCT deduped, then collect sorts ascending (openCypher
+    leaves the order open; a fixed one is reproducible and
+    oracle-checkable), the percentiles read ranks, and any other function
+    runs as its own partial over the values."""
+    t = pa.table({"g": gid, "v": v}).filter(pc.is_valid(v))
+    if a.distinct:
+        t = t.group_by(["g", "v"], use_threads=False).aggregate([])
+    if a.fn in _LIST_FNS:
+        if a.fn != "collect":
+            t = t.set_column(1, "v", pc.cast(t["v"], pa.float64()))
+        t = t.sort_by([("g", "ascending"), ("v", "ascending")])
+        offs = np.r_[0, np.cumsum(np.bincount(
+            np.asarray(t["g"], np.int64), minlength=G))]
+        x = t["v"].combine_chunks()
+        if a.fn == "collect":
+            return pa.ListArray.from_arrays(pa.array(offs, pa.int32()), x)
+        return _percentile(a, np.asarray(x), offs)
+    plain = a._replace(col="v", distinct=False)
+    gt = _agg_partial(t, ["g"], [plain])
+    pos = np.full(G, -1, np.int64)
+    pos[np.asarray(gt["g"], np.int64)] = np.arange(gt.num_rows)
+    idx = pa.array(pos, mask=pos < 0)
+    return _finish(a.fn, [gt[_pname(s, f)].take(idx)
+                          for s, f, _c in _partials(plain)], glob)
+
+
+def _percentile(a: Agg, x: np.ndarray, offs: np.ndarray) -> pa.Array:
+    """Neo4j semantics over each group's sorted values x[offs[i]:offs[i+1]]:
+    percentileCont interpolates linearly at rank p·(n−1); percentileDisc
+    is the nearest rank (the smallest value with cumulative share ≥ p).
+    An empty group is null."""
+    n = np.diff(offs)
+    has = n > 0
+    start, m = offs[:-1][has], n[has]
+    out = np.zeros(len(n))
+    if a.fn == "percentilecont":
+        r = a.p * (m - 1)
+        lo, hi = np.floor(r).astype(np.int64), np.ceil(r).astype(np.int64)
+        out[has] = x[start + lo] + (x[start + hi] - x[start + lo]) * (r - lo)
+    else:
+        out[has] = x[start + np.maximum(np.ceil(a.p * m).astype(np.int64),
+                                        1) - 1]
+    return pa.array(out, pa.float64(), mask=~has)
+
+
+@ray.remote
+def _agg_task(keys: list, aggs: list, *parts: pa.Table) -> pa.Table:
+    return _agg_final(pa.concat_tables(list(parts),
+                                       promote_options="default"),
+                      keys, aggs)
+
+
+def route_fanout(mat, keys: list, task, task_args: tuple = ()):
+    """MATERIALIZED Dataset → one ``task(*task_args, *pieces)`` per hash
+    partition of ``keys`` (any Arrow types; the join's `_route` tasks;
+    partition count from exchange.num_partitions at
+    CYPHER_ROWS_PER_PARTITION, one without keys) — the fan-out behind
+    group_agg and the co-purchase pair derivation. Returns the list of
+    result refs, or None when every block is empty."""
+    rows = mat._block_num_rows()
+    refs = [r for r, c in zip(mat.to_arrow_refs(), rows) if c]
+    if not refs:
+        return None
+    P = num_partitions(sum(rows), per=CYPHER_ROWS_PER_PARTITION) \
+        if keys else 1
+    cols = shuffle(_route, refs, P, keys) if P > 1 else [refs]
+    return [task.remote(*task_args, *col) for col in cols]
+
+
+def group_agg(ds, keys: list, aggs: list, hint: pa.Table | None = None,
+              project=None):
+    """Aggregates ``aggs`` (Agg rows) of a Dataset grouped by ``keys``
+    (global without keys) → Dataset of ``keys`` + one column per
+    aggregate; with no aggregates, the distinct ``keys`` rows. One map
+    stage runs ``project`` (if given) and the per-block partial — Ray
+    drops a zero-column block between stages, and a global count(*)
+    projects none — then route_fanout runs one final task per hash
+    partition. ``hint`` = an
+    empty table of the partial's input columns: an all-empty input gets
+    the final's result over it (default: ``ds``'s schema, int64 columns
+    where it is lost — Ray skips map fns on empty blocks)."""
     import ray.data as rd
 
-    distinct_aggs = [it for it in aggs if it.expr.distinct]
-    if distinct_aggs and not (len(aggs) == 1
-                              and aggs[0].expr.name == "count"):
-        # DISTINCT inside any other aggregate (or mixed with others):
-        # per-group exact path — the group's values dedupe in-task
-        # before aggregating (round 5; Neo4j allows DISTINCT in every
-        # aggregating function). The lone count(DISTINCT) keeps its
-        # fully-distributed distinct+sum fast path below.
-        return _aggregate_with_collect(ds, aggs, key_names, phint)
-    if distinct_aggs:
-        it = aggs[0]
-        dcol = "__agg0"
-        ds = _distinct(ds, key_names + [dcol])
-        # openCypher/SQL count(DISTINCT x) EXCLUDES nulls; the distinct
-        # pass keeps one null-keyed row per group, so count the non-null
-        # indicator instead of rows (an all-null group still appears,
-        # with 0 — matching SQL GROUP BY semantics)
-        nn = "__nn"
+    def partial(b: pa.Table) -> pa.Table:
+        return _agg_partial(project(b) if project else b, keys, aggs)
 
-        def mark(b: pa.Table, _d=dcol, _n=nn) -> pa.Table:
-            return b.append_column(
-                _n, pc.is_valid(b[_d]).cast(pa.int64()))
-
-        ds = ds.map_batches(mark, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        if key_names:
-            out = ds.groupby(key_names).aggregate(
-                Sum(nn, alias_name=_out_name(it)))
-            return out
-        n = ds.sum(nn) or 0
-        return rd.from_arrow(pa.table({_out_name(it):
-                                       pa.array([n], pa.int64())}))
-
-    if any(it.expr.name in ("collect", "percentilecont", "percentiledisc")
-           for it in aggs):
-        return _aggregate_with_collect(ds, aggs, key_names, phint)
-
-    # stDev/stDevP decompose as (n, Σx, Σx²) — three Sum/Count combines
-    # feeding sqrt((n·Σx² − (Σx)²) / (n·(n−ddof))) in ONE finalize pass.
-    # On integral inputs every partial is an exact float64 integer, so
-    # the result is bit-identical to any engine evaluating the same
-    # closed form (libm-free: sub/mul exact, div and sqrt correctly
-    # rounded). Neo4j semantics: n ≤ ddof (empty group / single sample
-    # for stDev) → 0.0.
-    sd_plan = [(i, _out_name(it), 1 if it.expr.name == "stdev" else 0)
-               for i, it in enumerate(aggs)
-               if it.expr.name in ("stdev", "stdevp")]
-    if sd_plan:
-        sq = [f"__agg{i}" for i, _, _ in sd_plan]
-
-        def add_squares(b: pa.Table, _sq=sq) -> pa.Table:
-            for c in _sq:
-                x = pc.cast(b[c], pa.float64())
-                b = b.append_column(c + "q", pc.multiply(x, x))
-            return b
-
-        ds = ds.map_batches(add_squares, batch_format="pyarrow",
-                            zero_copy_batch=True)
-
-    specs = []
-    for i, it in enumerate(aggs):
-        f: Func = it.expr
-        name = _out_name(it)
-        col = f"__agg{i}"
-        if f.name in ("stdev", "stdevp"):
-            specs.append(Sum(col, alias_name=f"__sd_s1_{i}"))
-            specs.append(Sum(col + "q", alias_name=f"__sd_s2_{i}"))
-            specs.append(Count(on=col, ignore_nulls=True,
-                               alias_name=f"__sd_n_{i}"))
-        elif f.name == "count":
-            if f.arg is None:
-                specs.append(Count(alias_name=name) if key_names else
-                             Count(on="__rows", ignore_nulls=False,
-                                   alias_name=name))
-            else:
-                specs.append(Count(on=col, ignore_nulls=True,
-                                   alias_name=name))
-        elif f.name == "sum":
-            specs.append(Sum(col, alias_name=name))
-        elif f.name == "avg":
-            specs.append(Mean(col, alias_name=name))
-        elif f.name == "min":
-            specs.append(Min(col, alias_name=name))
-        elif f.name == "max":
-            specs.append(Max(col, alias_name=name))
-        else:
-            raise NotImplementedError(f"aggregate {f.name}()")
-
-    if key_names:
-        out = ds.groupby(key_names).aggregate(*specs)
-        if sd_plan:
-            order = key_names + [_out_name(it) for it in aggs]
-            out = out.map_batches(
-                lambda b, _o=order: _finish_stdev(b, sd_plan).select(_o),
-                batch_format="pyarrow", zero_copy_batch=True)
-        return out
-    res = ds.aggregate(*specs)
-    cols = {}
-    for i, it in enumerate(aggs):
-        name = _out_name(it)
-        if it.expr.name in ("stdev", "stdevp"):
-            ddof = 1 if it.expr.name == "stdev" else 0
-            n = res.get(f"__sd_n_{i}") or 0
-            s1 = res.get(f"__sd_s1_{i}") or 0.0
-            s2 = res.get(f"__sd_s2_{i}") or 0.0
-            den = n * (n - ddof)
-            v = float(np.sqrt(max(n * s2 - s1 * s1, 0.0) / den)) \
-                if den > 0 else 0.0
-            cols[name] = pa.array([v], pa.float64())
-        else:
-            v = res.get(name)
-            if v is None and it.expr.name in ("count", "sum"):
-                # openCypher: count/sum of no rows = 0 (typed, not a
-                # null-typed column — same rule the collect path applies)
-                v = 0
-            cols[name] = pa.array([v]) if v is not None \
-                else pa.array([None], pa.float64())
-    return rd.from_arrow(pa.table(cols))
+    pre = ds.map_batches(partial, batch_format="pyarrow",
+                         zero_copy_batch=True).materialize()
+    refs = route_fanout(pre, keys, _agg_task, (keys, aggs))
+    if refs is not None:
+        return rd.from_arrow_refs(refs)
+    if hint is None:
+        schema = ds.schema()
+        types = dict(zip(schema.names, schema.types)) if schema else {}
+        hint = pa.table({c: pa.array([], types.get(c, pa.int64()))
+                         for c in keys + [a.col for a in aggs if a.col]})
+    return rd.from_arrow(_agg_final(_agg_partial(hint, keys, aggs), keys,
+                                    aggs))
 
 
-def _finish_stdev(b: pa.Table, plan: list) -> pa.Table:
-    """Turn the (n, Σx, Σx²) combine columns into the stdev column(s)
-    and drop the scaffolding. All-null groups have Sum = null → 0."""
-    for i, name, ddof in plan:
-        n = b[f"__sd_n_{i}"].to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        s1 = pc.fill_null(pc.cast(b[f"__sd_s1_{i}"], pa.float64()),
-                          0.0).to_numpy(zero_copy_only=False)
-        s2 = pc.fill_null(pc.cast(b[f"__sd_s2_{i}"], pa.float64()),
-                          0.0).to_numpy(zero_copy_only=False)
-        den = n * (n - ddof)
-        num = np.maximum(n * s2 - s1 * s1, 0.0)
-        res = np.where(den > 0,
-                       np.sqrt(num / np.where(den > 0, den, 1.0)), 0.0)
-        b = b.append_column(name, pa.array(res, pa.float64()))
-    return b.drop_columns([c for c in b.column_names
-                           if c.startswith("__sd_")])
+def group_count(ds, cols: list, alias: str = "n"):
+    """COUNT(*) grouped by key columns."""
+    return group_agg(ds, cols, [Agg(alias, "count")])
 
 
-def _aggregate_with_collect(ds, aggs: list, key_names: list,
-                            phint: pa.Table | None = None):
-    """collect(x) (plus any companion count/sum/avg/min/max) via
-    groupby().map_groups — the list is materialized per group, which is
-    inherent to collect()'s semantics (a hot key's whole group lands in
-    one task; cap group sizes upstream if keys are skewed). Values are
-    null-dropped (openCypher collect skips nulls) and sorted ascending:
-    openCypher leaves collect order unspecified, and a deterministic
-    order makes results reproducible and oracle-checkable."""
-    import ray.data as rd
-    plan = []                           # (out_name, fn_name, in_col)
-    pct = {}                            # out_name -> percentile p
-    distinct_names = set()              # aggs with DISTINCT values
-    for i, it in enumerate(aggs):
-        f: Func = it.expr
-        plan.append((_out_name(it), f.name,
-                     None if f.arg is None else f"__agg{i}"))
-        if f.name in _PCT_FNS:
-            pct[_out_name(it)] = _pct_param(f)
-        if f.distinct:
-            distinct_names.add(_out_name(it))
-    grouped = bool(key_names)
-    if not grouped:
-        ds = ds.map_batches(
-            lambda b: b.append_column("__gk", pa.array(
-                np.zeros(b.num_rows, np.int8))),
-            batch_format="pyarrow", zero_copy_batch=True)
-        key_names = ["__gk"]
-
-    def agg_group(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _collect_empty(g, plan, key_names, grouped)
-        cols = {k: g[k].slice(0, 1) for k in key_names if grouped}
-        for name, fn, col in plan:
-            v = g[col].combine_chunks() if col is not None else None
-            if v is not None and name in distinct_names:
-                # DISTINCT: dedupe (nulls dropped — count(DISTINCT)
-                # excludes them; sum/avg/min/max ignore them anyway)
-                v = pc.unique(pc.drop_null(v))
-            if fn == "collect":
-                vals = pc.array_sort_indices(pc.drop_null(v))
-                vals = pc.drop_null(v).take(vals)
-                cols[name] = pa.array([vals.to_pylist()],
-                                      pa.list_(v.type))
-            elif fn == "count":
-                n = g.num_rows if v is None else \
-                    (len(v) - v.null_count)
-                cols[name] = pa.array([n], pa.int64())
-            elif fn == "sum":
-                cols[name] = pa.array([pc.sum(v).as_py()])
-            elif fn == "avg":
-                cols[name] = pa.array(
-                    [pc.mean(v).as_py()], pa.float64())
-            elif fn == "min":
-                cols[name] = pa.array([pc.min(v).as_py()], v.type)
-            elif fn == "max":
-                cols[name] = pa.array([pc.max(v).as_py()], v.type)
-            elif fn in ("stdev", "stdevp"):
-                x = pc.cast(pc.drop_null(v), pa.float64()).to_numpy(
-                    zero_copy_only=False)
-                ddof = 1 if fn == "stdev" else 0
-                den = len(x) * (len(x) - ddof)
-                val = float(np.sqrt(max(
-                    len(x) * (x * x).sum() - x.sum() ** 2, 0.0) / den)) \
-                    if den > 0 else 0.0
-                cols[name] = pa.array([val], pa.float64())
-            elif fn in _PCT_FNS:
-                # Neo4j semantics: percentileCont = linear interpolation
-                # at rank p·(n−1); percentileDisc = nearest-rank (the
-                # smallest value with cumulative share ≥ p)
-                x = np.sort(pc.cast(pc.drop_null(v), pa.float64())
-                            .to_numpy(zero_copy_only=False))
-                if len(x) == 0:
-                    cols[name] = pa.array([None], pa.float64())
-                elif fn == "percentilecont":
-                    r = pct[name] * (len(x) - 1)
-                    lo, hi = int(np.floor(r)), int(np.ceil(r))
-                    cols[name] = pa.array(
-                        [float(x[lo] + (x[hi] - x[lo]) * (r - lo))],
-                        pa.float64())
-                else:
-                    idx = max(int(np.ceil(pct[name] * len(x))), 1) - 1
-                    cols[name] = pa.array([float(x[idx])], pa.float64())
-            else:
-                raise NotImplementedError(f"aggregate {fn}()")
-        return pa.table(cols)
-
-    out = ds.groupby(key_names).map_groups(agg_group,
-                                           batch_format="pyarrow")
-    if grouped:
-        return out
-    # GLOBAL collect: openCypher returns ONE row even on an empty match
-    # (collect → [], count → 0); map_groups sees no groups there, so
-    # materialize (the global result is ≤1 row) and backfill the default
-    parts = [b for b in out.iter_batches(batch_format="pyarrow")
-             if b.num_rows]
-    if parts:
-        return rd.from_arrow(pa.concat_tables(parts,
-                                              promote_options="default"))
-    cols = {}
-    for name, fn, col in plan:
-        t = phint[col].type if (phint is not None and col is not None
-                                and col in phint.column_names) \
-            else pa.int64()
-        if fn == "collect":
-            cols[name] = pa.array([[]], pa.list_(t))
-        elif fn == "count":
-            cols[name] = pa.array([0], pa.int64())
-        elif fn == "sum":
-            cols[name] = pa.array([0], t)     # Cypher: sum of empty = 0
-        elif fn in ("stdev", "stdevp"):
-            cols[name] = pa.array([0.0], pa.float64())
-        elif fn == "avg" or fn in _PCT_FNS:
-            cols[name] = pa.array([None], pa.float64())
-        else:
-            cols[name] = pa.array([None], t)
-    return rd.from_arrow(pa.table(cols))
-
-
-def _collect_empty(g: pa.Table, plan, key_names, grouped) -> pa.Table:
-    cols = {k: g[k] for k in key_names if grouped}
-    for name, fn, col in plan:
-        t = g[col].type if col is not None else pa.int64()
-        if fn == "collect":
-            cols[name] = pa.array([], pa.list_(t))
-        elif fn == "count":
-            cols[name] = pa.array([], pa.int64())
-        elif fn in ("avg", "stdev", "stdevp") or fn in _PCT_FNS:
-            cols[name] = pa.array([], pa.float64())
-        else:
-            cols[name] = pa.array([], t)
-    return pa.table(cols)
+def _distinct(ds, cols: list):
+    """DISTINCT over ``cols``: group_agg with no aggregates — a per-block
+    Arrow dedup, one hash route, a per-partition Arrow dedup."""
+    return group_agg(ds, cols, [])

@@ -5,6 +5,8 @@ import duckdb
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 def _gf(with_layer=False):
@@ -96,6 +98,20 @@ def test_two_hop_join_count(ray_session):
            "RETURN count(*) AS cnt",
            "SELECT count(*) AS cnt FROM e e1 JOIN e e2 "
            "ON e1.dst = e2.src WHERE e1.t < e2.t")
+
+
+def test_two_hop_count_executions(ray_session, count_executions):
+    """A global count(*) over a two-hop join starts at most four Ray Data
+    executions: its partial runs in the projection stage."""
+    from raphtory_ray.query import cypher
+    gf, edges, verts = _gf()
+    before = count_executions()
+    rows = cypher(gf, "MATCH (a)-[e1]->(b)-[e2]->(c) WHERE e1.t < e2.t "
+                      "RETURN count(*) AS cnt").take_all()
+    assert count_executions() - before <= 4
+    want = _sql(edges, verts, "SELECT count(*) AS cnt FROM e e1 JOIN e e2 "
+                              "ON e1.dst = e2.src WHERE e1.t < e2.t")
+    assert rows == want.to_pylist()
 
 
 def test_three_hop_chain(ray_session):
@@ -654,35 +670,31 @@ def test_cross_join_cap(ray_session, monkeypatch):
 
 
 def test_empty_aggregate_types(ray_session):
-    """An empty grouped aggregate keeps the value type when its schema is
-    known, and is int64 when the schema is lost or lacks a column; an
-    all-empty typed input loses its schema in the local pass, so its key
-    and value types come from the input's schema; group_count's keys
-    too, through its own count pass."""
+    """An empty grouped aggregate takes its key and value types from the
+    input's schema (the final runs on an empty table of it) and is int64
+    where the schema is lost; group_count's keys keep their type; a
+    Cypher aggregate over an empty match is typed by its functions."""
     import ray.data as rd
-    from raphtory_ray.query.cypher import (_empty_agg, _hash_group_agg,
-                                           _int_keys, group_count)
+    from raphtory_ray.query.cypher import Agg, cypher, group_agg, group_count
     sch = pa.schema([("k", pa.int32()), ("v", pa.float64())])
-    typed = _empty_agg(sch, ["k"], "v", "s")
-    assert typed.num_rows == 0
-    assert typed.schema == pa.schema([("k", pa.int32()), ("s", pa.float64())])
-    i64 = pa.schema([("k", pa.int64()), ("s", pa.int64())])
-    assert _empty_agg(None, ["k"], "v", "s").schema == i64
-    assert _empty_agg(pa.schema([("k", pa.int32())]), ["k"], "v",
-                      "s").schema == i64
     empty = rd.from_arrow(sch.empty_table())
-    out = _hash_group_agg(empty, ["k"], "v", "sum", "s").take_all()
-    assert out == []
-    assert _hash_group_agg(empty, ["k"], "v", "sum",
-                           "s").schema().types == [pa.int32(), pa.float64()]
+    out = group_agg(empty, ["k"], [Agg("s", "sum", "v")])
+    assert out.take_all() == []
+    assert out.schema().types == [pa.int32(), pa.float64()]
     lost = empty.map_batches(lambda b: b)
-    assert _hash_group_agg(lost, ["k"], "v", "sum",
-                           "s").schema().types == [pa.int64(), pa.int64()]
-    counted = group_count(empty, ["k"]).schema()
-    assert counted.types == [pa.int32(), pa.int64()]
-    assert _int_keys(empty, ["k"])
-    assert not _int_keys(empty, ["missing"])
-    assert not _int_keys(empty.map_batches(lambda b: b), ["k"])  # lost
+    assert group_agg(lost, ["k"], [Agg("s", "sum", "v")]) \
+        .schema().types == [pa.int64(), pa.int64()]
+    assert group_count(empty, ["k"]).schema().types == \
+        [pa.int32(), pa.int64()]
+    gf, _edges, _verts = _gf()
+    got = cypher(gf, "MATCH (a)-[e]->(b) WHERE e.t > 1000 RETURN a, "
+                     "count(*) AS n, sum(e.w) AS s, avg(e.t) AS m, "
+                     "min(e.t) AS lo, collect(e.t) AS ts, "
+                     "stDev(e.w) AS sd")
+    assert got.take_all() == []
+    assert got.schema().types == [pa.int64(), pa.int64(), pa.float64(),
+                                  pa.float64(), pa.int64(),
+                                  pa.list_(pa.int64()), pa.float64()]
 
 
 def test_is_null_anti_join(ray_session):
@@ -1476,3 +1488,137 @@ def test_all_shortest_paths_alias(ray_session):
     b = _rows(cypher(gf, "MATCH p = allShortestPaths((a)-[*1..2]->(b)) "
                          "RETURN a, b, length(p) AS h"))
     assert a == b
+
+
+# ------------------------------------ differential aggregates vs DuckDB
+
+# (Cypher aggregate, DuckDB over the edge table e) by query shape: the
+# decomposable ones, those kept as values, and a lone count(DISTINCT)
+_DIFF_SHAPES = [
+    [("count(*)", "count(*)"),
+     ("count(e.w)", "count(w)"),
+     ("sum(e.t)", "sum(t)"),
+     ("sum(e.w)", "sum(w)"),
+     ("avg(e.w)", "avg(w)"),
+     ("min(e.w)", "min(w)"),
+     ("max(e.t)", "max(t)"),
+     ("stDev(e.t)", "CASE WHEN count(t) > 1 THEN sqrt(GREATEST(count(t)"
+                    " * sum(t * t) - sum(t) * sum(t), 0) / (count(t) * "
+                    "(count(t) - 1.0))) ELSE 0.0 END"),
+     ("stDevP(e.t)", "CASE WHEN count(t) > 0 THEN sqrt(GREATEST(count(t)"
+                     " * sum(t * t) - sum(t) * sum(t), 0) / (count(t) * "
+                     "count(t) * 1.0)) ELSE 0.0 END")],
+    [("collect(e.w)", "coalesce(list(w ORDER BY w) FILTER "
+                      "(WHERE w IS NOT NULL), [])"),
+     ("percentileCont(e.t, 0.4)", "quantile_cont(t, 0.4)"),
+     ("percentileDisc(e.t, 0.75)", "list_sort(list(t))[greatest(ceil("
+                                   "0.75 * count(t)), 1)::BIGINT]::DOUBLE"),
+     ("sum(DISTINCT e.t)", "sum(DISTINCT t)"),
+     ("count(DISTINCT e.w)", "count(DISTINCT w)")],
+    [("count(DISTINCT b)", "count(DISTINCT dst)")],
+]
+
+# (Cypher group key, DuckDB group key); None = global
+_DIFF_KEYS = [
+    ("a", "src"),
+    ("type(e)", "layer"),
+    ("CASE WHEN e.t < 30 THEN 'lo' WHEN e.t < 70 THEN 'mid' "
+     "ELSE 'hi' END", "CASE WHEN t < 30 THEN 'lo' WHEN t < 70 THEN 'mid' "
+     "ELSE 'hi' END"),
+    None,
+]
+
+
+def _diff_edges(m, n, zipf, selfloop, null_frac, seed):
+    rng = np.random.default_rng(seed)
+    src = np.minimum(rng.zipf(1.5, m) - 1, n - 1) if zipf \
+        else rng.integers(0, n, m)
+    dst = src.copy() if selfloop else rng.integers(0, n, m)
+    w = rng.random(m)
+    return pa.table({
+        "src": pa.array(src, pa.int64()),
+        "dst": pa.array(dst, pa.int64()),
+        "t": pa.array(rng.integers(0, 100, m), pa.int64()),
+        "event_id": pa.array(np.arange(m), pa.int64()),
+        "w": pa.array(w, pa.float64(), mask=rng.random(m) < null_frac),
+        "layer": pa.array(rng.choice(["buys", "views", "x"], m)
+                          .astype(object), pa.string()),
+    })
+
+
+def _close(a, b) -> bool:
+    if isinstance(a, float) or isinstance(b, float):
+        return a is not None and b is not None and \
+            a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_close, a, b))
+    return a == b
+
+
+def _diff_case(cy, m, n, zipf, selfloop, null_frac, seed):
+    """Every query shape, grouped each way, against DuckDB on one
+    random edge table."""
+    import ray.data as rd
+    from raphtory_ray.graph.graph_frame import GraphFrame
+    edges = _diff_edges(m, n, zipf, selfloop, null_frac, seed)
+    verts = pa.table({"vid": pa.array(np.arange(n), pa.int64())})
+    gf = GraphFrame(rd.from_arrow(edges), n)
+    for key in _DIFF_KEYS:
+        for shape in _DIFF_SHAPES:
+            names = [f"x{i}" for i in range(len(shape))]
+            items = ", ".join(f"{c} AS {nm}" for (c, _s), nm
+                              in zip(shape, names))
+            # openCypher: a global sum of no values is 0, DuckDB's NULL
+            cols = ", ".join(
+                f"coalesce({s}, 0) AS {nm}"
+                if key is None and s.startswith("sum(") else f"{s} AS {nm}"
+                for (_c, s), nm in zip(shape, names))
+            if key is None:
+                cyq = f"MATCH (a)-[e]->(b) RETURN {items}"
+                sql = f"SELECT {cols} FROM e"
+            else:
+                cyq = f"MATCH (a)-[e]->(b) RETURN {key[0]} AS g, {items}"
+                sql = f"SELECT {key[1]} AS g, {cols} FROM e GROUP BY 1"
+            got = _rows(cy.cypher(gf, cyq))
+            want = _rows(_sql(edges, verts, sql))
+            assert len(got) == len(want), cyq
+            for r, w in zip(got, want):
+                assert all(map(_close, r, w)), f"{cyq}\n{r}\n{w}"
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_aggregates_differential_vs_duckdb(ray_session, small):
+    """Every aggregate, grouped by an integer node variable, a string
+    expression (type(e), a CASE band) and globally, equals DuckDB's on
+    random edge tables (empty, one edge, self-loops, a Zipf hub, null
+    weights), at the default partition count and, with the rows per
+    partition patched to 1, at P > 1."""
+    import importlib
+    cy = importlib.import_module("raphtory_ray.query.cypher")
+    seen_p = []
+    num_partitions = cy.num_partitions
+
+    def spy(*args, **kwargs):
+        seen_p.append(num_partitions(*args, **kwargs))
+        return seen_p[-1]
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(m=st.integers(0, 60), n=st.integers(1, 12), zipf=st.booleans(),
+           selfloop=st.booleans(),
+           null_frac=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2 ** 16))
+    @example(m=0, n=3, zipf=False, selfloop=False, null_frac=0.0, seed=0)
+    @example(m=1, n=1, zipf=False, selfloop=True, null_frac=0.0, seed=1)
+    @example(m=40, n=6, zipf=False, selfloop=True, null_frac=0.3, seed=2)
+    @example(m=60, n=40, zipf=True, selfloop=False, null_frac=0.3, seed=3)
+    @example(m=30, n=5, zipf=False, selfloop=False, null_frac=1.0, seed=4)
+    def run(m, n, zipf, selfloop, null_frac, seed):
+        _diff_case(cy, m, n, zipf, selfloop, null_frac, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cy, "num_partitions", spy)
+        if small:
+            mp.setattr(cy, "CYPHER_ROWS_PER_PARTITION", 1)
+            mp.setattr("raphtory_ray.core.exchange.ROWS_PER_PARTITION", 1)
+        run()
+    assert (max(seen_p) > 1) == small

@@ -2,8 +2,9 @@
 warning (an invalid escape sequence, say) cannot come back unnoticed;
 only core/exchange.py asks Ray for the cluster's CPUs; no program or test
 file names a fixed checkout directory; a GraphFrame view adds a
-pending predicate, not a Dataset stage; and the one actor class is the
-superstep loop's resident holder."""
+pending predicate, not a Dataset stage; the one actor class is the
+superstep loop's resident holder; and Cypher aggregates run on one
+Arrow path."""
 
 from __future__ import annotations
 
@@ -118,3 +119,26 @@ def test_one_actor_class():
                     for d in node.decorator_list):
                 found.append(f"{path.relative_to(ROOT)}:{node.name}")
     assert found == ["raphtory_ray/state/supersteps.py:_Holder"]
+
+
+def test_cypher_aggregates_on_one_path():
+    """Every aggregate, DISTINCT and grouping in query/cypher.py runs on
+    group_agg's Arrow partial/route/final path: no Ray Data ``groupby``,
+    ``map_groups``, ``ray.data.aggregate`` import, Dataset ``aggregate``
+    or ``sum`` — an ``.aggregate(`` call must follow an Arrow
+    ``group_by``."""
+    path = ROOT / "raphtory_ray" / "query" / "cypher.py"
+    src = path.read_text()
+    hits = ["ray.data.aggregate"] if "ray.data.aggregate" in src else []
+    for node in ast.walk(ast.parse(src)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        name, recv = node.func.attr, node.func.value
+        after_group_by = isinstance(recv, ast.Call) \
+            and isinstance(recv.func, ast.Attribute) \
+            and recv.func.attr == "group_by"
+        if name in ("groupby", "map_groups", "sum") \
+                or (name == "aggregate" and not after_group_by):
+            hits.append(f"line {node.lineno}: .{name}(")
+    assert hits == []
