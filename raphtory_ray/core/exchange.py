@@ -3,7 +3,9 @@
 Ownership contract: key x belongs to partition ``bucket(x, P)`` =
 ``((x * GOLD) >> 33) % P``. BspGraph blocks, the actor engines' owned
 vertex slices and every map-side split agree because they all call
-``bucket``; a second copy of the hash would let them drift apart.
+``bucket``; a second copy of the hash would let them drift apart. An
+Arrow key column of any type (a Cypher group key, a gid string) becomes
+uint64 keys through ``key_hash``, for the same reason.
 
 A shuffle is a map side (one ``num_returns=P`` task per input block that
 ``split``s its rows by bucket) and a reduce side (one task per partition
@@ -69,6 +71,34 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+# every null key hashes as this integer does: a null key gets one hash
+# whatever the column type of each block
+_NULL_KEY = -(2 ** 62)
+
+
+def key_hash(col) -> np.ndarray:
+    """uint64 hash per value of an Arrow key column, the same for equal
+    values in any block: splitmix64 of an integer or boolean (as int64),
+    pandas' hash_array of any other value (floats as float64, -0.0 as
+    0.0), one hash for null. Only integers and booleans convert to a
+    numpy dtype that depends on nulls, so only they are cast first."""
+    import pandas as pd
+    import pyarrow.compute as pc
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    t = col.type
+    if pa.types.is_integer(t) or pa.types.is_boolean(t):
+        return splitmix64(pc.fill_null(col.cast(pa.int64()), _NULL_KEY)
+                          .to_numpy(zero_copy_only=False))
+    if pa.types.is_floating(t):
+        col = pc.add(col.cast(pa.float64()), 0.0)
+    h = pd.util.hash_array(col.to_numpy(zero_copy_only=False))
+    if col.null_count:
+        h[np.asarray(pc.is_null(col))] = splitmix64(
+            np.array([_NULL_KEY]))[0]
+    return h
 
 
 def _order(bk: np.ndarray, P: int):

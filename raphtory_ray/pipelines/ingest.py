@@ -28,8 +28,8 @@ import ray
 import ray.data as rd
 
 from raphtory_ray.core.exchange import (bucket, cluster_cpus, columns,
-                                        groups, num_partitions, returns,
-                                        shuffle, split_table)
+                                        groups, key_hash, num_partitions,
+                                        returns, shuffle, split_table)
 from raphtory_ray.graph.graph_frame import GraphFrame
 from raphtory_ray.stages.extract import HashStage, ImportExtractor
 
@@ -111,16 +111,9 @@ def _distinct_gids(*blocks: pa.Table) -> pa.Array:
 # contract as build_gid_index (sorted rank — the two paths are
 # interchangeable and tested equal).
 
-def _gid_hash(col: pa.Array) -> np.ndarray:
-    import pandas as pd
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    return pd.util.hash_array(
-        np.asarray(arr.to_pandas(), dtype=object)).astype(np.uint64)
-
-
 def _gid_split(t: pa.Table, P: int, col: str):
     """Rows → P partitions by hash of the gid string column ``col``."""
-    return returns(split_table(t, bucket(_gid_hash(t[col]), P), P))
+    return returns(split_table(t, bucket(key_hash(t[col]), P), P))
 
 
 _gid_route = ray.remote(_gid_split)

@@ -55,13 +55,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from raphtory_ray.core.exchange import (GOLD, num_partitions, returns,
-                                        shuffle, split_table, splitmix64)
+from raphtory_ray.core.exchange import (GOLD, key_hash, num_partitions,
+                                        returns, shuffle, split_table)
 from raphtory_ray.query.parser import (BinOp, Case, Chain, Func, Lit, Not,
                                        Prop, Query, ReturnItem, Var,
                                        expr_text, parse_cypher)
@@ -78,34 +77,12 @@ def _empty_from_schema(schema) -> pa.Table:
                      zip(schema.names, schema.types)})
 
 
-# every null key hashes as this integer does: a null group lands in one
-# partition whatever the column type of each block (Acero drops null
-# join keys, so a join may route them anywhere stable)
-_NULL_KEY = -(2 ** 62)
-
-
-def _key_hash(col) -> np.ndarray:
-    """uint64 hash per key value: splitmix64 of an integer, pandas'
-    hash_array of any other value (-0.0 as 0.0), one hash for null."""
-    col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        return splitmix64(pc.fill_null(col.cast(pa.int64()), _NULL_KEY)
-                          .to_numpy(zero_copy_only=False))
-    x = col.to_numpy(zero_copy_only=False)
-    h = pd.util.hash_array(x + 0.0 if pa.types.is_floating(col.type)
-                           else x)
-    if col.null_count:
-        h[np.asarray(pc.is_null(col))] = splitmix64(
-            np.array([_NULL_KEY]))[0]
-    return h
-
-
 def _partition_ids(tbl: pa.Table, keys: list, P: int) -> np.ndarray:
     """Partition id per row — the ONE hash both the route and the skew
     count pass use (they must agree or the valve miscounts)."""
     h = np.zeros(tbl.num_rows, np.uint64)
     for k in keys:
-        h = h * GOLD ^ _key_hash(tbl[k])
+        h = h * GOLD ^ key_hash(tbl[k])
     return (h % np.uint64(P)).astype(np.int64)
 
 
@@ -1915,15 +1892,25 @@ def group_agg(ds, keys: list, aggs: list, hint: pa.Table | None = None,
               project=None):
     """Aggregates ``aggs`` (Agg rows) of a Dataset grouped by ``keys``
     (global without keys) → Dataset of ``keys`` + one column per
-    aggregate; with no aggregates, the distinct ``keys`` rows. One map
-    stage runs ``project`` (if given) and the per-block partial — Ray
-    drops a zero-column block between stages, and a global count(*)
-    projects none — then route_fanout runs one final task per hash
-    partition. ``hint`` = an
+    aggregate; with no aggregates, the distinct ``keys`` rows. When every
+    aggregate is DISTINCT on the same value, the (keys, value) rows are
+    deduped first, routed on both. One map stage runs ``project`` (if
+    given) and the per-block partial — Ray drops a zero-column block
+    between stages, and a global count(*) projects none — then
+    route_fanout runs one final task per hash partition. ``hint`` = an
     empty table of the partial's input columns: an all-empty input gets
     the final's result over it (default: ``ds``'s schema, int64 columns
     where it is lost — Ray skips map fns on empty blocks)."""
     import ray.data as rd
+    cols = {a.col for a in aggs}
+    if aggs and all(a.distinct for a in aggs) and len(cols) == 1:
+        # DISTINCT on one value: dedup routed on keys + value, then the
+        # plain aggregates — a hub's values spread over the partitions
+        x, = cols
+        ded = group_agg(ds, keys + [x], [], hint, project)
+        return group_agg(ded, keys, [a._replace(distinct=False)
+                                     for a in aggs],
+                         None if hint is None else hint.select(keys + [x]))
 
     def partial(b: pa.Table) -> pa.Table:
         return _agg_partial(project(b) if project else b, keys, aggs)

@@ -1525,11 +1525,12 @@ _DIFF_KEYS = [
     ("CASE WHEN e.t < 30 THEN 'lo' WHEN e.t < 70 THEN 'mid' "
      "ELSE 'hi' END", "CASE WHEN t < 30 THEN 'lo' WHEN t < 70 THEN 'mid' "
      "ELSE 'hi' END"),
+    ("e.w > 0.5", "w > 0.5"),
     None,
 ]
 
 
-def _diff_edges(m, n, zipf, selfloop, null_frac, seed):
+def _diff_edges(m, n, zipf, selfloop, null_frac, null_first, seed):
     rng = np.random.default_rng(seed)
     src = np.minimum(rng.zipf(1.5, m) - 1, n - 1) if zipf \
         else rng.integers(0, n, m)
@@ -1540,10 +1541,20 @@ def _diff_edges(m, n, zipf, selfloop, null_frac, seed):
         "dst": pa.array(dst, pa.int64()),
         "t": pa.array(rng.integers(0, 100, m), pa.int64()),
         "event_id": pa.array(np.arange(m), pa.int64()),
-        "w": pa.array(w, pa.float64(), mask=rng.random(m) < null_frac),
+        "w": pa.array(w, pa.float64(), mask=(rng.random(m) < null_frac)
+                      & (np.arange(m) < (m // 3 if null_first else m))),
         "layer": pa.array(rng.choice(["buys", "views", "x"], m)
                           .astype(object), pa.string()),
     })
+
+
+def _diff_rows(ds_or_tbl):
+    """Rows in group-key order; a key may be null, so the order is by
+    the key's repr (keys are unique, so this orders both sides alike)."""
+    rows = ds_or_tbl.take_all() if hasattr(ds_or_tbl, "take_all") \
+        else ds_or_tbl.to_pylist()
+    return sorted((tuple(r[k] for k in sorted(r)) for r in rows),
+                  key=lambda r: repr(r[:1]))
 
 
 def _close(a, b) -> bool:
@@ -1555,14 +1566,17 @@ def _close(a, b) -> bool:
     return a == b
 
 
-def _diff_case(cy, m, n, zipf, selfloop, null_frac, seed):
+def _diff_case(cy, m, n, zipf, selfloop, null_frac, null_first, seed):
     """Every query shape, grouped each way, against DuckDB on one
-    random edge table."""
+    random edge table, read as three blocks (a key's blocks may differ
+    in nulls)."""
     import ray.data as rd
     from raphtory_ray.graph.graph_frame import GraphFrame
-    edges = _diff_edges(m, n, zipf, selfloop, null_frac, seed)
+    edges = _diff_edges(m, n, zipf, selfloop, null_frac, null_first, seed)
     verts = pa.table({"vid": pa.array(np.arange(n), pa.int64())})
-    gf = GraphFrame(rd.from_arrow(edges), n)
+    cuts = [0, m // 3, 2 * m // 3, m]
+    gf = GraphFrame(rd.from_arrow([edges.slice(lo, hi - lo) for lo, hi
+                                   in zip(cuts, cuts[1:])]), n)
     for key in _DIFF_KEYS:
         for shape in _DIFF_SHAPES:
             names = [f"x{i}" for i in range(len(shape))]
@@ -1579,8 +1593,8 @@ def _diff_case(cy, m, n, zipf, selfloop, null_frac, seed):
             else:
                 cyq = f"MATCH (a)-[e]->(b) RETURN {key[0]} AS g, {items}"
                 sql = f"SELECT {key[1]} AS g, {cols} FROM e GROUP BY 1"
-            got = _rows(cy.cypher(gf, cyq))
-            want = _rows(_sql(edges, verts, sql))
+            got = _diff_rows(cy.cypher(gf, cyq))
+            want = _diff_rows(_sql(edges, verts, sql))
             assert len(got) == len(want), cyq
             for r, w in zip(got, want):
                 assert all(map(_close, r, w)), f"{cyq}\n{r}\n{w}"
@@ -1589,10 +1603,11 @@ def _diff_case(cy, m, n, zipf, selfloop, null_frac, seed):
 @pytest.mark.parametrize("small", [False, True])
 def test_aggregates_differential_vs_duckdb(ray_session, small):
     """Every aggregate, grouped by an integer node variable, a string
-    expression (type(e), a CASE band) and globally, equals DuckDB's on
-    random edge tables (empty, one edge, self-loops, a Zipf hub, null
-    weights), at the default partition count and, with the rows per
-    partition patched to 1, at P > 1."""
+    expression (type(e), a CASE band), a nullable boolean expression and
+    globally, equals DuckDB's on random edge tables (empty, one edge,
+    self-loops, a Zipf hub, null weights, nulls in the first block only),
+    at the default partition count
+    and, with the rows per partition patched to 1, at P > 1."""
     import importlib
     cy = importlib.import_module("raphtory_ray.query.cypher")
     seen_p = []
@@ -1606,14 +1621,21 @@ def test_aggregates_differential_vs_duckdb(ray_session, small):
     @given(m=st.integers(0, 60), n=st.integers(1, 12), zipf=st.booleans(),
            selfloop=st.booleans(),
            null_frac=st.sampled_from([0.0, 0.3, 1.0]),
-           seed=st.integers(0, 2 ** 16))
-    @example(m=0, n=3, zipf=False, selfloop=False, null_frac=0.0, seed=0)
-    @example(m=1, n=1, zipf=False, selfloop=True, null_frac=0.0, seed=1)
-    @example(m=40, n=6, zipf=False, selfloop=True, null_frac=0.3, seed=2)
-    @example(m=60, n=40, zipf=True, selfloop=False, null_frac=0.3, seed=3)
-    @example(m=30, n=5, zipf=False, selfloop=False, null_frac=1.0, seed=4)
-    def run(m, n, zipf, selfloop, null_frac, seed):
-        _diff_case(cy, m, n, zipf, selfloop, null_frac, seed)
+           null_first=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(m=0, n=3, zipf=False, selfloop=False, null_frac=0.0,
+             null_first=False, seed=0)
+    @example(m=1, n=1, zipf=False, selfloop=True, null_frac=0.0,
+             null_first=False, seed=1)
+    @example(m=40, n=6, zipf=False, selfloop=True, null_frac=0.3,
+             null_first=False, seed=2)
+    @example(m=60, n=40, zipf=True, selfloop=False, null_frac=0.3,
+             null_first=False, seed=3)
+    @example(m=30, n=5, zipf=False, selfloop=False, null_frac=1.0,
+             null_first=False, seed=4)
+    @example(m=45, n=8, zipf=False, selfloop=False, null_frac=0.3,
+             null_first=True, seed=5)
+    def run(m, n, zipf, selfloop, null_frac, null_first, seed):
+        _diff_case(cy, m, n, zipf, selfloop, null_frac, null_first, seed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cy, "num_partitions", spy)

@@ -8,8 +8,9 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from raphtory_ray.core.exchange import (bucket, pair_key, returns, split,
-                                        split_table, splitmix64)
+from raphtory_ray.core.exchange import (bucket, key_hash, pair_key,
+                                        returns, split, split_table,
+                                        splitmix64)
 
 KEYS = np.array([0, 1, 2, 3, 12345, 2**31 - 1, 2**40 + 7], np.int64)
 
@@ -37,6 +38,24 @@ def test_pair_key_routes_by_both_endpoints():
     k = pair_key(s, d)
     assert k.dtype == np.uint64
     assert len(set(k.tolist())) == 3          # (1,2) and (2,1) differ
+
+
+@pytest.mark.parametrize("with_nulls, without", [
+    (pa.array([True, None, False]), pa.array([False, True])),
+    (pa.array([7, None, 3], pa.int64()), pa.array([3, 7], pa.int32())),
+    (pa.array([1.5, None, -0.0], pa.float64()),
+     pa.array([0.0, 1.5], pa.float32())),
+    (pa.array(["b", None, "a"]), pa.array(["a", "b"], pa.large_string())),
+])
+def test_key_hash_agrees_across_blocks(with_nulls, without):
+    """Equal keys hash alike whether or not their block has nulls, and
+    whatever the integer or float width: a group split by its blocks'
+    types would be two groups."""
+    h, g = key_hash(with_nulls), key_hash(without)
+    assert h.dtype == g.dtype == np.uint64
+    assert h[[2, 0]].tolist() == g.tolist()
+    assert h[1] == key_hash(pa.nulls(1))[0]
+    assert len(set(h.tolist())) == 3
 
 
 @pytest.mark.parametrize("P", [1, 3])
