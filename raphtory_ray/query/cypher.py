@@ -1689,7 +1689,8 @@ def _apply_with(ds, wc, ctx: _Ctx, hint: pa.Table):
 # keys (route_fanout), and one final task per partition that combines
 # the partials with Arrow's group_by and finalizes vectorized — the
 # partial/combine split of decomposable aggregates. A global aggregate is
-# the same path at P = 1.
+# the same path at P = 1; a DISTINCT on one value runs it twice, first
+# routed on keys + value.
 
 class Agg(NamedTuple):
     """One aggregate: output column, function (a key of _DECOMPOSABLE or
