@@ -37,6 +37,8 @@ Scale notes (explicit, per north_rule):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -112,26 +114,59 @@ def _pr_superstep(csr, rank: np.ndarray, inv_outdeg: np.ndarray, *_):
 
 def _lpa_vote_owned(block: pa.Table, prev: np.ndarray, n: int):
     """LPA superstep over a src-OWNED undirected block (every neighbour row
-    of each u in this block lives here): count votes {prev[v] for v in
-    nbrs(u)} + self vote, resolve argmax by (count, then LARGEST label —
-    label_propagation.rs:84-95) entirely in-task; return (us, new_labels)
-    for the owned vertex set. Ownership makes the combine local — no
-    cross-block vote merge."""
+    of each u in this block lives here): the new label of u is the label
+    with the most votes among {prev[v] for v in nbrs(u)} + one self vote
+    for prev[u], ties going to the LARGEST label
+    (label_propagation.rs:84-95). One sort of the packed (u, label) keys
+    counts the neighbour votes; a label's score is count * n + label, so
+    the segmented max (``np.maximum.reduceat`` on each u's first group)
+    picks the highest count, then the largest label. The self vote adds
+    one to its label's group, and n + prev[u] is its score when no
+    neighbour shares that label. Returns (us, new_labels) for the owned
+    vertex set; ownership makes the combine local — no cross-block vote
+    merge. ``check_lpa_size`` bounds the int64 keys and scores."""
     u, v = _sd(block)
     if len(u) == 0:
         z = np.empty(0, np.int64)
         return z, z
-    own = np.unique(u)
-    keys = np.concatenate([u * np.int64(n) + prev[v],
-                           own * np.int64(n) + prev[own]])   # self votes
-    uk, cnt = np.unique(keys, return_counts=True)
-    nodes = uk // n
-    labels = uk - nodes * n
-    # argmax per node by (count, label): lexsort ascending → last row wins
-    order = np.lexsort((labels, cnt, nodes))
-    nodes, labels = nodes[order], labels[order]
-    last = np.r_[nodes[1:] != nodes[:-1], True]
-    return nodes[last], labels[last]
+    keys, cnt = np.unique(u * np.int64(n) + prev[v], return_counts=True)
+    nodes = keys // n
+    labels = keys - nodes * n
+    first = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
+    own = nodes[first]
+    score = (cnt + (labels == prev[nodes])) * np.int64(n) + labels
+    best = np.maximum(np.maximum.reduceat(score, first), n + prev[own])
+    return own, best % n
+
+
+# The largest n for which LPA's packed int64 arithmetic is exact: keys
+# u * n + label stay below n**2 and scores count * n + label below
+# (n + 1)**2, since a vertex has at most n distinct neighbours plus its
+# self vote. 3,037,000,498.
+LPA_MAX_N = math.isqrt(2**63 - 1) - 1
+
+
+def check_lpa_size(n: int) -> None:
+    """ValueError if an n-vertex graph overflows LPA's packed int64 keys."""
+    if n > LPA_MAX_N:
+        raise ValueError(f"lpa packs (vertex, label) pairs into int64: "
+                         f"n = {n} is above the limit of {LPA_MAX_N} "
+                         f"vertices")
+
+
+def _lpa_seed(labels, n: int) -> np.ndarray:
+    """Seed labels as an int64 copy; ValueError unless they are integers of
+    shape (n,), each in [0, n) — the range the packed keys decode."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"lpa labels must have shape ({n},), "
+                         f"not {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"lpa labels must be integers, not {labels.dtype}")
+    if n and (labels.min() < 0 or labels.max() >= n):
+        raise ValueError(f"lpa labels must lie in [0, {n}); got "
+                         f"[{labels.min()}, {labels.max()}]")
+    return labels.astype(np.int64)
 
 
 def _wcc_min_owned(block: pa.Table, label: np.ndarray):
@@ -670,12 +705,14 @@ class BspGraph:
         """Synchronous LPA (label_propagation.rs:40-112). Each src-owned
         undirected block resolves its vertices' votes (incl. self vote)
         entirely in its kernel; advance only scatters disjoint updates.
-        Returns (labels, iterations). A ``checkpoint`` saves every
-        superstep's labels and resumes from the latest complete one."""
+        Returns (labels, iterations). Seed ``labels`` are n integers in
+        [0, n). A ``checkpoint`` saves every superstep's labels and resumes
+        from the latest complete one."""
         n = self.n
+        check_lpa_size(n)
         it0, prev, stop = resume(
             checkpoint, "community", np.arange(n, dtype=np.int64)
-            if labels is None else labels.copy(), iter_count,
+            if labels is None else _lpa_seed(labels, n), iter_count,
             _unchanged if until_converged else None)
 
         def advance(prev, parts, it, *_):

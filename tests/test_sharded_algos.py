@@ -1,7 +1,9 @@
 """BspGraph LPA, WCC and personalized PageRank on random graphs against
-the numpy kernels and dense references, plus structural checks; LPA on a
-graph of 50k+ edges, also at one logical CPU; and checkpointed LPA/WCC,
-which run the superstep loop's round path and resume mid-run."""
+the numpy kernels and dense references, plus structural checks; the LPA
+vote kernel against one numpy superstep, without Ray; LPA's seed-label
+and size checks; LPA on a graph of 50k+ edges, also at one logical CPU;
+and checkpointed LPA/WCC, which run the superstep loop's round path and
+resume mid-run."""
 
 from __future__ import annotations
 
@@ -147,6 +149,89 @@ def test_lpa_on_large_graph_matches_kernel(ray_session):
     got_l, got_it = g.lpa()
     assert got_it == want_it
     np.testing.assert_array_equal(got_l, want_l)
+
+
+def _lpa_graphs():
+    """Random small graphs for the vote kernel: (src, dst, n, seed labels).
+    Self-loops, isolated vertices (ids past the last endpoint), a hub,
+    an edgeless graph, and seed labels from a 2-4 value alphabet so that
+    vote ties are common."""
+    rng = np.random.default_rng(11)
+    for i in range(24):
+        n = int(rng.integers(4, 80))
+        m = int(rng.integers(0, 3 * n)) if i else 0
+        hi = max(1, n - int(rng.integers(0, 4)))      # isolated tail
+        src, dst = rng.integers(0, hi, m), rng.integers(0, hi, m)
+        loops = rng.random(m) < 0.1
+        dst[loops] = src[loops]
+        if i % 3 == 0:                                # a hub
+            hub = rng.integers(0, hi, 2 * hi)
+            src, dst = np.r_[src, np.zeros_like(hub)], np.r_[dst, hub]
+        k = int(rng.integers(2, 5))
+        for labels in (None, rng.integers(0, k, n),
+                       rng.permutation(n)):
+            yield src, dst, n, labels
+
+
+def test_lpa_vote_kernel_matches_numpy_superstep():
+    """_lpa_vote_owned over src-owned splits, at P = 1, 2 and 3 and with
+    an empty and a schema-less empty block added, scatters to one
+    superstep of K.lpa, dtype included; no Ray."""
+    import pyarrow as pa
+
+    from raphtory_ray.core import kernels as K
+    from raphtory_ray.core.exchange import bucket, split
+    from raphtory_ray.state.shards import _lpa_vote_owned
+    z = np.empty(0, np.int64)
+    extra = [pa.table({"src": z, "dst": z}), pa.table({})]
+    cases = 0
+    for src, dst, n, labels in _lpa_graphs():
+        prev = np.arange(n, dtype=np.int64) if labels is None \
+            else labels.astype(np.int64)
+        want, _ = K.lpa(src, dst, n, iter_count=1, labels=prev,
+                        until_converged=False)
+        u, v = K.undirected_pairs(src, dst)
+        for P in (1, 2, 3):
+            blocks = [pa.table({"src": a, "dst": b})
+                      for a, b in split(bucket(u, P), P, u, v)] + extra
+            got = prev.copy()
+            for blk in blocks:
+                us, ls = _lpa_vote_owned(blk, prev, n)
+                assert us.dtype == ls.dtype == np.int64
+                got[us] = ls
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            cases += 1
+    assert cases == 24 * 3 * 3
+
+
+def test_lpa_seed_labels_checked(ray_session):
+    """Seed labels outside [0, n), of the wrong shape or not integers
+    raise ValueError: the packed (vertex, label) keys cannot decode them.
+    Integer labels of another width run as int64."""
+    from raphtory_ray.core import kernels as K
+    from raphtory_ray.state.shards import BspGraph
+    src, dst = np.array([0, 1, 2, 3, 4, 5]), np.array([1, 2, 0, 4, 5, 3])
+    g = BspGraph.from_arrays(src, dst, 6, num_blocks=2)
+    for bad in ([7, 7, 7, 3, 3, 3], [0, 0, 0, 1, 1, -1],
+                np.arange(5), np.arange(6.0), np.zeros((6, 1), np.int64)):
+        with pytest.raises(ValueError):
+            g.lpa(labels=np.asarray(bad))
+    got, it = g.lpa(labels=np.array([5, 5, 5, 2, 2, 2], np.int32))
+    want, want_it = K.lpa(src, dst, 6, labels=np.array([5, 5, 5, 2, 2, 2]))
+    assert got.dtype == np.int64 and it == want_it
+    np.testing.assert_array_equal(got, want)
+
+
+def test_lpa_size_limit():
+    """n above LPA_MAX_N overflows the packed int64 keys and scores, so
+    check_lpa_size refuses it by name; checked without allocating."""
+    from raphtory_ray.state.shards import LPA_MAX_N, check_lpa_size
+    assert (LPA_MAX_N + 1) ** 2 <= 2 ** 63 - 1 < (LPA_MAX_N + 2) ** 2
+    check_lpa_size(LPA_MAX_N)
+    for n in (LPA_MAX_N + 1, 2 ** 32):
+        with pytest.raises(ValueError, match=str(LPA_MAX_N)):
+            check_lpa_size(n)
 
 
 _ONE_CPU_LPA = """

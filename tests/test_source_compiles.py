@@ -3,8 +3,8 @@ warning (an invalid escape sequence, say) cannot come back unnoticed;
 only core/exchange.py asks Ray for the cluster's CPUs; no program or test
 file names a fixed checkout directory; a GraphFrame view adds a
 pending predicate, not a Dataset stage; the one actor class is the
-superstep loop's resident holder; and Cypher aggregates run on one
-Arrow path."""
+superstep loop's resident holder; Cypher aggregates run on one
+Arrow path; and the superstep engine under state/ calls no lexsort."""
 
 from __future__ import annotations
 
@@ -141,4 +141,17 @@ def test_cypher_aggregates_on_one_path():
         if name in ("groupby", "map_groups", "sum") \
                 or (name == "aggregate" and not after_group_by):
             hits.append(f"line {node.lineno}: .{name}(")
+    assert hits == []
+
+
+def test_no_lexsort_in_state():
+    """The superstep kernels under raphtory_ray/state/ group by one sort
+    of packed int64 keys: a ``lexsort`` there, a merge sort per key, is
+    what made the LPA vote kernel the engine's largest layer."""
+    hits = []
+    for path in sorted((ROOT / "raphtory_ray" / "state").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and ast.unparse(node.func).split(".")[-1] == "lexsort":
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert hits == []
