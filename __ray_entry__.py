@@ -75,7 +75,7 @@ def _nodestate_table(node_ids: np.ndarray, values: np.ndarray, name: str,
 
 def _q_edge_dedup(sf_dir: str) -> pa.Table:
     from raphtory_ray.pipelines.tpch_graph import copurchase_edges
-    from raphtory_ray.query.cypher import group_count
+    from raphtory_ray.core.aggregate import group_count
     ds = group_count(copurchase_edges(sf_dir), ["src", "dst"],
                      alias="n_events")
     t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
@@ -780,9 +780,9 @@ def _q_cypher_skip(sf_dir: str):
 
 
 def _q_cypher_collect(sf_dir: str):
-    """collect() + size() (round 4): per-node neighbour list built via
-    groupby().map_groups (values null-dropped, sorted ascending for
-    determinism), then size() over the carried list column."""
+    """collect() + size() (round 4): per-node neighbour list built by
+    group_agg (values null-dropped, sorted ascending for determinism),
+    then size() over the carried list column."""
     from raphtory_ray.query import cypher
     return cypher(_user_gf(sf_dir),
                   "MATCH (a)-[e]->(b) WITH b, collect(e.w) AS ws "
@@ -1046,7 +1046,7 @@ def _q_user_exclude_layer(sf_dir: str) -> pa.Table:
     sub = gf.exclude_layer(["click", "view"])
     # distinct runs DISTRIBUTED before the pull (round 5 — the query
     # contract materializes the RESULT, not the event list)
-    from raphtory_ray.query.cypher import _distinct
+    from raphtory_ray.core.aggregate import _distinct
     dd = _distinct(sub.edges.select_columns(["src", "dst"]),
                    ["src", "dst"])
     return pa.concat_tables(dd.iter_batches(batch_format="pyarrow"))
@@ -1175,9 +1175,9 @@ def _q_user_props_sum(sf_dir: str) -> pa.Table:
     n = user_vertex_count(sf_dir)
     gf = GraphFrame(user_edges(sf_dir, keep_props=True), n)
     gf2 = gf.filter_exploded_edges(Prop("pk") > 50)
-    # distributed combiner groupby-sum (round 5): the driver receives one
+    # distributed combiner group_agg sum (round 5): the driver receives one
     # row per contributing vertex, not the event stream
-    from raphtory_ray.query.cypher import Agg, group_agg
+    from raphtory_ray.core.aggregate import Agg, group_agg
     agg = group_agg(gf2.edges.select_columns(["dst", "pk"]), ["dst"],
                     [Agg("pk_sum", "sum", "pk")])
     t = pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -1197,7 +1197,7 @@ def _q_user_edge_latest_filter(sf_dir: str) -> pa.Table:
     gf = user_graph(sf_dir).filter_edges(Prop("w") > 50.0, "latest")
     # distributed group-count (round 5): one row per surviving simple
     # edge reaches the driver, not the event stream
-    from raphtory_ray.query.cypher import group_count
+    from raphtory_ray.core.aggregate import group_count
     agg = group_count(gf.edges.select_columns(["src", "dst"]),
                       ["src", "dst"], "n_events")
     return pa.concat_tables(agg.iter_batches(batch_format="pyarrow"))
@@ -1217,7 +1217,7 @@ def _q_user_node_filter(sf_dir: str) -> pa.Table:
         f"{sf_dir}/events.parquet", time_col="ts", id_col="user_id",
         node_type_col="event_type", event_id_col="event_id", gf=gf)
     sub = nf.filter_nodes(Field("node_type") == "purchase")
-    from raphtory_ray.query.cypher import _distinct
+    from raphtory_ray.core.aggregate import _distinct
     dd = _distinct(sub.edges.select_columns(["src", "dst"]),
                    ["src", "dst"])
     return pa.concat_tables(dd.iter_batches(batch_format="pyarrow"))
@@ -1285,10 +1285,10 @@ def _q_doc_line_stats(sf_dir: str):
 
 def _q_doc_source_quality(sf_dir: str):
     """Per-source corpus quality rollup (round 5; composed pipeline:
-    quality_stats → groupby-sum): integer character-class totals + doc
+    quality_stats → group_agg sum): integer character-class totals + doc
     counts per source — bit-exact against GROUP BY SUM."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
+    from raphtory_ray.core.aggregate import Agg, group_agg
     from raphtory_ray.data.text import quality_stats_batch
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "source"])
@@ -1297,14 +1297,9 @@ def _q_doc_source_quality(sf_dir: str):
         t = quality_stats_batch(b)
         return t.append_column("source", b["source"])
 
-    stats = ds.map_batches(q, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return stats.groupby("source").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_chars", alias_name="sum_chars"),
-        Sum("n_alpha", alias_name="sum_alpha"),
-        Sum("n_digit", alias_name="sum_digit"),
-        Sum("n_punct", alias_name="sum_punct"))
+    return group_agg(ds, ["source"], [Agg("n_docs", "count")] + [
+        Agg(f"sum_{c}", "sum", f"n_{c}")
+        for c in ("chars", "alpha", "digit", "punct")], project=q)
 
 
 def _q_doc_source_cap(sf_dir: str) -> pa.Table:
@@ -1665,7 +1660,7 @@ def _q_doc_leakage_split(sf_dir: str):
 
 def _q_doc_hll_by_lang(sf_dir: str):
     """GROUPED HyperLogLog register state (round 5): approximate distinct
-    texts per language in one streaming pass + a groupby-max over
+    texts per language in one streaming pass + a group_agg max over
     sketch-sized partials; every (lang, reg, max_rank) row is value-gated
     against the same DuckDB md5 chain, grouped."""
     from raphtory_ray.data.sketch import hll_group_registers
@@ -1754,7 +1749,7 @@ def _q_doc_gopher(sf_dir: str):
 
 def _q_doc_vocab_stats(sf_dir: str):
     """Corpus vocabulary stats — per-batch partial (term, df, tf) then
-    one vocab-sized groupby-sum (combiner pattern, data/text.py)."""
+    one vocab-sized group_agg sum (combiner pattern, data/text.py)."""
     from raphtory_ray.data.text import vocab_stats
     return vocab_stats(_docs(sf_dir))
 
@@ -1883,17 +1878,14 @@ def _q_doc_training_pipeline(sf_dir: str):
     800) → token-budget sequence packing (distributed prefix sum).
     Every stage SQL-mirrored; output (doc_id, n_tokens, seq_id)."""
     import pyarrow.compute as _pc
-    from ray.data.aggregate import Min
 
-    from raphtory_ray.data.dedup import md5_batch
+    from raphtory_ray.data.dedup import exact_dedup
     from raphtory_ray.data.text import (pack_documents, sample_batch,
                                         token_count_batch)
     from raphtory_ray.query.cypher import hash_join
     docs = _docs(sf_dir)
-    keep = (docs.map_batches(md5_batch, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .groupby("h").aggregate(Min("doc_id", alias_name="doc_id"))
-            .select_columns(["doc_id"]))
+    keep = exact_dedup(docs).select_columns(["keep_id"]) \
+        .rename_columns({"keep_id": "doc_id"})
     kept = hash_join(docs.select_columns(["doc_id", "text"]), keep,
                      ["doc_id"])
 
@@ -1914,16 +1906,12 @@ def _q_doc_training_pipeline(sf_dir: str):
 
 def _q_doc_exact_dedup(sf_dir: str):
     from raphtory_ray.data.dedup import exact_dedup
-    ds = exact_dedup(_docs(sf_dir))
-    t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
-    return t.select(["h", "keep_id", "n_docs"])
+    return exact_dedup(_docs(sf_dir))
 
 
 def _q_doc_lang_counts(sf_dir: str):
-    from ray.data.aggregate import Count
-    ds = (_docs(sf_dir).groupby("lang").aggregate(Count(alias_name="n_docs")))
-    return pa.concat_tables(ds.iter_batches(batch_format="pyarrow")) \
-        .select(["lang", "n_docs"])
+    from raphtory_ray.core.aggregate import group_count
+    return group_count(_docs(sf_dir), ["lang"], "n_docs")
 
 
 def _q_doc_lang_id(sf_dir: str):
@@ -1931,14 +1919,14 @@ def _q_doc_lang_id(sf_dir: str):
     return language_id(_docs(sf_dir))
 
 
-def _q_doc_fingerprints(sf_dir: str) -> pa.Table:
-    from ray.data.aggregate import Count, Min
+def _q_doc_fingerprints(sf_dir: str):
+    from raphtory_ray.core.aggregate import Agg, group_agg
     from raphtory_ray.data.text import fingerprints
-    ds = (fingerprints(_docs(sf_dir)).groupby("doc_id")
-          .aggregate(Count(alias_name="n_fingerprints"),
-                     Min("fingerprint", alias_name="min_fingerprint")))
-    return pa.concat_tables(ds.iter_batches(batch_format="pyarrow")) \
-        .select(["doc_id", "n_fingerprints", "min_fingerprint"])
+    hint = pa.table({"doc_id": pa.array([], pa.int64()),
+                     "fingerprint": pa.array([], pa.uint64())})
+    return group_agg(fingerprints(_docs(sf_dir)), ["doc_id"],
+                     [Agg("n_fingerprints", "count"),
+                      Agg("min_fingerprint", "min", "fingerprint")], hint)
 
 
 def _q_doc_ngram_jaccard(sf_dir: str) -> pa.Table:
@@ -2068,15 +2056,13 @@ def _q_corpus_triangles(sf_dir: str) -> pa.Table:
                               pa.int64())})
 
 
-def _q_corpus_repo_edges(sf_dir: str) -> pa.Table:
+def _q_corpus_repo_edges(sf_dir: str):
     """repo→repo dependency rollup (north_star's second edge family)."""
     from raphtory_ray.pipelines.ingest import extract_edges, read_corpus, \
         repo_edges
     from raphtory_ray.sources.corpus import ensure_corpus
     path = ensure_corpus(sf=_corpus_sf(sf_dir))
-    ds = repo_edges(extract_edges(read_corpus(path)))
-    t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
-    return t.select(["src_repo", "dst_repo", "n_imports"])
+    return repo_edges(extract_edges(read_corpus(path)))
 
 
 def _q_betweenness_small(sf_dir: str) -> pa.Table:

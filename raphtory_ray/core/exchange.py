@@ -10,10 +10,14 @@ uint64 keys through ``key_hash``, for the same reason.
 A shuffle is a map side (one ``num_returns=P`` task per input block that
 ``split``s its rows by bucket) and a reduce side (one task per partition
 over column p of the pieces, which ``shuffle`` hands back).
+``route_fanout`` is that shuffle over a materialized Dataset routed on
+Arrow key columns: the hash joins, every grouping (core/aggregate) and
+every keep-one-row-per-key task run on it.
 
 Sizing: every P is ``num_partitions(rows)``, every CPU count
 ``cluster_cpus()``; a site passes its own ``per`` only where a measurement
-beside its constant shows R is slower there. ``groups`` batches the
+beside its constant shows R is slower there (route_fanout and the hash
+joins: FANOUT_ROWS_PER_PARTITION). ``groups`` batches the
 blocks of plain task waves.
 """
 
@@ -30,6 +34,12 @@ GOLD = np.uint64(0x9E3779B97F4A7C15)
 # superstep groups, a 16-way triangle grid. An input below R rows is one
 # partition, so its shuffle is one reduce task.
 ROWS_PER_PARTITION = 16_000
+
+# Rows per route_fanout / hash-join partition. On the perfbench
+# window-queries two-hop count (5k vertices, 20k events; 1-core host, 2
+# logical Ray CPUs, 3 seeds x 8 alternating reps) the default 16k rows
+# gave P = 2 and a median 0.356 s against 0.336 s at 50k rows (P = 1).
+FANOUT_ROWS_PER_PARTITION = 50_000
 
 
 def cluster_cpus() -> int:
@@ -146,3 +156,35 @@ def shuffle(task, refs: list, P: int, *args) -> list:
     piece refs; column p feeds the reduce task of partition p."""
     return columns([task.options(num_returns=P).remote(r, P, *args)
                     for r in refs], P)
+
+
+def _partition_ids(tbl: pa.Table, keys: list, P: int) -> np.ndarray:
+    """Partition id per row — the ONE hash both the route and the join's
+    skew count pass use (they must agree or the valve miscounts)."""
+    h = np.zeros(tbl.num_rows, np.uint64)
+    for k in keys:
+        h = h * GOLD ^ key_hash(tbl[k])
+    return (h % np.uint64(P)).astype(np.int64)
+
+
+@ray.remote
+def _route(tbl: pa.Table, P: int, keys: list):
+    """One block → P hash partitions on the key columns."""
+    return returns(split_table(tbl, _partition_ids(tbl, keys, P), P))
+
+
+def route_fanout(mat, keys: list, task, task_args: tuple = ()):
+    """MATERIALIZED Dataset → one ``task(*task_args, *pieces)`` per hash
+    partition of ``keys`` (any Arrow types; ``_route`` tasks; partition
+    count from num_partitions at FANOUT_ROWS_PER_PARTITION, one without
+    keys). A task's pieces come in block order and ``split_table`` keeps
+    row order, so each task sees its rows in the materialized order.
+    Returns the list of result refs, or None when every block is empty."""
+    rows = mat._block_num_rows()
+    refs = [r for r, c in zip(mat.to_arrow_refs(), rows) if c]
+    if not refs:
+        return None
+    P = num_partitions(sum(rows), per=FANOUT_ROWS_PER_PARTITION) \
+        if keys else 1
+    cols = shuffle(_route, refs, P, keys) if P > 1 else [refs]
+    return [task.remote(*task_args, *col) for col in cols]

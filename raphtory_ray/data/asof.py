@@ -35,8 +35,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from raphtory_ray.core.aggregate import Agg, group_agg
 from raphtory_ray.core.exchange import (bucket, num_partitions, returns,
-                                        shuffle, split_table)
+                                        route_fanout, shuffle, split_table)
 
 
 @ray.remote
@@ -108,32 +109,15 @@ def asof_join(left, right, by: str, on: str,
     return rd.from_arrow_refs(parts)
 
 
-# --------------------------------------- shared per-user route wave (r5)
-
-@ray.remote
-def _user_route(block: pa.Table, P: int, cols: tuple, key_col: str):
-    """Select ``cols`` and route by hash(key_col) — the map side shared
-    by sessionize / funnel_counts / cohort_retention (review fix: three
-    near-identical route functions collapsed here)."""
-    t = block.select(list(cols))
-    k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    return returns(split_table(t, bucket(k, P), P))
-
-
-def _user_route_wave(ds, cols: list, key_col: str, assign_remote,
-                     assign_args: tuple, empty_schema: dict):
-    """Materialize → ONE hash(key) route wave → per-partition assign
-    task; returns the assign outputs as a Dataset."""
+def _per_user(ds, cols: list, user_col: str, assign_remote,
+              assign_args: tuple):
+    """``cols`` of ``ds`` → one route_fanout on the user column → one
+    assign task per partition (over no pieces when the input is empty:
+    each assign task returns its typed empty table) → Dataset."""
     import ray.data as rd
     mat = ds.select_columns(cols).materialize()
-    refs = [r for r, n in zip(mat.to_arrow_refs(), mat._block_num_rows())
-            if n]
-    if not refs:
-        return rd.from_arrow(pa.table(
-            {k: pa.array([], t) for k, t in empty_schema.items()}))
-    P = num_partitions(mat.count())
-    out = [assign_remote.remote(*assign_args, *col) for col in
-           shuffle(_user_route, refs, P, tuple(cols), key_col)]
+    out = route_fanout(mat, [user_col], assign_remote, assign_args) \
+        or [assign_remote.remote(*assign_args)]
     return rd.from_arrow_refs(out)
 
 
@@ -189,11 +173,8 @@ def sessionize(ds, gap: int, user_col: str = "user_id",
     assumption), then a vectorized per-partition lexsort + cumulative
     break count. Returns Dataset(user_col, eid_col, session_id). ``ts``
     must be integer-comparable (epoch units)."""
-    return _user_route_wave(
-        ds, [user_col, ts_col, eid_col], user_col, _sess_assign,
-        (gap, user_col, ts_col, eid_col),
-        {user_col: pa.int64(), eid_col: pa.int64(),
-         "session_id": pa.int64()})
+    return _per_user(ds, [user_col, ts_col, eid_col], user_col,
+                     _sess_assign, (gap, user_col, ts_col, eid_col))
 
 
 # --------------------------------------------------- funnel (round 5)
@@ -274,11 +255,9 @@ def funnel_counts(ds, steps: list, window: int,
 
     pruned = ds.select_columns([user_col, ts_col, type_col]).map_batches(
         keep_steps, batch_format="pyarrow", zero_copy_batch=True)
-    return _user_route_wave(
-        pruned, [user_col, ts_col, type_col], user_col, _funnel_assign,
-        (tuple(steps), window, user_col, ts_col, type_col),
-        {user_col: pa.int64(), "stage": pa.int64(),
-         "t_first": pa.int64()})
+    return _per_user(pruned, [user_col, ts_col, type_col], user_col,
+                     _funnel_assign,
+                     (tuple(steps), window, user_col, ts_col, type_col))
 
 
 # ------------------------------------------- cohort retention (round 5)
@@ -319,14 +298,12 @@ def cohort_retention(ds, period: int, user_col: str = "user_id",
     """Cohort retention table (the classic growth-analytics op): users
     cohorted by the period (epoch // period) of their FIRST event;
     n_users(cohort, k) = distinct users of that cohort active k periods
-    later. One hash(user) route wave (per-user state is partition-local),
-    vectorized per-partition distinct + count, tiny final groupby-sum.
-    Returns Dataset(cohort, k, n_users); ts integer epoch units (a
-    parquet timestamp column coerces via the int64 view)."""
-    from ray.data.aggregate import Sum
-    out = _user_route_wave(
-        ds, [user_col, ts_col], user_col, _cohort_part,
-        (period, user_col, ts_col),
-        {"cohort": pa.int64(), "k": pa.int64(), "n_users": pa.int64()})
-    return out.groupby(["cohort", "k"]).aggregate(
-        Sum("n_users", alias_name="n_users"))
+    later. One route_fanout on the user (per-user state is
+    partition-local), vectorized per-partition distinct + count, then a
+    group_agg sum over the partition counts. Returns Dataset(cohort, k,
+    n_users); ts integer epoch units (a parquet timestamp column coerces
+    via the int64 view)."""
+    out = _per_user(ds, [user_col, ts_col], user_col, _cohort_part,
+                    (period, user_col, ts_col))
+    return group_agg(out, ["cohort", "k"], [Agg("n_users", "sum",
+                                                 "n_users")])

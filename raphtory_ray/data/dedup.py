@@ -2,7 +2,7 @@
 
 Five families (training-data pipeline core ops):
 
-- exact          — md5(text) → groupby(hash) keep min doc_id
+- exact          — md5(text) → group_agg on the hash: keep min doc_id
 - minhash_lsh    — char-shingle → minhash signature → band buckets →
                    candidate pairs → exact-Jaccard verify → clusters
 - simhash        — 64-bit simhash → 4×16-bit band buckets → hamming verify
@@ -34,9 +34,11 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from raphtory_ray.core.aggregate import Agg, group_agg
 from raphtory_ray.core.exchange import (bucket, columns, groups,
-                                        num_partitions, returns, shuffle,
-                                        split_table, splitmix64)
+                                        num_partitions, returns,
+                                        route_fanout, shuffle, split_table,
+                                        splitmix64)
 from raphtory_ray.data.text import _flat_utf8, kgram_hashes
 
 MERSENNE61 = np.uint64((1 << 61) - 1)
@@ -53,24 +55,17 @@ def md5_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return pa.table({"doc_id": batch["doc_id"], "h": pa.array(hs, pa.string())})
 
 
+# md5_batch's output columns, for results over an all-empty input
+_MD5_HINT = pa.table({"doc_id": pa.array([], pa.int64()),
+                      "h": pa.array([], pa.string())})
+
+
 def exact_dedup(ds, text_col: str = "text"):
-    """→ Dataset(h, keep_id=min doc_id, n_docs). The shuffle key is the
+    """→ Dataset(h, keep_id=min doc_id, n_docs): one group_agg on the
     16-byte hash — uniformly distributed, skew-free by construction."""
-    hashed = ds.map_batches(lambda b: md5_batch(b, text_col),
-                            batch_format="pyarrow", zero_copy_batch=True)
-    agg = hashed.groupby("h").aggregate(
-        _min_agg("doc_id", "keep_id"), _count_agg("n_docs"))
-    return agg
-
-
-def _min_agg(col, name):
-    from ray.data.aggregate import Min
-    return Min(col, alias_name=name)
-
-
-def _count_agg(name):
-    from ray.data.aggregate import Count
-    return Count(alias_name=name)
+    return group_agg(ds, ["h"], [Agg("keep_id", "min", "doc_id"),
+                                 Agg("n_docs", "count")],
+                     _MD5_HINT, lambda b: md5_batch(b, text_col))
 
 
 # ------------------------------------------------------------------- minhash
@@ -157,7 +152,7 @@ def _band_rows(sig_tbl: pa.Table, bands: int) -> pa.Table:
                      "doc_id": pa.array(np.concatenate(docs), pa.int64())})
 
 
-# Explicit raw-task shuffles instead of Dataset groupby().map_groups():
+# Explicit raw-task shuffles instead of a Dataset groupby and map_groups:
 # these pipelines have O(corpus) tiny groups (band buckets, candidate
 # pairs), and map_groups dispatches the Python UDF once PER GROUP — the
 # dispatch dominated the round-1 runtime. A partition task handles all its
@@ -865,15 +860,6 @@ def _split_assign(val_permille: int, seed: int, *pieces: pa.Table) -> pa.Table:
                      "split": pa.array(split.tolist(), pa.string())})
 
 
-@ray.remote
-def _route_by_md5(tbl: pa.Table, P: int):
-    h = tbl["h"].to_numpy(zero_copy_only=False)
-    # first 8 hex chars → uint32-ish int; md5 is uniform so this bucket
-    # key is skew-free by construction
-    key = np.array([int(x[:8], 16) for x in h], dtype=np.int64)
-    return returns(split_table(tbl, bucket(key, P), P))
-
-
 def leakage_safe_split(ds, val_permille: int = 100, seed: int = 0,
                        text_col: str = "text", id_col: str = "doc_id"):
     """Contamination-safe train/val split: exact duplicates (same md5)
@@ -882,7 +868,7 @@ def leakage_safe_split(ds, val_permille: int = 100, seed: int = 0,
     1000 < val_permille`` where cluster_id = min doc_id of the md5
     group — deterministic per cluster (resumable, reshard-invariant).
 
-    Scale shape: one md5 pass (streaming), ONE hash(md5) route wave so
+    Scale shape: one md5 pass (streaming), ONE route_fanout on ``h`` so
     each group meets in exactly one partition (16-byte uniform key — no
     skew), vectorized group-min + coin per partition. Driver never holds
     doc ids; output stays a Dataset of (doc_id, cluster_id, split)."""
@@ -897,11 +883,9 @@ def leakage_safe_split(ds, val_permille: int = 100, seed: int = 0,
         ds = ds.rename_columns({id_col: "doc_id"})
     hashed = ds.map_batches(lambda b: md5_batch(b, text_col),
                             batch_format="pyarrow", zero_copy_batch=True)
-    mat = hashed.materialize()
-    refs = mat.to_arrow_refs()
-    P = num_partitions(mat.count())
-    out = [_split_assign.remote(val_permille, seed, *c)
-           for c in shuffle(_route_by_md5, refs, P)]
+    out = route_fanout(hashed.materialize(), ["h"], _split_assign,
+                       (val_permille, seed)) \
+        or [_split_assign.remote(val_permille, seed)]
     return rd.from_arrow_refs(out)
 
 

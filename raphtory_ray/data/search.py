@@ -58,13 +58,13 @@ def build_text_index(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 def doc_length_stats(postings):
     """Corpus document-length statistics for BM25: a materialized Dataset
-    (doc_id, dl=token count) via one distributed groupby-sum over the
-    postings, plus the two global scalars (n_docs, avgdl). N counts docs
-    that produced at least one token (empty docs have no postings and can
+    (doc_id, dl=token count) via one group_agg sum over the postings,
+    plus the two global scalars (n_docs, avgdl). N counts docs that
+    produced at least one token (empty docs have no postings and can
     never match)."""
-    from ray.data.aggregate import Sum
-    dl = postings.groupby("doc_id").aggregate(
-        Sum("tf", alias_name="dl")).materialize()
+    from raphtory_ray.core.aggregate import Agg, group_agg
+    dl = group_agg(postings, ["doc_id"], [Agg("dl", "sum", "tf")]) \
+        .materialize()
     n = dl.count()
     total = dl.sum("dl") if n else 0
     return dl, n, (total / n) if n else 0.0

@@ -250,17 +250,16 @@ def hll_group_registers(ds, col: str = "text", group_col: str = "lang",
                         p: int = 8):
     """Grouped HLL register state: (group, reg, max_rank) for every
     touched register of every group — approximate DISTINCT per group in
-    one streaming pass + one groupby-max over sketch-sized partials
+    one streaming pass + one group_agg max over sketch-sized partials
     (never over the data). Feed each group's rows to ``hll_estimate``
     for the count. Null-group rows are EXCLUDED (document the contract
     rather than silently folding them into a group). Returns a
     Dataset."""
-    from ray.data.aggregate import Max
-    parts = ds.select_columns([col, group_col]).map_batches(
-        lambda b: _group_registers_block(b, col, group_col, p),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby([group_col, "reg"]).aggregate(
-        Max("max_rank", alias_name="max_rank"))
+    from raphtory_ray.core.aggregate import Agg, group_agg
+    return group_agg(
+        ds.select_columns([col, group_col]), [group_col, "reg"],
+        [Agg("max_rank", "max", "max_rank")],
+        project=lambda b: _group_registers_block(b, col, group_col, p))
 
 
 def hll_group_estimates(ds, col: str = "text", group_col: str = "lang",

@@ -295,10 +295,10 @@ def vocab_stats(ds, text_col: str = "text", id_col: str = "doc_id",
 
     Scale shape: the expensive work (tokenize + per-doc dedup) happens
     inside map_batches as a PARTIAL aggregate — each batch emits one row
-    per distinct term it saw — so the only shuffle is a groupby-sum over
-    vocabulary-sized partials, not over the token stream (the classic
-    combiner pattern; partial dfs sum exactly because a document lives
-    in exactly one row/batch).
+    per distinct term it saw — so the only shuffle is a group_agg sum
+    over vocabulary-sized partials, not over the token stream (the
+    classic combiner pattern; partial dfs sum exactly because a document
+    lives in exactly one row/batch).
 
     ``min_df`` / ``max_vocab`` (round 5, enforced — a web-scale corpus has
     ~10⁹ k-gram-noise terms and any driver consumer of this table needs a
@@ -308,7 +308,7 @@ def vocab_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     asc) via per-block partial top-V then a bounded O(V·blocks) merge.
     ``stats``, if given, receives ``dropped_terms`` (count removed by the
     caps; also logged — never silent)."""
-    from ray.data.aggregate import Sum
+    from raphtory_ray.core.aggregate import Agg, group_agg
 
     def partial(b: pa.Table) -> pa.Table:
         import pandas as pd
@@ -319,15 +319,11 @@ def vocab_stats(ds, text_col: str = "text", id_col: str = "doc_id",
                          "df": pa.array(g["df"].to_numpy(), pa.int64()),
                          "tf": pa.array(g["tf"].to_numpy(), pa.int64())})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-
-    def rn(b: pa.Table) -> pa.Table:
-        m = {"sum(df)": "df", "sum(tf)": "tf"}
-        return b.rename_columns([m.get(c, c) for c in b.column_names])
-
-    full = parts.groupby("term").aggregate(Sum("df"), Sum("tf")) \
-        .map_batches(rn, batch_format="pyarrow", zero_copy_batch=True)
+    hint = pa.table({"term": pa.array([], pa.string()),
+                     "df": pa.array([], pa.int64()),
+                     "tf": pa.array([], pa.int64())})
+    full = group_agg(ds, ["term"], [Agg("df", "sum", "df"),
+                                    Agg("tf", "sum", "tf")], hint, partial)
     if min_df is None and max_vocab is None:
         return full
     full = full.materialize()

@@ -317,9 +317,11 @@ def repo_edges(edges_gid_ds) -> "rd.Dataset":
     """repo→repo rollup of the file→file gid edge events (north_star:
     "repo→repo and file→file dependency edges"): per-pair import-event
     counts (every edge event counts into n_imports), self-edges dropped.
-    repo(gid) = the first two path segments ("org{o}/repo{r}")."""
+    repo(gid) = the first two path segments ("org{o}/repo{r}"); one
+    group_agg count per pair."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
+
+    from raphtory_ray.core.aggregate import Agg, group_agg
 
     def rollup(b: pa.Table) -> pa.Table:
         def repo_of(col):
@@ -330,10 +332,10 @@ def repo_edges(edges_gid_ds) -> "rd.Dataset":
         t = pa.table({"src_repo": rs, "dst_repo": rd_})
         return t.filter(pc.invert(pc.equal(t["src_repo"], t["dst_repo"])))
 
-    return (edges_gid_ds.map_batches(rollup, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-            .groupby(["src_repo", "dst_repo"])
-            .aggregate(Count(alias_name="n_imports")))
+    z = pa.array([], pa.string())
+    return group_agg(edges_gid_ds, ["src_repo", "dst_repo"],
+                     [Agg("n_imports", "count")],
+                     pa.table({"src_repo": z, "dst_repo": z}), rollup)
 
 
 @ray.remote

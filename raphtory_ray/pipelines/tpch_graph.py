@@ -82,14 +82,13 @@ def _pairs_part(*blocks: pa.Table) -> pa.Table:
 def copurchase_edges(sf_dir: str) -> rd.Dataset:
     """Directed part→part co-purchase edge events from lineitem.
 
-    One raw hash-route wave on l_orderkey (the Cypher join's splitmix
-    `_route` tasks — all lineitems of an order land in one partition,
-    group size bounded ≤ 7) + a fully vectorized per-partition pair
-    kernel. Replaced a Ray sort-based groupby on a salt column: the sort
+    One route_fanout on l_orderkey (all lineitems of an order land in
+    one partition, group size bounded ≤ 7) + a fully vectorized
+    per-partition pair kernel. Replaced a Ray sort-based groupby on a salt column: the sort
     exchange cost ~3× the kernel (5.8 s → 1.4 s at sf0.01), and per-order
     map_groups dispatch would be worse still (orders are tiny and
     numerous)."""
-    from raphtory_ray.query.cypher import route_fanout
+    from raphtory_ray.core.exchange import route_fanout
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_partkey", "l_linenumber"]).materialize()

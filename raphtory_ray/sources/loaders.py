@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
+from raphtory_ray.core.exchange import route_fanout
 from raphtory_ray.graph.graph_frame import GraphFrame
 
 
@@ -130,9 +132,8 @@ def load_nodes(ds, time_col: str, id_col: str, node_type: str | None = None,
     - no ``gf``: vid space = sorted distinct ids.
 
     node_type / metadata are constant per node: the value from the node's
-    FIRST event by (t, event_id) wins — one distributed groupby(id), the
+    FIRST event by (t, event_id) wins — one route_fanout on vid, the
     inherent shuffle of a node-dimension build."""
-    import ray
     import ray.data as rd
 
     prop_cols = list(prop_cols or [])
@@ -158,7 +159,7 @@ def load_nodes(ds, time_col: str, id_col: str, node_type: str | None = None,
                             zero_copy_batch=True).materialize()
 
     # ---- vid space
-    new_ids = sorted(events.unique("_id"))
+    new_ids = sorted(events.unique("_id") or [])
     if gf is not None and gf.vertices is not None:
         base = [str(g) for g in gf.vertices["gid"].to_pylist()]
         known = set(base)
@@ -205,19 +206,12 @@ def load_nodes(ds, time_col: str, id_col: str, node_type: str | None = None,
     # ---- vertices dimension table: first (t, event_id) row per vid
     dim_cols = (["node_type"] if node_type_col else []) + metadata_cols
 
-    def first_row(grp: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(grp, sort_keys=[("t", "ascending"),
-                                              ("event_id", "ascending")])
-        row = grp.take(idx[:1])
-        return row.select(["vid"] + dim_cols)
-
     if dim_cols:
-        dim = (resolved.groupby("vid")
-               .map_groups(first_row, batch_format="pyarrow"))
-        import ray as _ray
-        pieces = [t.select(["vid"] + dim_cols)
-                  for t in _ray.get(dim.to_arrow_refs()) if t.num_rows]
-        dim_t = pa.concat_tables(pieces).sort_by("vid")
+        refs = route_fanout(resolved, ["vid"], _one_row_per_key, (
+            ["vid"], [("t", "ascending"), ("event_id", "ascending")], "min"))
+        dim_t = (pa.concat_tables(ray.get(refs)) if refs else resolve(
+            canon(ds.schema().base_schema.empty_table()))) \
+            .select(["vid"] + dim_cols).sort_by("vid")
         have = dim_t["vid"].to_numpy(zero_copy_only=False)
     else:
         have = np.empty(0, np.int64)
@@ -261,26 +255,18 @@ def load_nodes_from_parquet(path, time_col: str, id_col: str, **kw):
                       time_col, id_col, **kw)
 
 
-def _with_row_ordinal(ds, col: str = "_ord"):
-    """Append a global input-order row ordinal. Ray Data has no
-    zipWithIndex; groupby/sort give NO intra-group input-order guarantee,
-    so 'last occurrence wins' semantics need an explicit ordinal. Blocks
-    stay in the object store — the driver holds only O(blocks) refs and
-    row counts."""
-    import ray
-    import ray.data as rd
-    mat = ds.materialize()
-    refs = mat.get_internal_block_refs()
-    counts = mat._block_num_rows()
-    offsets = np.r_[0, np.cumsum(counts, dtype=np.int64)]
-
-    @ray.remote
-    def _tag(block: pa.Table, off: int) -> pa.Table:
-        return block.append_column(
-            col, pa.array(np.arange(off, off + block.num_rows), pa.int64()))
-
-    return rd.from_arrow_refs(
-        [_tag.remote(r, int(o)) for r, o in zip(refs, offsets)])
+@ray.remote
+def _one_row_per_key(keys: list, sort_keys: list, pick: str,
+                     *pieces: pa.Table) -> pa.Table:
+    """One route_fanout partition → one row per ``keys`` group: the rows
+    stably sorted by ``sort_keys`` (none: arrival order), then each
+    group's first (``pick`` = "min") or last ("max") row."""
+    t = pa.concat_tables(pieces, promote_options="default")
+    if sort_keys:
+        t = t.sort_by(sort_keys)
+    i = t.append_column("__i", pa.array(np.arange(t.num_rows))) \
+        .group_by(keys, use_threads=False).aggregate([("__i", pick)])
+    return t.take(i["__i_" + pick])
 
 
 def load_edge_props(ds, src_col: str, dst_col: str, metadata_cols,
@@ -288,11 +274,10 @@ def load_edge_props(ds, src_col: str, dst_col: str, metadata_cols,
     """Edge metadata loader (load_edge_metadata_from_parquet,
     parquet_loaders.rs:252-295): constant properties keyed by
     (src, dst[, layer]) — one row per edge, LAST occurrence wins (the
-    reference overwrites on re-add; 'last' = input row order, made
-    explicit via a row ordinal because groupby does not preserve it).
+    reference overwrites on re-add; 'last' = input row order).
     Returns the metadata Dataset; when ``gf`` is given it is also
     attached as ``gf_out.edge_meta``."""
-    key = [src_col, dst_col] + ([layer_col] if layer_col else [])
+    import ray.data as rd
 
     def canon(b: pa.Table) -> pa.Table:
         cols = {"src": b[src_col].combine_chunks().cast(pa.int64()),
@@ -303,17 +288,17 @@ def load_edge_props(ds, src_col: str, dst_col: str, metadata_cols,
             cols[c] = b[c]
         return pa.table(cols)
 
-    canonical = _with_row_ordinal(
-        ds.map_batches(canon, batch_format="pyarrow", zero_copy_batch=True))
-
+    canonical = ds.map_batches(canon, batch_format="pyarrow",
+                               zero_copy_batch=True).materialize()
     gkey = ["src", "dst"] + (["layer"] if layer_col else [])
-
-    def last_row(grp: pa.Table) -> pa.Table:
-        i = pc.index(pc.equal(grp["_ord"], pc.max(grp["_ord"])), True)
-        return grp.take([i.as_py()]).drop_columns(["_ord"])
-
-    meta = canonical.groupby(gkey).map_groups(last_row,
-                                              batch_format="pyarrow")
+    # route_fanout hands each task its pieces in materialized block
+    # order and split_table keeps row order, so a partition's arrival
+    # order is the input order: its last row per key is the last
+    # occurrence.
+    refs = route_fanout(canonical, gkey, _one_row_per_key,
+                        (gkey, [], "max"))
+    meta = rd.from_arrow_refs(refs) if refs else rd.from_arrow(
+        canon(ds.schema().base_schema.empty_table()))
     if gf is not None:
         out = gf._derive()
         out.edge_meta = meta
@@ -514,10 +499,10 @@ def import_graph(dst: GraphFrame, src: GraphFrame,
         remap_vals[overlap] = dv[order[pos]]
     remap_vals[~overlap] = base + np.arange(len(new_gids))
     so = np.argsort(svid)
-    rref = _ray.put((svid[so], remap_vals[so]))
+    rref = ray.put((svid[so], remap_vals[so]))
 
     def rv(b: pa.Table, _r=rref) -> pa.Table:
-        vid_sorted, m_sorted = _ray.get(_r)
+        vid_sorted, m_sorted = ray.get(_r)
         cols = {}
         for c in b.column_names:
             if c in ("src", "dst"):
@@ -554,5 +539,3 @@ def import_graph(dst: GraphFrame, src: GraphFrame,
     return GraphFrame(dst.edges.union(src_edges), base + len(new_gids),
                       verts)
 
-
-import ray as _ray  # noqa: E402

@@ -675,7 +675,8 @@ def test_empty_aggregate_types(ray_session):
     where the schema is lost; group_count's keys keep their type; a
     Cypher aggregate over an empty match is typed by its functions."""
     import ray.data as rd
-    from raphtory_ray.query.cypher import Agg, cypher, group_agg, group_count
+    from raphtory_ray.core.aggregate import Agg, group_agg, group_count
+    from raphtory_ray.query.cypher import cypher
     sch = pa.schema([("k", pa.int32()), ("v", pa.float64())])
     empty = rd.from_arrow(sch.empty_table())
     out = group_agg(empty, ["k"], [Agg("s", "sum", "v")])
@@ -1610,8 +1611,9 @@ def test_aggregates_differential_vs_duckdb(ray_session, small):
     and, with the rows per partition patched to 1, at P > 1."""
     import importlib
     cy = importlib.import_module("raphtory_ray.query.cypher")
+    ex = importlib.import_module("raphtory_ray.core.exchange")
     seen_p = []
-    num_partitions = cy.num_partitions
+    num_partitions = ex.num_partitions
 
     def spy(*args, **kwargs):
         seen_p.append(num_partitions(*args, **kwargs))
@@ -1638,9 +1640,9 @@ def test_aggregates_differential_vs_duckdb(ray_session, small):
         _diff_case(cy, m, n, zipf, selfloop, null_frac, null_first, seed)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cy, "num_partitions", spy)
+        mp.setattr(ex, "num_partitions", spy)
         if small:
-            mp.setattr(cy, "CYPHER_ROWS_PER_PARTITION", 1)
-            mp.setattr("raphtory_ray.core.exchange.ROWS_PER_PARTITION", 1)
+            mp.setattr(ex, "FANOUT_ROWS_PER_PARTITION", 1)
+            mp.setattr(ex, "ROWS_PER_PARTITION", 1)
         run()
     assert (max(seen_p) > 1) == small

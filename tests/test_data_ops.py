@@ -1277,7 +1277,7 @@ def test_hll_group_registers_parity(ray_session):
 
 
 def test_user_route_wave_multi_partition(ray_session, monkeypatch):
-    """round-5 review fix: force P > 1 (by shrinking the partition rule's
+    """round-5 review fix: force P > 1 (by shrinking route_fanout's
     rows per partition) so the multi-partition route/piece path is
     actually exercised — results identical to P=1."""
     import ray.data as rd
@@ -1295,8 +1295,10 @@ def test_user_route_wave_multi_partition(ray_session, monkeypatch):
              rng.integers(0, 3, n)])})
     ds = rd.from_arrow(t).repartition(5)
     for P in (1, 4):
-        monkeypatch.setattr(exchange, "ROWS_PER_PARTITION", -(-n // P))
-        assert exchange.num_partitions(n, cpus=4) == P
+        monkeypatch.setattr(exchange, "FANOUT_ROWS_PER_PARTITION",
+                            -(-n // P))
+        assert exchange.num_partitions(
+            n, cpus=4, per=exchange.FANOUT_ROWS_PER_PARTITION) == P
         s = sessionize(ds, gap=100).to_pandas() \
             .sort_values("event_id").reset_index(drop=True)
         f = funnel_counts(ds, ["view", "click", "purchase"],

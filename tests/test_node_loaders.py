@@ -88,9 +88,9 @@ def test_load_edge_props(ray_session, tmp_path):
 
 
 def test_load_edge_props_last_wins_across_files(ray_session, tmp_path):
-    """'last occurrence wins' = INPUT order, which groupby does not
-    preserve — the explicit row ordinal makes it deterministic even when
-    duplicates land in different blocks."""
+    """'last occurrence wins' = INPUT order, also when duplicates land
+    in different blocks: route_fanout hands each partition its rows in
+    block order."""
     from raphtory_ray.sources.loaders import load_edge_props_from_parquet
     t1 = pa.table({"a": pa.array([1], pa.int64()),
                    "b": pa.array([2], pa.int64()),

@@ -16,11 +16,9 @@ SMALL = 32          # rows per partition in the multi-partition run
 
 
 def _shrink(monkeypatch):
-    import importlib
     from raphtory_ray.algorithms import louvain, motifs, sssp
-    cypher = importlib.import_module("raphtory_ray.query.cypher")
     monkeypatch.setattr(exchange, "ROWS_PER_PARTITION", SMALL)
-    monkeypatch.setattr(cypher, "CYPHER_ROWS_PER_PARTITION", SMALL)
+    monkeypatch.setattr(exchange, "FANOUT_ROWS_PER_PARTITION", SMALL)
     monkeypatch.setattr(louvain, "LOUVAIN_HALF_EDGES_PER_PARTITION", SMALL)
     monkeypatch.setattr(motifs, "MOTIF_EDGES_PER_PARTITION", SMALL)
     monkeypatch.setattr(sssp, "SSSP_ROWS_PER_PARTITION", SMALL)
@@ -50,7 +48,7 @@ def _sorted(t: pa.Table, keys: list) -> dict:
     return {c: t[c].to_pylist() for c in sorted(t.column_names)}
 
 
-def _docs():
+def _docs(lang: bool = False):
     import ray.data as rd
     rng = np.random.default_rng(5)
     words = [f"w{i}" for i in range(40)]
@@ -59,9 +57,16 @@ def _docs():
               texts[11]]
     texts += ["\n\n".join([texts[i % 5], texts[(i + 1) % 5], f"p{i}"])
               for i in range(20)]
-    return rd.from_arrow(pa.table({
-        "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
-        "text": pa.array(texts)})).repartition(3)
+    cols = {"doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+            "text": pa.array(texts)}
+    if lang:
+        cols["lang"] = pa.array([("en", "de", "fr")[i % 3]
+                                 for i in range(len(texts))])
+    return rd.from_arrow(pa.table(cols)).repartition(3)
+
+
+def _table(ds) -> pa.Table:
+    return pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
 
 
 def _minhash():
@@ -93,7 +98,7 @@ def _cypher_two_hop():
 
 
 def _group_count():
-    from raphtory_ray.query.cypher import group_count
+    from raphtory_ray.core.aggregate import group_count
     t = pa.Table.from_pylist(group_count(_gf().edges, ["src", "dst"])
                              .take_all())
     return _sorted(t, ["src", "dst"])
@@ -109,6 +114,79 @@ def _sessionize():
                   "event_id": pa.array(np.arange(m, dtype=np.int64))})
     out = sessionize(rd.from_arrow(t).repartition(3), gap=60)
     return _sorted(pa.Table.from_pylist(out.take_all()), ["event_id"])
+
+
+def _exact_dedup():
+    from raphtory_ray.data.dedup import exact_dedup
+    return _sorted(_table(exact_dedup(_docs())), ["h"])
+
+
+def _repo_edges():
+    import ray.data as rd
+    from raphtory_ray.pipelines.ingest import repo_edges
+    rng = np.random.default_rng(12)
+    gid = [f"org{o}/repo{r}/f{i}.py" for i, (o, r) in
+           enumerate(rng.integers(0, 4, (120, 2)))]
+    t = pa.table({"src_gid": pa.array(rng.choice(gid, 400)),
+                  "dst_gid": pa.array(rng.choice(gid, 400))})
+    out = repo_edges(rd.from_arrow(t).repartition(3))
+    return _sorted(_table(out), ["src_repo", "dst_repo"])
+
+
+def _doc_length_stats():
+    from raphtory_ray.data.search import build_text_index, doc_length_stats
+    dl, n, avgdl = doc_length_stats(build_text_index(_docs()))
+    return _sorted(_table(dl), ["doc_id"]), n, avgdl
+
+
+def _vocab_stats():
+    from raphtory_ray.data.text import vocab_stats
+    return _sorted(_table(vocab_stats(_docs())), ["term"])
+
+
+def _cohort_retention():
+    import ray.data as rd
+    from raphtory_ray.data.asof import cohort_retention
+    rng = np.random.default_rng(13)
+    t = pa.table({"user_id": pa.array(rng.integers(0, 60, 500)),
+                  "ts": pa.array(rng.integers(0, 2_000, 500))})
+    out = cohort_retention(rd.from_arrow(t).repartition(3), 200)
+    return _sorted(_table(out), ["cohort", "k"])
+
+
+def _hll_group_registers():
+    from raphtory_ray.data.sketch import hll_group_registers
+    return _sorted(_table(hll_group_registers(_docs(lang=True))),
+                   ["lang", "reg"])
+
+
+def _load_nodes():
+    import ray.data as rd
+    from raphtory_ray.sources.loaders import load_nodes
+    rng = np.random.default_rng(14)
+    m = 300
+    t = pa.table({"ts": pa.array(rng.integers(0, 50, m)),
+                  "uid": pa.array(rng.integers(0, 80, m)),
+                  "eid": pa.array(np.arange(m, dtype=np.int64)),
+                  "kind": pa.array(rng.choice(["a", "b", "c", "d"], m))})
+    gf = load_nodes(rd.from_arrow(t).repartition(3), "ts", "uid",
+                    node_type_col="kind", metadata_cols=["eid"],
+                    event_id_col="eid")
+    return _sorted(gf.vertices, ["vid"])
+
+
+def _load_edge_props():
+    """Each key's rows sit in one input block, so 'last occurrence' does
+    not depend on the order the blocks arrive in."""
+    import ray.data as rd
+    from raphtory_ray.sources.loaders import load_edge_props
+    rng = np.random.default_rng(15)
+    parts = [pa.table({"a": pa.array(rng.integers(0, 12, 150) + 100 * i),
+                       "b": pa.array(rng.integers(0, 12, 150)),
+                       "rel": pa.array(rng.choice(["x", "y", "z"], 150))})
+             for i in range(3)]
+    out = load_edge_props(rd.from_arrow(parts), "a", "b", ["rel"])
+    return _sorted(_table(out), ["src", "dst"])
 
 
 def _louvain(monkeypatch):
@@ -172,6 +250,14 @@ CASES = {
     "cypher_two_hop": _cypher_two_hop,
     "group_count": _group_count,
     "sessionize": _sessionize,
+    "exact_dedup": _exact_dedup,
+    "repo_edges": _repo_edges,
+    "doc_length_stats": _doc_length_stats,
+    "vocab_stats": _vocab_stats,
+    "cohort_retention": _cohort_retention,
+    "hll_group_registers": _hll_group_registers,
+    "load_nodes": _load_nodes,
+    "load_edge_props": _load_edge_props,
     "louvain": _louvain,
     "temporal_motifs": _motifs,
     "filter_edges": _filter_edges,

@@ -3,8 +3,8 @@ warning (an invalid escape sequence, say) cannot come back unnoticed;
 only core/exchange.py asks Ray for the cluster's CPUs; no program or test
 file names a fixed checkout directory; a GraphFrame view adds a
 pending predicate, not a Dataset stage; the one actor class is the
-superstep loop's resident holder; Cypher aggregates run on one
-Arrow path; and the superstep engine under state/ calls no lexsort."""
+superstep loop's resident holder; every grouping runs on one Arrow
+path; and the superstep engine under state/ calls no lexsort."""
 
 from __future__ import annotations
 
@@ -121,26 +121,60 @@ def test_one_actor_class():
     assert found == ["raphtory_ray/state/supersteps.py:_Holder"]
 
 
-def test_cypher_aggregates_on_one_path():
-    """Every aggregate, DISTINCT and grouping in query/cypher.py runs on
-    group_agg's Arrow partial/route/final path: no Ray Data ``groupby``,
-    ``map_groups``, ``ray.data.aggregate`` import, Dataset ``aggregate``
-    or ``sum`` — an ``.aggregate(`` call must follow an Arrow
-    ``group_by``."""
-    path = ROOT / "raphtory_ray" / "query" / "cypher.py"
-    src = path.read_text()
-    hits = ["ray.data.aggregate"] if "ray.data.aggregate" in src else []
-    for node in ast.walk(ast.parse(src)):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)):
-            continue
-        name, recv = node.func.attr, node.func.value
-        after_group_by = isinstance(recv, ast.Call) \
-            and isinstance(recv.func, ast.Attribute) \
-            and recv.func.attr == "group_by"
-        if name in ("groupby", "map_groups", "sum") \
-                or (name == "aggregate" and not after_group_by):
-            hits.append(f"line {node.lineno}: .{name}(")
+# the pandas groupbys that run inside one block or over a driver-held
+# partial table, by file and qualified function name
+_PANDAS_GROUPBY = {("raphtory_ray/data/text.py", "_doc_term_tf"),
+                   ("raphtory_ray/data/text.py", "vocab_stats.partial"),
+                   ("raphtory_ray/data/similarity.py", "knn_bruteforce"),
+                   ("raphtory_ray/data/similarity.py", "knn_ivf")}
+
+
+def _calls_with_scope(tree):
+    """(qualified enclosing function name, Call node) for every call."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                yield scope, child
+            yield from walk(child, inner)
+    return walk(tree, "")
+
+
+def test_grouping_on_one_path():
+    """Every grouping in the program runs on core/aggregate's group_agg
+    or a core/exchange route_fanout task: no ``ray.data.aggregate``
+    import, no ``map_groups`` call and no Ray Data ``groupby`` (only the
+    per-block and driver-side pandas groupbys in _PANDAS_GROUPBY). In
+    query/cypher.py and core/aggregate.py an ``.aggregate(`` call must
+    follow an Arrow ``group_by`` and there is no Dataset ``sum``."""
+    strict = {"raphtory_ray/query/cypher.py", "raphtory_ray/core/aggregate.py"}
+    hits = []
+    for path in _program_files():
+        rel = str(path.relative_to(ROOT))
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            mods = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [a.name for a in node.names] if isinstance(node, ast.Import) \
+                else []
+            if isinstance(node, ast.ImportFrom) and node.module == "ray.data":
+                mods += [f"ray.data.{a.name}" for a in node.names]
+            if "ray.data.aggregate" in mods:
+                hits.append(f"{rel}:{node.lineno}: ray.data.aggregate")
+        for scope, node in _calls_with_scope(tree):
+            if not isinstance(node.func, ast.Attribute):
+                continue
+            name, recv = node.func.attr, node.func.value
+            after_group_by = isinstance(recv, ast.Call) \
+                and isinstance(recv.func, ast.Attribute) \
+                and recv.func.attr == "group_by"
+            if name == "map_groups" \
+                    or (name == "groupby"
+                        and (rel, scope) not in _PANDAS_GROUPBY) \
+                    or (rel in strict and (name == "sum" or (
+                        name == "aggregate" and not after_group_by))):
+                hits.append(f"{rel}:{node.lineno}: .{name}(")
     assert hits == []
 
 
