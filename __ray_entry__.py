@@ -1046,9 +1046,8 @@ def _q_user_exclude_layer(sf_dir: str) -> pa.Table:
     sub = gf.exclude_layer(["click", "view"])
     # distinct runs DISTRIBUTED before the pull (round 5 — the query
     # contract materializes the RESULT, not the event list)
-    from raphtory_ray.core.aggregate import _distinct
-    dd = _distinct(sub.edges.select_columns(["src", "dst"]),
-                   ["src", "dst"])
+    from raphtory_ray.core.aggregate import group_agg
+    dd = group_agg(sub.edges, ["src", "dst"], [])
     return pa.concat_tables(dd.iter_batches(batch_format="pyarrow"))
 
 
@@ -1217,9 +1216,8 @@ def _q_user_node_filter(sf_dir: str) -> pa.Table:
         f"{sf_dir}/events.parquet", time_col="ts", id_col="user_id",
         node_type_col="event_type", event_id_col="event_id", gf=gf)
     sub = nf.filter_nodes(Field("node_type") == "purchase")
-    from raphtory_ray.core.aggregate import _distinct
-    dd = _distinct(sub.edges.select_columns(["src", "dst"]),
-                   ["src", "dst"])
+    from raphtory_ray.core.aggregate import group_agg
+    dd = group_agg(sub.edges, ["src", "dst"], [])
     return pa.concat_tables(dd.iter_batches(batch_format="pyarrow"))
 
 
@@ -1882,12 +1880,14 @@ def _q_doc_training_pipeline(sf_dir: str):
     from raphtory_ray.data.dedup import exact_dedup
     from raphtory_ray.data.text import (pack_documents, sample_batch,
                                         token_count_batch)
+    from raphtory_ray.core.blocks import Relation
     from raphtory_ray.query.cypher import hash_join
     docs = _docs(sf_dir)
-    keep = exact_dedup(docs).select_columns(["keep_id"]) \
-        .rename_columns({"keep_id": "doc_id"})
-    kept = hash_join(docs.select_columns(["doc_id", "text"]), keep,
-                     ["doc_id"])
+    keep = Relation.from_dataset(exact_dedup(docs)).map(
+        lambda b: b.select(["keep_id"]).rename_columns(["doc_id"]))
+    kept = hash_join(Relation.from_dataset(docs).map(
+        lambda b: b.select(["doc_id", "text"])), keep,
+        ["doc_id"]).to_dataset()
 
     def quality(b: pa.Table) -> pa.Table:
         t = token_count_batch(b)

@@ -1,17 +1,23 @@
 """Grouped aggregation: the one path every aggregate in the engine runs on.
 
 Every aggregate, DISTINCT and GROUP-BY count is a per-block Arrow
-partial in the map stage, one hash route on the group keys
-(exchange.route_fanout), and one final task per partition that combines
-the partials with Arrow's group_by and finalizes vectorized — the
-partial/combine split of decomposable aggregates. A global aggregate is
-the same path at P = 1; a DISTINCT on one value runs it twice, first
-routed on keys + value. The Cypher compiler (query/cypher.py), the data
-operators and the driver queries all call ``group_agg``.
+partial, one hash route on the group keys (exchange.route_refs), and one
+final task per partition that combines the partials with Arrow's
+group_by and finalizes vectorized — the partial/combine split of
+decomposable aggregates. A global aggregate is the same path at P = 1; a
+DISTINCT on one value runs it twice, first routed on keys + value.
+
+``aggregate`` is that path over a block relation (core/blocks.py): the
+partial is one plain task per block, and the Cypher compiler
+(query/cypher.py) calls it. ``group_agg`` is its Dataset entry for the
+data operators and the ``__ray_entry__`` queries: one Ray Data stage
+computes and materializes the partials, then the same routes and finals
+run.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from raphtory_ray.core.exchange import route_fanout
+from raphtory_ray.core.blocks import Relation
+from raphtory_ray.core.exchange import route_refs
 
 _PCT_FNS = ("percentilecont", "percentiledisc")
 
@@ -197,52 +204,81 @@ def _percentile(a: Agg, x: np.ndarray, offs: np.ndarray) -> pa.Array:
     return pa.array(out, pa.float64(), mask=~has)
 
 
-@ray.remote
-def _agg_task(keys: list, aggs: list, *parts: pa.Table) -> pa.Table:
-    return _agg_final(pa.concat_tables(list(parts),
-                                       promote_options="default"),
-                      keys, aggs)
+@ray.remote(num_returns=2)
+def _agg_task(keys: list, aggs: list, *parts: pa.Table):
+    out = _agg_final(pa.concat_tables(list(parts),
+                                      promote_options="default"),
+                     keys, aggs)
+    return out, out.num_rows
+
+
+def _one_distinct(aggs: list):
+    """The value column when every aggregate is DISTINCT on the same one,
+    else None."""
+    cols = {a.col for a in aggs}
+    if aggs and all(a.distinct for a in aggs) and len(cols) == 1:
+        return cols.pop()
+    return None
+
+
+def _finals(pre: Relation, keys: list, aggs: list) -> Relation:
+    """Partials (blocks of ``_agg_partial`` output) → route_refs on
+    ``keys`` → one final task per partition. When every block is empty
+    the result is the final over ``pre.empty`` (a global aggregate's one
+    row)."""
+    outs = route_refs(pre.refs, pre.counts(), keys, _agg_task, (keys, aggs))
+    out = _agg_final(pre.empty, keys, aggs)
+    if outs is None:
+        return Relation.of(out)
+    return Relation([o[0] for o in outs], out.slice(0, 0),
+                    [o[1] for o in outs])
+
+
+def aggregate(rel: Relation, keys: list, aggs: list) -> Relation:
+    """Aggregates ``aggs`` (Agg rows) of a relation grouped by ``keys``
+    (global without keys) → relation of ``keys`` + one column per
+    aggregate; with no aggregates, the distinct ``keys`` rows. The partial
+    composes with the relation's pending maps into one task per block.
+    When every aggregate is DISTINCT on the same value, the (keys, value)
+    rows are deduped first, routed on both, so a hub's values spread over
+    the partitions."""
+    x = _one_distinct(aggs)
+    if x is not None:
+        rel = aggregate(rel, keys + [x], [])
+        aggs = [a._replace(distinct=False) for a in aggs]
+    return _finals(rel.map(partial(_agg_partial, keys=keys, aggs=aggs))
+                   .blocks(), keys, aggs)
 
 
 def group_agg(ds, keys: list, aggs: list, hint: pa.Table | None = None,
               project=None):
-    """Aggregates ``aggs`` (Agg rows) of a Dataset grouped by ``keys``
-    (global without keys) → Dataset of ``keys`` + one column per
-    aggregate; with no aggregates, the distinct ``keys`` rows. When every
-    aggregate is DISTINCT on the same value, the (keys, value) rows are
-    deduped first, routed on both. One map stage runs ``project`` (if
-    given) and the per-block partial — Ray drops a zero-column block
-    between stages, and a global count(*) projects none — then
-    route_fanout runs one final task per hash partition. ``hint`` = an
-    empty table of the partial's input columns: an all-empty input gets
-    the final's result over it (default: ``ds``'s schema, int64 columns
-    where it is lost — Ray skips map fns on empty blocks)."""
-    import ray.data as rd
-    cols = {a.col for a in aggs}
-    if aggs and all(a.distinct for a in aggs) and len(cols) == 1:
-        # DISTINCT on one value: dedup routed on keys + value, then the
-        # plain aggregates — a hub's values spread over the partitions
-        x, = cols
-        ded = group_agg(ds, keys + [x], [], hint, project)
-        return group_agg(ded, keys, [a._replace(distinct=False)
-                                     for a in aggs],
-                         None if hint is None else hint.select(keys + [x]))
+    """``aggregate`` for a Dataset → Dataset. One Ray Data map stage runs
+    ``project`` (if given) and the per-block partial — Ray drops a
+    zero-column block between stages, and a global count(*) projects
+    none — and is materialized; the routes and finals are
+    ``aggregate``'s. ``hint`` = an empty table of the partial's input
+    columns: it types the result of an all-empty input (default:
+    ``ds``'s schema, int64 columns where it is lost — Ray skips map fns
+    on empty blocks)."""
+    x = _one_distinct(aggs)
+    keys1, aggs1 = (keys + [x], []) if x is not None else (keys, aggs)
 
-    def partial(b: pa.Table) -> pa.Table:
-        return _agg_partial(project(b) if project else b, keys, aggs)
+    def part(b: pa.Table) -> pa.Table:
+        return _agg_partial(project(b) if project else b, keys1, aggs1)
 
-    pre = ds.map_batches(partial, batch_format="pyarrow",
+    mat = ds.map_batches(part, batch_format="pyarrow",
                          zero_copy_batch=True).materialize()
-    refs = route_fanout(pre, keys, _agg_task, (keys, aggs))
-    if refs is not None:
-        return rd.from_arrow_refs(refs)
-    if hint is None:
+    if hint is None and mat.schema() is None:
         schema = ds.schema()
         types = dict(zip(schema.names, schema.types)) if schema else {}
         hint = pa.table({c: pa.array([], types.get(c, pa.int64()))
                          for c in keys + [a.col for a in aggs if a.col]})
-    return rd.from_arrow(_agg_final(_agg_partial(hint, keys, aggs), keys,
-                                    aggs))
+    empty = None if hint is None else _agg_partial(hint, keys1, aggs1)
+    out = _finals(Relation.from_dataset(mat, empty), keys1, aggs1)
+    if x is not None:
+        out = aggregate(out, keys, [a._replace(distinct=False)
+                                    for a in aggs])
+    return out.to_dataset()
 
 
 def group_count(ds, cols: list, alias: str = "n"):
@@ -250,7 +286,3 @@ def group_count(ds, cols: list, alias: str = "n"):
     return group_agg(ds, cols, [Agg(alias, "count")])
 
 
-def _distinct(ds, cols: list):
-    """DISTINCT over ``cols``: group_agg with no aggregates — a per-block
-    Arrow dedup, one hash route, a per-partition Arrow dedup."""
-    return group_agg(ds, cols, [])

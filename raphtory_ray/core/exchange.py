@@ -10,9 +10,10 @@ uint64 keys through ``key_hash``, for the same reason.
 A shuffle is a map side (one ``num_returns=P`` task per input block that
 ``split``s its rows by bucket) and a reduce side (one task per partition
 over column p of the pieces, which ``shuffle`` hands back).
-``route_fanout`` is that shuffle over a materialized Dataset routed on
-Arrow key columns: the hash joins, every grouping (core/aggregate) and
-every keep-one-row-per-key task run on it.
+``route_refs`` is that shuffle over Arrow block refs routed on Arrow key
+columns, and ``route_fanout`` the same over a materialized Dataset: the
+hash joins, every grouping (core/aggregate) and every
+keep-one-row-per-key task run on them.
 
 Sizing: every P is ``num_partitions(rows)``, every CPU count
 ``cluster_cpus()``; a site passes its own ``per`` only where a measurement
@@ -173,18 +174,25 @@ def _route(tbl: pa.Table, P: int, keys: list):
     return returns(split_table(tbl, _partition_ids(tbl, keys, P), P))
 
 
-def route_fanout(mat, keys: list, task, task_args: tuple = ()):
-    """MATERIALIZED Dataset → one ``task(*task_args, *pieces)`` per hash
-    partition of ``keys`` (any Arrow types; ``_route`` tasks; partition
-    count from num_partitions at FANOUT_ROWS_PER_PARTITION, one without
-    keys). A task's pieces come in block order and ``split_table`` keeps
-    row order, so each task sees its rows in the materialized order.
-    Returns the list of result refs, or None when every block is empty."""
-    rows = mat._block_num_rows()
-    refs = [r for r, c in zip(mat.to_arrow_refs(), rows) if c]
+def route_refs(refs: list, rows: list, keys: list, task,
+               task_args: tuple = ()):
+    """Arrow block refs and their row counts → one
+    ``task(*task_args, *pieces)`` per hash partition of ``keys`` (any
+    Arrow types; ``_route`` tasks; partition count from num_partitions at
+    FANOUT_ROWS_PER_PARTITION, one without keys, and no route task at
+    one). A task's pieces come in block order and ``split_table`` keeps
+    row order, so each task sees its rows in block order. Returns what
+    the task calls return, or None when every block is empty."""
+    refs = [r for r, c in zip(refs, rows) if c]
     if not refs:
         return None
     P = num_partitions(sum(rows), per=FANOUT_ROWS_PER_PARTITION) \
         if keys else 1
     cols = shuffle(_route, refs, P, keys) if P > 1 else [refs]
     return [task.remote(*task_args, *col) for col in cols]
+
+
+def route_fanout(mat, keys: list, task, task_args: tuple = ()):
+    """``route_refs`` over the blocks of a MATERIALIZED Dataset."""
+    return route_refs(mat.to_arrow_refs(), mat._block_num_rows(), keys,
+                      task, task_args)

@@ -595,23 +595,33 @@ def pack_documents(ds, budget: int = 2048, text_col: str = "text"):
     read qualifies, regardless of the order blocks ARRIVE in — streaming
     execution is free to reorder them, so blocks are re-anchored by min
     doc_id); feed it id-sorted input."""
+    import ray
+    import ray.data as rd
     counted = ds.map_batches(lambda b: token_count_batch(b, text_col),
                              batch_format="pyarrow", zero_copy_batch=True)
     mat = counted.materialize()
-    refs = mat.to_arrow_refs()
-    import ray
+    # Ray skips map fns on empty blocks, which then have no columns
+    refs = [r for r, n in zip(mat.to_arrow_refs(), mat._block_num_rows())
+            if n]
+    if not refs:
+        schema = ds.schema()
+        ids = schema.types[schema.names.index("doc_id")] \
+            if schema is not None and "doc_id" in schema.names \
+            else pa.int64()
+        return rd.from_arrow(pa.table({
+            "doc_id": pa.array([], ids),
+            "n_tokens": pa.array([], pa.int64()),
+            "seq_id": pa.array([], pa.int64())}))
     # streaming execution does NOT preserve block order — anchor each
     # block by its min doc_id (blocks of an id-ordered read are
     # contiguous id ranges even when returned out of order)
     meta = ray.get([_block_token_sum.remote(r) for r in refs])
     order = np.argsort([m[0] for m in meta], kind="stable")
     subtotals = np.array([meta[i][1] for i in order], dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(subtotals)[:-1]]) \
-        if len(subtotals) else np.empty(0, np.int64)
+    starts = np.concatenate([[0], np.cumsum(subtotals)[:-1]])
 
     out = [_pack_block.remote(refs[i], int(s0), budget)
            for i, s0 in zip(order, starts)]
-    import ray.data as rd
     return rd.from_arrow_refs(out)
 
 

@@ -29,6 +29,7 @@ property_addition_ops.rs:18-121):
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -85,6 +86,22 @@ class GraphFrame:
         """A new base Dataset, with no pending predicates."""
         self._base, self.preds, self._view = ds, (), None
 
+    def relation(self):
+        """The view's edge events as a block relation (core/blocks.py).
+        Over a materialized base it is the base's blocks with the pending
+        predicates as one composed map, and starts no Ray Data execution;
+        a lazy base (with its predicates) is materialized once."""
+        from ray.data.dataset import MaterializedDataset
+
+        from raphtory_ray.core.blocks import Relation
+        if not isinstance(self._base, MaterializedDataset):
+            return Relation.from_dataset(self.edges)
+        rel = Relation.from_dataset(self._base)
+        if not self.preds:
+            return rel
+        # the predicates filter rows and keep the columns
+        return rel.map(functools.partial(_apply_preds, self.preds), rel.empty)
+
     def view_blocks(self):
         """(Arrow block refs of the view, their total rows) when this frame
         is pending views over materialized edge blocks, else None. One
@@ -93,9 +110,8 @@ class GraphFrame:
         from ray.data.dataset import MaterializedDataset
         if not self.preds or not isinstance(self._base, MaterializedDataset):
             return None
-        outs = [_view_block.remote(r, self.preds)
-                for r in self._base.to_arrow_refs()]
-        return [o[0] for o in outs], sum(ray.get([o[1] for o in outs]))
+        rel = self.relation().blocks()
+        return rel.refs, sum(rel.counts())
 
     def _derive(self, *preds, edges=None) -> "GraphFrame":
         """A frame with this one's bounds and properties over the same base
@@ -767,16 +783,6 @@ def _apply_preds(preds: tuple, block: pa.Table) -> pa.Table:
     for p in preds:
         block = p(block)
     return block
-
-
-@ray.remote(num_returns=2)
-def _view_block(block: pa.Table, preds: tuple):
-    """One materialized edge block through the view predicates, and its
-    row count. An empty block skips them, as in Ray Data's map_batches (it
-    may have lost its columns)."""
-    if block.num_rows:
-        block = _apply_preds(preds, block)
-    return block, block.num_rows
 
 
 def _filter_leaf_names(f: FilterExpr) -> set:

@@ -1,27 +1,44 @@
-"""Cypher-subset execution over a GraphFrame — Ray-Data-native.
+"""Cypher-subset execution over a GraphFrame: plain tasks inside,
+Datasets at the edges.
 
 The reference transpiles Cypher MATCH chains to SQL joins over per-layer
 edge-list tables + a nodes table and runs them on DataFusion
 (raphtory-cypher/src/lib.rs:41-158, transpiler/mod.rs, hop/rule.rs —
 "graph hops are relational joins over Arrow"). This module is the same
-idea expressed on Ray Data:
+idea over block relations (core/blocks.py: Arrow block refs plus an
+empty table carrying their schema), so every operator is one plain task
+per block or per hash partition and none starts a Ray Data execution:
 
-- every relationship pattern is a SCAN of the GraphFrame's edge-event
-  Dataset (map_batches rename + vectorized layer/prop-map filters),
+- every relationship pattern is a SCAN of the frame's edge blocks
+  (``GraphFrame.relation``: rename + vectorized layer/prop-map filters,
+  composed with the frame's pending view predicates into one task per
+  block),
 - every hop is a distributed HASH JOIN: both sides are routed into P
-  partitions by splitmix64 of the shared node-variable key (explicit
-  task shuffle, the engine's standard two-round pattern), and each
-  partition joins with ``pyarrow.Table.join`` (Acero C++ hash join),
-- WHERE terms apply as vectorized pyarrow.compute filter stages as soon
-  as all their variables are bound (earliest-placement pushdown: a
-  single-edge-variable term filters that edge's scan BEFORE the join),
+  partitions by the shared node-variable key (core/exchange), and each
+  partition joins with ``pyarrow.Table.join`` (Acero C++ hash join); at
+  P = 1 one join task takes every block, with no route,
+- WHERE terms apply as vectorized pyarrow.compute filters as soon as
+  all their variables are bound (earliest-placement pushdown: a
+  single-edge-variable term filters that edge's scan BEFORE the join);
+  consecutive filters and projections compose into the next task,
 - node properties resolve against the driver-resident ``vertices``
   dimension table, broadcast once via ``ray.put`` and gathered per batch
   with ``pc.index_in`` (never shuffled),
-- every aggregate, DISTINCT and grouping is one hash aggregate, the
-  engine's ``group_agg`` (core/aggregate.py): a per-block Arrow partial,
-  one hash route on the group keys, an Arrow combine + vectorized
-  finalize per partition; ORDER BY → ``ds.sort``; LIMIT → ``ds.limit``.
+- every aggregate, DISTINCT, grouping and UNION dedup is core's
+  ``aggregate`` (core/aggregate.py): a per-block Arrow partial, one
+  hash route on the group keys, an Arrow combine + vectorized finalize
+  per partition.
+
+The schema travels with each relation, so an empty scan, join or
+aggregate still returns typed columns. The Ray Data boundaries, one
+each:
+
+- in: a frame over a lazy (unmaterialized) base is materialized once
+  per ``cypher()`` call (``GraphFrame.relation``);
+- out: ``cypher()`` wraps the result's blocks as a Dataset
+  (``Relation.to_dataset``, no execution);
+- ORDER BY (``ds.sort``), SKIP and LIMIT (``ds.limit``) run on that
+  Dataset.
 
 Semantics match the reference transpiler, NOT full openCypher: bindings
 are edge EVENTS (the event table is the exploded edge list), and there
@@ -52,14 +69,16 @@ columns the query references before any shuffle.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
 from raphtory_ray.core import exchange
-from raphtory_ray.core.aggregate import (_PCT_FNS, Agg, _agg_final,
-                                         _agg_partial, _distinct, group_agg)
+from raphtory_ray.core.aggregate import _PCT_FNS, Agg, aggregate
+from raphtory_ray.core.blocks import Relation
 from raphtory_ray.core.exchange import (_partition_ids, _route,
                                         num_partitions, shuffle)
 from raphtory_ray.query.parser import (BinOp, Case, Chain, Func, Lit, Not,
@@ -72,12 +91,6 @@ _EDGE_ALIASES = {"time": "t", "eid": "event_id"}
 
 # ------------------------------------------------------ distributed join
 
-def _empty_from_schema(schema) -> pa.Table:
-    """Ray Data Schema → empty pyarrow Table with the same columns."""
-    return pa.table({n: pa.array([], t) for n, t in
-                     zip(schema.names, schema.types)})
-
-
 @ray.remote
 def _part_counts(tbl: pa.Table, keys: list, P: int) -> np.ndarray:
     """Per-partition row counts for one block — the cheap first pass of
@@ -88,14 +101,14 @@ def _part_counts(tbl: pa.Table, keys: list, P: int) -> np.ndarray:
                        minlength=P).astype(np.int64)
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _join_part(keys: list, nl: int, j: int, k: int, split_left: bool,
-               join_type: str, *parts: pa.Table) -> pa.Table:
+               join_type: str, *parts: pa.Table):
     """One hash partition (sub-task j of k): concat each side's pieces,
     slice the split side into its j-th contiguous chunk — valid because
     any partition of the probe side's rows partitions the output (for
     outer joins only a LEFT split is valid, enforced by the caller) —
-    then an Acero join."""
+    then an Acero join. Returns the joined table and its row count."""
     left = pa.concat_tables(parts[:nl], promote_options="default")
     right = pa.concat_tables(parts[nl:], promote_options="default")
     if k > 1:
@@ -106,8 +119,9 @@ def _join_part(keys: list, nl: int, j: int, k: int, split_left: bool,
             left = side.slice(lo, hi - lo)
         else:
             right = side.slice(lo, hi - lo)
-    return left.join(right, keys=keys, join_type=join_type,
-                     coalesce_keys=True)
+    out = left.join(right, keys=keys, join_type=join_type,
+                    coalesce_keys=True)
+    return out, out.num_rows
 
 
 # rows of ONE side of one partition above which the join fans out into
@@ -116,58 +130,48 @@ def _join_part(keys: list, nl: int, j: int, k: int, split_left: bool,
 _JOIN_SPLIT_ROWS = 2_000_000
 
 
-def hash_join(left, right, keys: list, P: int | None = None,
-              lhint: pa.Table | None = None,
-              rhint: pa.Table | None = None,
-              join_type: str = "inner"):
-    """Distributed join ("inner" or "left outer") of two Datasets on
-    identically-named int64 key columns. Non-key column names must be
-    disjoint (the compiler guarantees it). Returns a Dataset of P joined
-    partitions.
+def _outer_vs_empty(b: pa.Table, rt: pa.Table, keys: list) -> pa.Table:
+    return b.join(rt, keys=keys, join_type="left outer", coalesce_keys=True)
 
-    ``lhint``/``rhint``: empty pa.Tables carrying each side's schema.
-    Ray SKIPS map fns on empty blocks, so a fully-empty mapped Dataset
-    has zero-column blocks and schema() is None — the hints let the
-    empty-result path still produce a correctly-schemaed join output."""
-    import ray.data as rd
-    mat_l, mat_r = left.materialize(), right.materialize()
-    rows_l, rows_r = mat_l._block_num_rows(), mat_r._block_num_rows()
-    P = P or num_partitions(sum(rows_l) + sum(rows_r),
-                            per=exchange.FANOUT_ROWS_PER_PARTITION)
-    refs_l = [r for r, c in zip(mat_l.to_arrow_refs(), rows_l) if c]
-    refs_r = [r for r, c in zip(mat_r.to_arrow_refs(), rows_r) if c]
-    if not refs_l or (not refs_r and join_type == "inner"):
-        # empty probe side (or empty build side of an inner join):
-        # synthesize the joined schema (left cols + right non-key cols)
-        lt = lhint if lhint is not None else _empty_from_schema(
-            left.schema())
-        rt = rhint if rhint is not None else _empty_from_schema(
-            right.schema())
-        return rd.from_arrow(lt.join(rt, keys=keys, join_type=join_type,
-                                     coalesce_keys=True))
-    if not refs_r:
+
+def hash_join(left: Relation, right: Relation, keys: list,
+              P: int | None = None, join_type: str = "inner") -> Relation:
+    """Distributed join ("inner" or "left outer") of two relations on
+    identically-named key columns. Non-key column names must be disjoint
+    (the compiler guarantees it). Returns a relation of the joined
+    partitions, typed by the join of the two schemas even when a side is
+    empty. At P = 1 one join task takes every block, with no route."""
+    empty = left.empty.join(right.empty, keys=keys, join_type=join_type,
+                            coalesce_keys=True)
+    # both sides' pending maps start before either side's counts are read
+    left, right = left.blocks(), right.blocks()
+    left, right = left.nonempty(), right.nonempty()
+    if not left.refs or (not right.refs and join_type == "inner"):
+        return Relation([], empty)
+    if not right.refs:
         # left outer with an empty right side: every left row survives
         # with nulls in the right columns — no shuffle needed
-        rt = rhint if rhint is not None else _empty_from_schema(
-            right.schema())
-        return rd.from_arrow_refs(
-            [_outer_vs_empty.remote(r, rt, keys) for r in refs_l])
+        return left.map(functools.partial(_outer_vs_empty, rt=right.empty,
+                                          keys=keys), empty)
+    rows_l, rows_r = sum(left.rows), sum(right.rows)
+    P = P or num_partitions(rows_l + rows_r,
+                            per=exchange.FANOUT_ROWS_PER_PARTITION)
     # skew plan: cheap count pass (hash + bincount per block, no data
     # movement) → per-partition sub-task fan-out for hub-heavy keys.
-    # Skipped entirely (k=1 everywhere) when block metadata already
-    # proves no partition can exceed the threshold. Count tasks are
+    # Skipped entirely (k=1 everywhere) when the block counts already
+    # prove no partition can exceed the threshold. Count tasks are
     # submitted AFTER the route tasks so the two waves overlap (routes
     # don't depend on counts — only the join-task plan does).
-    need_counts = max(sum(rows_l), sum(rows_r)) > _JOIN_SPLIT_ROWS
-
-    parts_l = shuffle(_route, refs_l, P, keys)
-    parts_r = shuffle(_route, refs_r, P, keys)
-    if need_counts:
-        count_refs = [_part_counts.remote(r, keys, P)
-                      for r in refs_l + refs_r]
-        counts = ray.get(count_refs)
-        cl = sum(counts[:len(refs_l)])
-        cr = sum(counts[len(refs_l):])
+    if P == 1:
+        parts_l, parts_r = [left.refs], [right.refs]
+    else:
+        parts_l = shuffle(_route, left.refs, P, keys)
+        parts_r = shuffle(_route, right.refs, P, keys)
+    if max(rows_l, rows_r) > _JOIN_SPLIT_ROWS:
+        counts = ray.get([_part_counts.remote(r, keys, P)
+                          for r in left.refs + right.refs])
+        cl = sum(counts[:len(left.refs)])
+        cr = sum(counts[len(left.refs):])
     else:
         cl = cr = np.zeros(P, np.int64)
     joined = []
@@ -180,15 +184,9 @@ def hash_join(left, right, keys: list, P: int | None = None,
         split_left = cl[p] >= cr[p] or join_type != "inner"
         for j in range(k):
             joined.append(_join_part.remote(
-                keys, len(refs_l), j, k, split_left, join_type,
+                keys, len(left.refs), j, k, split_left, join_type,
                 *parts_l[p], *parts_r[p]))
-    return rd.from_arrow_refs(joined)
-
-
-@ray.remote
-def _outer_vs_empty(tbl: pa.Table, rt: pa.Table, keys: list) -> pa.Table:
-    return tbl.join(rt, keys=keys, join_type="left outer",
-                    coalesce_keys=True)
+    return Relation([o[0] for o in joined], empty, [o[1] for o in joined])
 
 
 # ------------------------------------------------------------- compiler
@@ -196,19 +194,22 @@ def _outer_vs_empty(tbl: pa.Table, rt: pa.Table, keys: list) -> pa.Table:
 class _Ctx:
     """Compilation context: variable kinds, bound columns, vertices."""
 
-    def __init__(self, gf):
+    def __init__(self, gf, edges):
         self.gf = gf
+        self.edges = edges     # () → the frame's edge relation, built once
         self.node_vars: set = set()
         self.edge_vars: set = set()
         self.varlen_vars: set = set()     # [r*lo..hi] bindings (min-hops)
         self.col_vars: set = set()        # scalar columns bound by WITH
         self.anon = 0
         self.anon_vars: set = set()
-        self.edge_schema = gf.edges.schema()
-        self.edge_cols = list(self.edge_schema.names)
         vt = gf.vertices
         self.vert_ref = ray.put(vt) if vt is not None else None
         self.vert_cols = list(vt.column_names) if vt is not None else []
+
+    @property
+    def edge_cols(self) -> list:
+        return list(self.edges().empty.column_names)
 
     def fresh(self, prefix: str) -> str:
         # '#' cannot appear in a parsed identifier, so generated names can
@@ -361,7 +362,7 @@ def _compile_expr(e, ctx: _Ctx):
                 for f in _fns:
                     v = f(t)
                     if not isinstance(v, (pa.Array, pa.ChunkedArray)):
-                        # explicit scalar type: an empty (hint) block
+                        # explicit scalar type: a relation's empty table
                         # would otherwise infer a null-typed array and
                         # break the coalesce kernel dispatch
                         v = pa.array([v] * t.num_rows,
@@ -473,7 +474,7 @@ def _compile_expr(e, ctx: _Ctx):
                     return v
                 if v is None:
                     return pa.nulls(n, typ or pa.null())
-                # explicit scalar type so an empty (schema-hint) block
+                # explicit scalar type so a relation's empty table
                 # still carries the branch's type
                 return pa.array([v] * n, type=pa.scalar(v).type)
 
@@ -598,11 +599,10 @@ def _and_terms(e) -> list:
     return [e]
 
 
-def _edge_scan(gf, epat, src_var: str, dst_var: str, ctx: _Ctx,
-               needed: set):
-    """One relationship pattern → Dataset with columns
-    (src_var, dst_var, evar__*): rename + layer/prop-map filter +
-    column prune, all in one vectorized map_batches pass."""
+def _scan_fn(epat, src_var: str, dst_var: str, ctx: _Ctx, needed: set):
+    """One relationship pattern's per-block function → columns
+    (src_var, dst_var, evar__*): rename + layer/prop-map filter + column
+    prune, all vectorized."""
     evar = epat.var
     if epat.layer is not None and "layer" not in ctx.edge_cols:
         raise KeyError(
@@ -646,32 +646,28 @@ def _edge_scan(gf, epat, src_var: str, dst_var: str, ctx: _Ctx,
             cols[f"{evar}__{c}"] = b[c].combine_chunks()
         return pa.table(cols)
 
-    ds = gf.edges.map_batches(scan, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    if epat.direction == "undirected":
-        rev = EdgeScanReverser(gf, epat, src_var, dst_var, ctx, needed)
-        ds = ds.union(rev)
-    # empty-schema hint: Ray skips map fns on empty blocks, so a scan
-    # over zero edges yields zero-column blocks; the hint preserves the
-    # scan's schema for the empty-join / empty-projection paths
-    return ds, scan(_empty_from_schema(ctx.edge_schema))
+    return scan
 
 
-def EdgeScanReverser(gf, epat, src_var, dst_var, ctx, needed):
-    """Second orientation of an undirected relationship (matches the
-    edge in both directions, excluding double-counted self-loops)."""
+def _edge_scan(epat, src_var: str, dst_var: str, ctx: _Ctx,
+               needed: set) -> Relation:
+    """One relationship pattern → a map over the frame's edge blocks. An
+    undirected pattern matches each edge in both orientations, in the
+    same task; a self-loop is matched once."""
     from dataclasses import replace
-    flipped = replace(epat, direction="left")
+    scan = _scan_fn(epat, src_var, dst_var, ctx, needed)
+    if epat.direction == "undirected":
+        fwd = scan
+        rev = _scan_fn(replace(epat, direction="left"), src_var, dst_var,
+                       ctx, needed)
 
-    def drop_self(b: pa.Table) -> pa.Table:
-        if src_var == dst_var or b.num_rows == 0:
-            return b.slice(0, 0)      # self-loops already counted once
-        m = pc.invert(pc.fill_null(pc.equal(b[src_var], b[dst_var]), True))
-        return b.filter(m)
-
-    fwd, _hint = _edge_scan(gf, flipped, src_var, dst_var, ctx, needed)
-    return fwd.map_batches(drop_self, batch_format="pyarrow",
-                           zero_copy_batch=True)
+        def scan(b: pa.Table) -> pa.Table:
+            if src_var == dst_var:
+                return fwd(b)
+            r = rev(b)
+            loop = pc.fill_null(pc.equal(r[src_var], r[dst_var]), True)
+            return pa.concat_tables([fwd(b), r.filter(pc.invert(loop))])
+    return ctx.edges().map(scan)
 
 
 def _needed_columns(q: Query, ctx: _Ctx) -> set:
@@ -745,14 +741,13 @@ def _needed_columns(q: Query, ctx: _Ctx) -> set:
     return needed
 
 
-def _apply_where(ds, pending: list, bound: set, ctx: _Ctx):
+def _apply_where(rel: Relation, pending: list, bound: set, ctx: _Ctx):
     """Attach every pending WHERE term whose variables are all bound."""
     ready = [t for t, vs in pending if vs <= bound]
     rest = [(t, vs) for t, vs in pending if not vs <= bound]
     if ready:
-        ds = ds.map_batches(_row_filter(ready, ctx), batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return ds, rest
+        rel = rel.map(_row_filter(ready, ctx))
+    return rel, rest
 
 
 def _row_filter(terms: list, ctx: _Ctx):
@@ -831,21 +826,19 @@ def _closure_diff(seen: pa.Table, sv: str, inner: str, *pieces: pa.Table):
     return pa.concat_tables([seen, new]), new, new.num_rows
 
 
-def _closure_levels(base, frontier, sv: str, inner: str, mid: str,
-                    start_k: int, P, lhint, rhint, jhint, tag, ren) -> list:
+def _closure_levels(base: Relation, frontier: Relation, sv: str,
+                    inner: str, mid: str, start_k: int, P, tag,
+                    ren) -> list:
     """BFS levels start_k+1.. of the unbounded reachability closure: the
     frontier starts as the level-start_k WALK set (so [*lo..] keeps
     Cypher walk semantics — a pair whose shortest walk is shorter than lo
     still matches through a longer walk), each level extends only the
     newly-discovered pairs, and the loop terminates when a level finds
-    none. Returns the tagged level Datasets."""
-    import ray.data as rd
-    fr = frontier.materialize()
-    rows = fr._block_num_rows()
-    fr_refs = [r for r, n in zip(fr.to_arrow_refs(), rows) if n]
-    P2 = num_partitions(sum(rows), per=exchange.FANOUT_ROWS_PER_PARTITION)
+    none. Returns the tagged level relations."""
+    fr = frontier.nonempty()
+    P2 = num_partitions(sum(fr.rows), per=exchange.FANOUT_ROWS_PER_PARTITION)
     seen = [_closure_seed.remote(sv, inner, *col)
-            for col in shuffle(_route, fr_refs, P2, [sv, inner])]
+            for col in shuffle(_route, fr.refs, P2, [sv, inner])]
     levels = []
     cur = fr
     k = start_k
@@ -853,31 +846,26 @@ def _closure_levels(base, frontier, sv: str, inner: str, mid: str,
         k += 1
         if k > 100_000:                # backstop; seen is monotone, so
             raise RuntimeError("varlen closure exceeded 100000 levels")
-        j = hash_join(ren(cur, inner, mid), ren(base, sv, mid),
-                      [mid], P, lhint, rhint)
-        cand = _distinct(j.union(rd.from_arrow(jhint)),
-                         [sv, inner]).materialize()
-        cand_refs = [r for r, n in zip(cand.to_arrow_refs(),
-                                       cand._block_num_rows()) if n]
-        if not cand_refs:
+        cand = aggregate(hash_join(ren(cur, inner, mid), ren(base, sv, mid),
+                                   [mid], P), [sv, inner], []).nonempty()
+        if not cand.refs:
             break
         outs = [_closure_diff.remote(seen[p], sv, inner, *col)
                 for p, col in enumerate(
-                    shuffle(_route, cand_refs, P2, [sv, inner]))]
+                    shuffle(_route, cand.refs, P2, [sv, inner]))]
         seen = [o[0] for o in outs]
         counts = ray.get([o[2] for o in outs])
         if sum(counts) == 0:
             break
-        new_refs = [o[1] for o, n in zip(outs, counts) if n]
-        cur = rd.from_arrow_refs(new_refs).materialize()
+        cur = Relation([o[1] for o, n in zip(outs, counts) if n],
+                       cand.empty, [n for n in counts if n])
         levels.append(tag(cur, k))
     return levels
 
 
-
 def _varlen_hop(gf, ep, sv: str, dv: str, ctx: _Ctx, pending: list,
-                P: int | None):
-    """``(sv)-[:L*lo..hi]->(dv)`` → Dataset of DISTINCT (sv, dv) pairs
+                P: int | None) -> Relation:
+    """``(sv)-[:L*lo..hi]->(dv)`` → relation of DISTINCT (sv, dv) pairs
     connected by a path of length k ∈ [lo, hi] over the DISTINCT
     layer/prop-filtered edge set (frontier-dedup reachability, NOT path
     enumeration — each expansion level dedups to pairs, so the work per
@@ -889,33 +877,32 @@ def _varlen_hop(gf, ep, sv: str, dv: str, ctx: _Ctx, pending: list,
 
     Scale notes: each level is one distributed hash join + one distinct
     shuffle, both bounded by the distinct reachable-pair count; the base
-    edge set is materialized ONCE and reused by every level. Path-start
-    WHERE terms (vars ⊆ {sv}) are consumed here and applied to the
-    initial frontier so the expansion never grows paths that would be
-    filtered at the end.
+    edge set is computed ONCE (blocks in the object store) and reused by
+    every level. Path-start WHERE terms (vars ⊆ {sv}) are consumed here
+    and applied to the initial frontier so the expansion never grows
+    paths that would be filtered at the end.
 
     A named binding ``[r*lo..hi]`` additionally carries the MINIMUM hop
     count per pair as column ``r__hops`` (levels tagged with k, group-min
     combine) — ``length(r)``/``size(r)`` read it, giving shortest-path
     length within the bound."""
-    import ray.data as rd
     from dataclasses import replace
     lo, hi = ep.var_length
     hopcol = f"{ep.var}__hops" if ep.var is not None else None
 
-    def _tag(ds_, k: int):
+    def _tag(rel: Relation, k: int) -> Relation:
         if hopcol is None:
-            return ds_
+            return rel
 
         def f(b: pa.Table, _k=k) -> pa.Table:
             return b.append_column(
                 hopcol, pa.array(np.full(b.num_rows, _k), pa.int64()))
-        return ds_.map_batches(f, batch_format="pyarrow",
-                               zero_copy_batch=True)
+        return rel.map(f)
     if lo < 0 or (hi is not None and hi < lo):
         raise SyntaxError(f"bad variable-length range *{lo}..{hi}")
 
     inner = dv if dv != sv else ctx.fresh("v")
+    keep = [sv] + ([hopcol] if hopcol is not None else [])
     zero_levels = []
     if lo == 0:
         # zero-length paths (round 5): [*0..hi] binds the endpoint to the
@@ -927,62 +914,43 @@ def _varlen_hop(gf, ep, sv: str, dv: str, ctx: _Ctx, pending: list,
             vids = gf.vertices["vid"].combine_chunks()
         else:
             vids = pa.array(np.arange(gf.n), pa.int64())
-        zt = pa.table({sv: vids, inner: vids})
-        zds = rd.from_arrow(zt)
+        zrel = Relation.of(pa.table({sv: vids, inner: vids}))
         zpend = [(t, vs) for t, vs in pending if vs <= {sv}]
         if zpend:
-            zds, _ = _apply_where(zds, zpend, {sv}, ctx)
-        zero_levels = [_tag(zds, 0)]
+            zrel, _ = _apply_where(zrel, zpend, {sv}, ctx)
+        zero_levels = [_tag(zrel, 0)]
         lo = 1
         if hi == 0:
             # pure identity pattern [*0..0] / [*0]
-            zhint = pa.table({sv: pa.array([], pa.int64()),
-                              inner: pa.array([], pa.int64())})
-            if hopcol is not None:
-                zhint = zhint.append_column(hopcol,
-                                            pa.array([], pa.int64()))
-            ds = zero_levels[0]
             if inner != dv:            # (a)-[*0]->(a): identity always
-                def close0(b: pa.Table) -> pa.Table:
-                    keep = [sv] + ([hopcol] if hopcol is not None else [])
-                    return b.select(keep)
-                ds = ds.map_batches(close0, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                zhint = zhint.drop_columns([inner])
-            return ds, zhint
-    scan, scan_hint = _edge_scan(gf, replace(ep, var_length=None,
-                                             var=None),
-                                 sv, inner, ctx, set())
-    hint = scan_hint
-
+                return zero_levels[0].map(lambda b: b.select(keep))
+            return zero_levels[0]
+    scan = _edge_scan(replace(ep, var_length=None, var=None), sv, inner,
+                      ctx, set())
     # distinct simple edges (after layer/prop filters) — the CTE's base
-    base = _distinct(scan.union(rd.from_arrow(hint)), [sv, inner])
+    base = aggregate(scan, [sv, inner], [])
     # path-START restriction: filter the initial frontier only; the
     # intermediate/base edge set stays unrestricted
-    start_filtered = any(vs <= {sv} for _t, vs in pending)
     frontier = base
-    if start_filtered:
+    if any(vs <= {sv} for _t, vs in pending):
         frontier, rest = _apply_where(base, pending, {sv}, ctx)
         pending[:] = rest              # consumed in place for the caller
-    if hi is None or hi > 1:
-        base = base.materialize()      # reused by every expansion level
-        frontier = frontier.materialize() if start_filtered else base
+        if hi is None or hi > 1:
+            frontier = frontier.blocks()   # feeds level 1 and level 2
     levels = zero_levels + ([_tag(frontier, 1)] if lo <= 1 else [])
     mid = ctx.fresh("m")
-    lhint = hint.rename_columns(
-        [mid if c == inner else c for c in hint.column_names])
-    rhint = hint.rename_columns(
-        [mid if c == sv else c for c in hint.column_names])
 
-    def _ren(ds_, old: str, new: str):
+    def _ren(rel: Relation, old: str, new: str) -> Relation:
         def f(b: pa.Table) -> pa.Table:
             return b.rename_columns(
                 [new if c == old else c for c in b.column_names])
-        return ds_.map_batches(f, batch_format="pyarrow",
-                               zero_copy_batch=True)
+        return rel.map(f)
 
-    jhint = lhint.join(rhint, keys=[mid], join_type="inner",
-                       coalesce_keys=True)
+    def _step(cur: Relation) -> Relation:
+        return aggregate(hash_join(_ren(cur, inner, mid),
+                                   _ren(base, sv, mid), [mid], P),
+                         [sv, inner], [])
+
     cur = frontier
     if hi is None:
         # unbounded [*lo..] (round 5): walk-expand to the floor level lo
@@ -992,120 +960,91 @@ def _varlen_hop(gf, ep, sv: str, dv: str, ctx: _Ctx, pending: list,
         # (hash(sv, inner) partitions, functionally updated per level);
         # each closure level joins only the NEW frontier against the
         # base, so total join work is O(closure), not O(levels × closure).
-        for k in range(2, lo + 1):
-            j = hash_join(_ren(cur, inner, mid), _ren(base, sv, mid),
-                          [mid], P, lhint, rhint)
-            cur = _distinct(j.union(rd.from_arrow(jhint)),
-                            [sv, inner]).materialize()
+        for _k in range(2, lo + 1):
+            cur = _step(cur)
         if lo > 1:
             levels.append(_tag(cur, lo))
         levels += _closure_levels(base, cur, sv, inner, mid, max(lo, 1),
-                                  P, lhint, rhint, jhint, _tag, _ren)
+                                  P, _tag, _ren)
         if not levels:                 # lo > reached depth: empty result
-            ehint = hint
-            if hopcol is not None:
-                ehint = ehint.append_column(hopcol,
-                                            pa.array([], pa.int64()))
-            levels = [rd.from_arrow(ehint)]
+            levels = [_tag(Relation([], base.empty), lo)]
     else:
         for k in range(2, hi + 1):
-            j = hash_join(_ren(cur, inner, mid), _ren(base, sv, mid),
-                          [mid], P, lhint, rhint)
-            cur = _distinct(j.union(rd.from_arrow(jhint)), [sv, inner])
+            cur = _step(cur)
             if k >= lo:
-                if k < hi:
-                    cur = cur.materialize()  # feeds both levels & next hop
                 levels.append(_tag(cur, k))
-    if hopcol is not None:
-        hint = hint.append_column(hopcol, pa.array([], pa.int64()))
-    ds = levels[0]
+    rel = levels[0]
     if len(levels) > 1:
-        u = ds.union(*levels[1:]).union(rd.from_arrow(hint))
-        if hopcol is not None:
-            # min hop count per pair — a pair found at level 2 may
-            # reappear at level 3; shortest wins (BFS level)
-            ds = group_agg(u, [sv, inner], [Agg(hopcol, "min", hopcol)])
-        else:
-            ds = _distinct(u, [sv, inner])
+        # min hop count per pair — a pair found at level 2 may reappear
+        # at level 3; shortest wins (BFS level)
+        rel = aggregate(rel.union(*levels[1:]), [sv, inner],
+                        [Agg(hopcol, "min", hopcol)]
+                        if hopcol is not None else [])
     if inner != dv:                        # (a)-[*..k]->(a): close cycle
         def close(b: pa.Table) -> pa.Table:
             m = pc.fill_null(pc.equal(b[sv], b[inner]), False)
-            keep = [sv] + ([hopcol] if hopcol is not None else [])
             return b.filter(m).select(keep)
-        ds = ds.map_batches(close, batch_format="pyarrow",
-                            zero_copy_batch=True)
+        rel = rel.map(close)
         if hopcol is not None:
-            ds = group_agg(ds, [sv], [Agg(hopcol, "min", hopcol)])
-            hint = pa.table({sv: pa.array([], pa.int64()),
-                             hopcol: pa.array([], pa.int64())})
-        else:
-            hint = pa.table({sv: pa.array([], pa.int64())})
-    return ds, hint
+            rel = aggregate(rel, [sv], [Agg(hopcol, "min", hopcol)])
+    return rel
 
 
 def _compose_chains(gf, ctx: _Ctx, chains: list, pending: list, carry,
                     needed: set, P: int | None):
     """Compose one segment's MATCH chains (scan → join → scan → join ...)
     and join them — plus the carried WITH output, if any — on shared
-    variables. Returns (ds, bound, hint, pending)."""
-    import ray.data as rd
+    variables. Returns (relation, bound, pending)."""
     chain_results = []
     if carry is not None:
-        cds, cvis, chint = carry
-        cds, pending = _apply_where(cds, pending, cvis, ctx)
-        chain_results.append((cds, set(cvis), chint))
+        crel, cvis = carry
+        crel, pending = _apply_where(crel, pending, cvis, ctx)
+        chain_results.append((crel, set(cvis)))
     for ch in chains:
         if not ch.edges:               # MATCH (n): all vertices
             if gf.vertices is not None:
-                vt = pa.table({ch.nodes[0].var:
-                               gf.vertices["vid"].combine_chunks()})
+                vids = gf.vertices["vid"].combine_chunks()
             else:
-                vt = pa.table({ch.nodes[0].var:
-                               pa.array(np.arange(gf.n), pa.int64())})
-            ds = rd.from_arrow(vt)
+                vids = pa.array(np.arange(gf.n), pa.int64())
             bound = {ch.nodes[0].var}
-            ds, pending = _apply_where(ds, pending, bound, ctx)
-            chain_results.append((ds, bound, vt.slice(0, 0)))
+            rel, pending = _apply_where(
+                Relation.of(pa.table({ch.nodes[0].var: vids})), pending,
+                bound, ctx)
+            chain_results.append((rel, bound))
             continue
-        ds, bound, hint = None, set(), None
+        rel, bound = None, set()
         for hop, ep in enumerate(ch.edges):
             sv, dv = ch.nodes[hop].var, ch.nodes[hop + 1].var
             if ep.var_length is not None:
-                scan, scan_hint = _varlen_hop(gf, ep, sv, dv, ctx,
-                                              pending, P)
-                scan_vars = set(scan_hint.column_names) \
+                scan = _varlen_hop(gf, ep, sv, dv, ctx, pending, P)
+                scan_vars = set(scan.empty.column_names) \
                     | ({ep.var} if ep.var else set())
             else:
-                scan, scan_hint = _edge_scan(gf, ep, sv, dv, ctx, needed)
+                scan = _edge_scan(ep, sv, dv, ctx, needed)
                 # pushdown: terms over only this scan's vars filter the
                 # scan BEFORE it enters the join (shrinks the shuffle)
                 scan_vars = {sv, dv} | ({ep.var} if ep.var else set())
                 scan, pending = _apply_where(scan, pending, scan_vars,
                                              ctx)
-            if ds is None:
-                ds, new, hint = scan, set(scan_vars), scan_hint
+            if rel is None:
+                rel = scan
             else:
                 shared = sorted(bound & {sv, dv})
                 if not shared:
                     raise NotImplementedError(
                         "disconnected hop within a chain")
                 # joining on a var the scan re-binds: both sides carry it
-                ds = hash_join(ds, scan, shared, P, hint, scan_hint)
-                hint = hint.join(scan_hint, keys=shared,
-                                 join_type="inner", coalesce_keys=True)
-                new = set(scan_vars)
-            bound |= new
-            ds, pending = _apply_where(ds, pending, bound, ctx)
-        chain_results.append((ds, bound, hint))
+                rel = hash_join(rel, scan, shared, P)
+            bound |= scan_vars
+            rel, pending = _apply_where(rel, pending, bound, ctx)
+        chain_results.append((rel, bound))
 
     # ---- join chains (and the WITH carry) on shared variables
-    ds, bound, hint = chain_results[0]
-    for other, ovars, ohint in chain_results[1:]:
+    rel, bound = chain_results[0]
+    for other, ovars in chain_results[1:]:
         shared = sorted(bound & ovars)
         if shared:
-            ds = hash_join(ds, other, shared, P, hint, ohint)
-            hint = hint.join(ohint, keys=shared, join_type="inner",
-                             coalesce_keys=True)
+            rel = hash_join(rel, other, shared, P)
         else:
             # variable-disjoint patterns: first mine pending WHERE
             # equalities that bridge the two sides and use them as
@@ -1116,22 +1055,16 @@ def _compose_chains(gf, ctx: _Ctx, chains: list, pending: list, carry,
             pairs, pending = _bridge_eqs(pending, bound, ovars)
             if pairs:
                 keys = [f"__bk{i}" for i in range(len(pairs))]
-                ds = _with_key_cols(ds, [p[0] for p in pairs], keys, ctx)
-                other = _with_key_cols(other, [p[1] for p in pairs],
-                                       keys, ctx)
-                hint = _hint_key_cols(hint, keys)
-                ohint = _hint_key_cols(ohint, keys)
-                ds = hash_join(ds, other, keys, P, hint, ohint)
-                ds = ds.map_batches(
-                    lambda b, _k=tuple(keys): b.drop_columns(list(_k)),
-                    batch_format="pyarrow", zero_copy_batch=True)
-                hint = hint.join(ohint, keys=keys, join_type="inner",
-                                 coalesce_keys=True).drop_columns(keys)
+                rel = hash_join(
+                    _with_key_cols(rel, [p[0] for p in pairs], keys, ctx),
+                    _with_key_cols(other, [p[1] for p in pairs], keys, ctx),
+                    keys, P).map(lambda b, _k=tuple(keys):
+                                 b.drop_columns(list(_k)))
             else:
-                ds, hint = _cross_join(ds, other, hint, ohint)
+                rel = _cross_join(rel, other)
         bound |= ovars
-        ds, pending = _apply_where(ds, pending, bound, ctx)
-    return ds, bound, hint, pending
+        rel, pending = _apply_where(rel, pending, bound, ctx)
+    return rel, bound, pending
 
 
 def _bridge_eqs(pending: list, bound: set, ovars: set):
@@ -1153,17 +1086,20 @@ def _bridge_eqs(pending: list, bound: set, ovars: set):
     return pairs, rest
 
 
-def _with_key_cols(ds, exprs: list, names: list, ctx: _Ctx):
+def _with_key_cols(rel: Relation, exprs: list, names: list,
+                   ctx: _Ctx) -> Relation:
     """Append synthetic int64 join-key columns computed from compiled
-    expressions (vectorized per batch). Non-integer-valued keys (string
-    or float equality joins) are out of the int64 hash-route's domain."""
+    expressions (vectorized per block). Non-integer-valued keys (string
+    or float equality joins) are out of the int64 hash-route's domain;
+    the check runs on the relation's empty table first, so such a query
+    fails before any task starts."""
     fns = [_compile_expr(e, ctx) for e in exprs]
 
     def add(b: pa.Table) -> pa.Table:
         for nm, fn in zip(names, fns):
             v = fn(b)
             if not isinstance(v, (pa.Array, pa.ChunkedArray)):
-                v = pa.array([v] * b.num_rows)
+                v = pa.array([v] * b.num_rows, type=pa.scalar(v).type)
             if not pa.types.is_integer(v.type):
                 raise NotImplementedError(
                     "cross-pattern equality join needs integer-valued "
@@ -1171,61 +1107,47 @@ def _with_key_cols(ds, exprs: list, names: list, ctx: _Ctx):
             b = b.append_column(nm, v.cast(pa.int64()))
         return b
 
-    return ds.map_batches(add, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-
-def _hint_key_cols(hint: pa.Table, names: list) -> pa.Table:
-    for nm in names:
-        hint = hint.append_column(nm, pa.array([], pa.int64()))
-    return hint
+    return rel.map(add)
 
 
 # rows of the smaller side above which a cartesian product is refused
 _CROSS_CAP = 200_000
 
 
-def _cross_join(left, right, lhint: pa.Table, rhint: pa.Table):
+@ray.remote
+def _concat(empty: pa.Table, *parts: pa.Table) -> pa.Table:
+    return pa.concat_tables([empty, *parts],
+                            promote_options="default").combine_chunks()
+
+
+def _cross_join(left: Relation, right: Relation) -> Relation:
     """Cartesian product of two variable-disjoint pattern results with no
-    bridging predicate. The smaller side is materialized, capped at
-    _CROSS_CAP rows (an unguarded product is never the right plan at
-    scale) and broadcast ONCE via ray.put; each left block emits the
-    repeat×tile combination — vectorized takes, no per-row Python."""
-    import ray.data as rd
-    mat_l, mat_r = left.materialize(), right.materialize()
-    cl, cr = mat_l.count(), mat_r.count()
+    bridging predicate. The smaller side is capped at _CROSS_CAP rows (an
+    unguarded product is never the right plan at scale) and concatenated
+    ONCE into one object-store table; each block of the other side emits
+    the repeat×tile combination — vectorized takes, no per-row Python."""
+    left, right = left.blocks(), right.blocks()
+    left, right = left.nonempty(), right.nonempty()
+    cl, cr = sum(left.rows), sum(right.rows)
     if min(cl, cr) > _CROSS_CAP:
         raise NotImplementedError(
             f"cartesian product across patterns: both sides exceed "
             f"{_CROSS_CAP} rows ({cl} x {cr}); add a bridging WHERE "
             "equality (compiled to a distributed equi-join)")
     if cl < cr:                      # broadcast the smaller side
-        mat_l, mat_r = mat_r, mat_l
-        lhint, rhint = rhint, lhint
-    batches = list(mat_r.iter_batches(batch_format="pyarrow"))
-    small = (pa.concat_tables(batches).combine_chunks()
-             if batches else rhint)
-    small_ref = ray.put(small)
+        left, right = right, left
+    empty = _cross_schema(left.empty, right.empty)
+    if cl == 0 or cr == 0:
+        return Relation([], empty)
+    small_ref = _concat.remote(right.empty, *right.refs)
 
     def prod(b: pa.Table, _ref=small_ref) -> pa.Table:
         s: pa.Table = ray.get(_ref)
         n, m = b.num_rows, s.num_rows
-        if n == 0 or m == 0:
-            return _cross_schema(b.slice(0, 0), s.slice(0, 0))
-        lt = b.take(pa.array(np.repeat(np.arange(n), m)))
-        rt = s.take(pa.array(np.tile(np.arange(m), n)))
-        for name, col in zip(rt.column_names, rt.columns):
-            lt = lt.append_column(name, col)
-        return lt
+        return _cross_schema(b.take(pa.array(np.repeat(np.arange(n), m))),
+                             s.take(pa.array(np.tile(np.arange(m), n))))
 
-    out = mat_l.map_batches(prod, batch_format="pyarrow")
-    hint = _cross_schema(lhint, rhint)
-    # emptiness is already known from the side counts — never run the
-    # product pipeline just to test it (count() would execute prod over
-    # every block and downstream consumption would execute it AGAIN)
-    if cl == 0 or cr == 0:
-        out = rd.from_arrow(hint)
-    return out, hint
+    return left.map(prod, empty)
 
 
 def _cross_schema(lt: pa.Table, rt: pa.Table) -> pa.Table:
@@ -1239,10 +1161,15 @@ def cypher(gf, query: str, P: int | None = None):
     ray.data.Dataset (streaming) whose columns are the RETURN items
     (aliased with AS, else the expression text). Supports WITH pipeline
     stages (projection / implicit-group aggregation / DISTINCT, with a
-    HAVING-like WHERE) and bounded variable-length patterns [*lo..hi]."""
+    HAVING-like WHERE) and bounded variable-length patterns [*lo..hi].
+    The pattern work runs on block relations; the returned Dataset wraps
+    their blocks, so over a materialized frame this call starts no Ray
+    Data execution."""
     q = parse_cypher(query)
+    edges = functools.cache(gf.relation)    # read once, by the first scan
     if not q.union:
-        return _compile_one(gf, q, P)[0]
+        rel, _names, tail = _compile_one(gf, q, P, edges)
+        return tail(rel.to_dataset())
     # UNION [ALL]: compile each branch independently (own variable
     # scope), require matching output columns, stream-union the
     # branches; plain UNION dedups across the combined rows. A trailing
@@ -1261,17 +1188,18 @@ def cypher(gf, query: str, P: int | None = None):
             raise SyntaxError("ORDER BY / SKIP / LIMIT inside a UNION "
                               "branch — write it after the last branch "
                               "(it orders the combined result)")
-    branches = [_compile_one(gf, q, P)] + \
-        [_compile_one(gf, sub, P) for sub, _a in q.union]
+    branches = [_compile_one(gf, q, P, edges)] + \
+        [_compile_one(gf, sub, P, edges) for sub, _a in q.union]
     cols = branches[0][1]
-    for _ds, names in branches[1:]:
+    for _rel, names, _tail in branches[1:]:
         if names != cols:
             raise SyntaxError(
                 f"UNION branches must return the same columns: "
                 f"{cols} vs {names}")
-    out = branches[0][0].union(*[ds for ds, _n in branches[1:]])
+    rel = branches[0][0].union(*[r for r, _n, _t in branches[1:]])
     if not alls.pop():
-        out = _distinct(out, cols)
+        rel = aggregate(rel, cols, [])
+    out = rel.to_dataset()
     if order_by:
         order_cols = []
         for e, _asc in order_by:
@@ -1294,9 +1222,11 @@ def cypher(gf, query: str, P: int | None = None):
     return out
 
 
-def _compile_one(gf, q: Query, P: int | None):
-    """Compile one UNION-free Query → (Dataset, output column names)."""
-    ctx = _Ctx(gf)
+def _compile_one(gf, q: Query, P: int | None, edges):
+    """Compile one UNION-free Query → (relation of the RETURN rows,
+    output column names, the ORDER BY / SKIP / LIMIT tail for its
+    Dataset)."""
+    ctx = _Ctx(gf, edges)
 
     segments = [(seg.chains, seg.where, seg.optional, wc)
                 for seg, wc in q.pre]
@@ -1372,7 +1302,6 @@ def _compile_one(gf, q: Query, P: int | None):
         # table carried into the first segment; it joins the patterns
         # via bridged equalities or the guarded broadcast cross join
         import itertools
-        import ray.data as rd
         names = [n for _v, n in q.unwind]
         if len(set(names)) != len(names):
             raise SyntaxError("duplicate UNWIND variable")
@@ -1380,7 +1309,7 @@ def _compile_one(gf, q: Query, P: int | None):
         ut = pa.table({n: pa.array([r[i] for r in rows])
                        for i, n in enumerate(names)})
         ctx.col_vars |= set(names)
-        carry = (rd.from_arrow(ut), set(names), ut.slice(0, 0))
+        carry = (Relation.of(ut), set(names))
     for chains, where, optional, wc in segments:
         pending = [(t, _expr_vars(t)) for t in
                    (_and_terms(where) if where is not None else [])]
@@ -1388,21 +1317,21 @@ def _compile_one(gf, q: Query, P: int | None):
             for np_ in ch.nodes:
                 for t in _node_filters(np_, np_.var, ctx):
                     pending.append((t, {np_.var}))
-        ds, bound, hint, pending = _compose_chains(
+        rel, bound, pending = _compose_chains(
             gf, ctx, chains, pending, carry, needed, P)
         if pending:
             raise KeyError(f"WHERE references unbound variables: "
                            f"{[expr_text(t) for t, _ in pending]}")
         for ochains, owhere in optional:
-            ds, bound, hint = _attach_optional(
-                gf, ctx, ds, bound, hint, ochains, owhere, needed, P)
+            rel, bound = _attach_optional(
+                gf, ctx, rel, bound, ochains, owhere, needed, P)
         if wc is None:
-            return _project_and_finish(ds, q, ctx, hint)  # (ds, names)
-        carry = _apply_with(ds, wc, ctx, hint)
+            return _project_and_finish(rel, q, ctx)
+        carry = _apply_with(rel, wc, ctx)
     raise AssertionError("unreachable: final segment returns")
 
 
-def _attach_optional(gf, ctx: _Ctx, ds, bound: set, hint: pa.Table,
+def _attach_optional(gf, ctx: _Ctx, rel: Relation, bound: set,
                      ochains: list, owhere, needed: set, P: int | None):
     """OPTIONAL MATCH = the pattern compiled standalone (its WHERE is
     part of the pattern, openCypher semantics), then a LEFT OUTER hash
@@ -1414,7 +1343,7 @@ def _attach_optional(gf, ctx: _Ctx, ds, bound: set, hint: pa.Table,
         for np_ in ch.nodes:
             for t in _node_filters(np_, np_.var, ctx):
                 pending.append((t, {np_.var}))
-    ods, obound, ohint, pending = _compose_chains(
+    orel, obound, pending = _compose_chains(
         gf, ctx, ochains, pending, None, needed, P)
     if pending:
         raise KeyError(
@@ -1422,33 +1351,25 @@ def _attach_optional(gf, ctx: _Ctx, ds, bound: set, hint: pa.Table,
             f"pattern's own variables; unbound: "
             f"{[expr_text(t) for t, _ in pending]}")
     shared = sorted(bound & obound)
-    if not shared:
-        # variable-disjoint OPTIONAL MATCH (round 5; Neo4j semantics):
-        # cartesian product when the optional pattern matched anything,
-        # otherwise every left row survives with nulls in the optional
-        # columns
-        mat_o = ods.materialize()
-        if mat_o.count() == 0:
-            ocols = list(zip(ohint.column_names,
-                             [f.type for f in ohint.schema]))
+    if shared:
+        return (hash_join(rel, orel, shared, P, join_type="left outer"),
+                bound | obound)
+    # variable-disjoint OPTIONAL MATCH (round 5; Neo4j semantics):
+    # cartesian product when the optional pattern matched anything,
+    # otherwise every left row survives with nulls in the optional
+    # columns
+    orel = orel.nonempty()
+    if orel.refs:
+        return _cross_join(rel, orel), bound | obound
+    ocols = [(f.name, f.type) for f in orel.empty.schema]
 
-            def pad(b: pa.Table, _oc=tuple(ocols)) -> pa.Table:
-                for name, typ in _oc:
-                    if name not in b.column_names:
-                        b = b.append_column(name, pa.nulls(b.num_rows, typ))
-                return b
+    def pad(b: pa.Table) -> pa.Table:
+        for name, typ in ocols:
+            if name not in b.column_names:
+                b = b.append_column(name, pa.nulls(b.num_rows, typ))
+        return b
 
-            ds = ds.map_batches(pad, batch_format="pyarrow",
-                                zero_copy_batch=True)
-            hint = _cross_schema(hint, ohint)
-        else:
-            ds, hint = _cross_join(ds, mat_o, hint, ohint)
-        return ds, bound | obound, hint
-    ds = hash_join(ds, ods, shared, P, hint, ohint,
-                   join_type="left outer")
-    hint = hint.join(ohint, keys=shared, join_type="left outer",
-                     coalesce_keys=True)
-    return ds, bound | obound, hint
+    return rel.map(pad), bound | obound
 
 
 # ------------------------------------------------- RETURN / aggregation
@@ -1488,9 +1409,10 @@ def _is_agg(e) -> bool:
 def _projection(named: list, ctx: _Ctx):
     """(name, expr) pairs → one block function building those columns.
     A literal is typed FROM THE VALUE even on an empty block —
-    pa.array([]) would be null-typed, and this also runs on the empty
-    schema hint, whose columns must agree with every data block. With no
-    columns the block keeps its row count (a global count(*))."""
+    pa.array([]) would be null-typed, and this also runs on the
+    relation's empty table, whose columns must agree with every data
+    block. With no columns the block keeps its row count (a global
+    count(*))."""
     fns = [(name, _compile_expr(e, ctx)) for name, e in named]
 
     def project(b: pa.Table) -> pa.Table:
@@ -1507,17 +1429,12 @@ def _projection(named: list, ctx: _Ctx):
     return project
 
 
-def _group_rows(ds, proj: list, aggs: list, distinct: bool, ctx: _Ctx,
-                hint: pa.Table):
+def _group_rows(rel: Relation, proj: list, aggs: list, distinct: bool,
+                ctx: _Ctx) -> Relation:
     """The rows of a RETURN or WITH: the (name, expr) columns of ``proj``
     plus each aggregate's input, grouped by the ``proj`` columns through
-    group_agg when there are aggregates or DISTINCT. Returns (ds, empty
-    table of the output schema). ``hint`` = empty bindings table carrying
-    the schema: Ray skips map fns on empty blocks, so a fully-empty
-    binding set reaches here schemaless — its projection gives the
-    output schema without probing (a schema fetch would pre-execute the
-    plan)."""
-    import ray.data as rd
+    core's ``aggregate`` when there are aggregates or DISTINCT (the
+    projection composes into its per-block partial task)."""
     names = [name for name, _ in proj]
     specs = []
     inputs = []
@@ -1529,18 +1446,17 @@ def _group_rows(ds, proj: list, aggs: list, distinct: bool, ctx: _Ctx,
             inputs.append((col, _agg_input_expr(f)))
         specs.append(Agg(_out_name(it), f.name, col, f.distinct,
                          _pct_param(f) if f.name in _PCT_FNS else 0.0))
-    project = _projection(proj + inputs, ctx)
-    phint = project(hint)
+    rel = rel.map(_projection(proj + inputs, ctx))
     if specs or distinct:
-        out = _agg_final(_agg_partial(phint, names, specs), names, specs)
-        return group_agg(ds, names, specs, phint, project), out.slice(0, 0)
-    ds = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.union(rd.from_arrow(phint)), phint
+        return aggregate(rel, names, specs)
+    return rel
 
 
-def _project_and_finish(ds, q: Query, ctx: _Ctx, hint: pa.Table):
-    """RETURN items → final columns (_group_rows: aggregates, DISTINCT);
-    ORDER BY via ds.sort; LIMIT via ds.limit."""
+def _project_and_finish(rel: Relation, q: Query, ctx: _Ctx):
+    """RETURN items → final columns (_group_rows: aggregates, DISTINCT).
+    Returns (relation, output names, tail): the tail runs ORDER BY
+    (ds.sort), SKIP and LIMIT (ds.limit) on the Dataset of the
+    relation."""
     aggs = [it for it in q.items if _is_agg(it.expr)]
     keys = [it for it in q.items if not _is_agg(it.expr)]
 
@@ -1588,39 +1504,41 @@ def _project_and_finish(ds, q: Query, ctx: _Ctx, hint: pa.Table):
     proj: list = []
     for it in keys:
         proj.extend(_expand(it, ctx))
-    ds, _hint = _group_rows(ds, proj + hidden, aggs, q.distinct, ctx, hint)
+    rel = _group_rows(rel, proj + hidden, aggs, q.distinct, ctx)
     key_names = [name for name, _ in proj]
 
-    if order_cols:
-        ds = ds.sort(order_cols,
-                     descending=[not asc for _e, asc in q.order_by])
-    if hidden:
-        ds = ds.map_batches(
-            lambda b: b.drop_columns([h for h, _ in hidden]),
-            batch_format="pyarrow", zero_copy_batch=True)
-    if q.skip:
-        if q.limit is not None:
-            # SKIP+LIMIT pagination: pull only skip+limit rows through
-            # the (sorted) stream, then drop the first skip — bounded
-            # work regardless of input size
-            ds = ds.limit(q.skip + q.limit)
-        # no LIMIT: a global row offset needs materialized block counts
-        ds = ds.split_at_indices([q.skip])[1]
-    elif q.limit is not None:
-        ds = ds.limit(q.limit)
+    def tail(ds):
+        if order_cols:
+            ds = ds.sort(order_cols,
+                         descending=[not asc for _e, asc in q.order_by])
+        if hidden:
+            ds = ds.map_batches(
+                lambda b: b.drop_columns([h for h, _ in hidden]),
+                batch_format="pyarrow", zero_copy_batch=True)
+        if q.skip:
+            if q.limit is not None:
+                # SKIP+LIMIT pagination: pull only skip+limit rows through
+                # the (sorted) stream, then drop the first skip — bounded
+                # work regardless of input size
+                ds = ds.limit(q.skip + q.limit)
+            # no LIMIT: a global row offset needs materialized block counts
+            ds = ds.split_at_indices([q.skip])[1]
+        elif q.limit is not None:
+            ds = ds.limit(q.limit)
+        return ds
+
     out_names = key_names if not aggs else \
         key_names + [_out_name(it) for it in aggs]
-    return ds, out_names
+    return rel, out_names, tail
 
 
-def _apply_with(ds, wc, ctx: _Ctx, hint: pa.Table):
+def _apply_with(rel: Relation, wc, ctx: _Ctx):
     """Execute one WITH clause over the segment's bindings: project the
     items (implicit grouping by the non-aggregate items, exactly like
     RETURN), apply DISTINCT, then the clause's WHERE (openCypher's
     HAVING-equivalent: it filters the PROJECTED rows). Returns the carry
-    triple (ds, visible names, schema hint) for the next segment, and
-    registers the new column/node visibility on ctx."""
-    import ray.data as rd
+    pair (relation, visible names) for the next segment, and registers
+    the new column/node visibility on ctx."""
     aggs = [it for it in wc.items if _is_agg(it.expr)]
     keys = [it for it in wc.items if not _is_agg(it.expr)]
     if wc.distinct and aggs:
@@ -1641,7 +1559,7 @@ def _apply_with(ds, wc, ctx: _Ctx, hint: pa.Table):
         else:
             new_cols.add(name)
     new_cols |= {_out_name(it) for it in aggs}
-    ds, hint2 = _group_rows(ds, proj, aggs, wc.distinct, ctx, hint)
+    rel = _group_rows(rel, proj, aggs, wc.distinct, ctx)
 
     ctx.node_vars |= new_nodes
     ctx.col_vars |= new_cols
@@ -1654,6 +1572,5 @@ def _apply_with(ds, wc, ctx: _Ctx, hint: pa.Table):
             if missing:
                 raise KeyError(f"WITH ... WHERE references names not "
                                f"projected by the WITH: {sorted(missing)}")
-        ds = ds.map_batches(_row_filter(terms, ctx), batch_format="pyarrow",
-                            zero_copy_batch=True).union(rd.from_arrow(hint2))
-    return ds, visible, hint2
+        rel = rel.map(_row_filter(terms, ctx))
+    return rel, visible

@@ -100,18 +100,81 @@ def test_two_hop_join_count(ray_session):
            "ON e1.dst = e2.src WHERE e1.t < e2.t")
 
 
+TWO_HOP = ("MATCH (a)-[e1]->(b)-[e2]->(c) WHERE e1.t < e2.t "
+           "RETURN count(*) AS cnt")
+
+
 def test_two_hop_count_executions(ray_session, count_executions):
-    """A global count(*) over a two-hop join starts at most four Ray Data
-    executions: its partial runs in the projection stage."""
+    """Over a materialized frame, and over a window view of one,
+    ``cypher()`` runs the two-hop count on plain tasks and starts no Ray
+    Data execution; reading its result starts one."""
     from raphtory_ray.query import cypher
     gf, edges, verts = _gf()
-    before = count_executions()
-    rows = cypher(gf, "MATCH (a)-[e1]->(b)-[e2]->(c) WHERE e1.t < e2.t "
-                      "RETURN count(*) AS cnt").take_all()
-    assert count_executions() - before <= 4
-    want = _sql(edges, verts, "SELECT count(*) AS cnt FROM e e1 JOIN e e2 "
-                              "ON e1.dst = e2.src WHERE e1.t < e2.t")
-    assert rows == want.to_pylist()
+    lo, hi = 20, 70
+    for g, where in [(gf, ""),
+                     (gf.window(lo, hi),
+                      f" AND e1.t >= {lo} AND e1.t < {hi} "
+                      f"AND e2.t >= {lo} AND e2.t < {hi}")]:
+        before = count_executions()
+        ds = cypher(g, TWO_HOP)
+        assert count_executions() == before
+        rows = ds.take_all()
+        assert count_executions() - before <= 1
+        want = _sql(edges, verts, "SELECT count(*) AS cnt FROM e e1 JOIN "
+                    "e e2 ON e1.dst = e2.src WHERE e1.t < e2.t" + where)
+        assert rows == want.to_pylist()
+
+
+# (query, its run over rows, DuckDB SQL, frame window) per empty case: the
+# query with "{x}" as a bound that matches nothing (1000) and as one that
+# matches rows (50)
+EMPTY_CASES = {
+    "where_empties_scan": (
+        "MATCH (a)-[e]->(b) WHERE e.t > {x} RETURN a, e.t AS t, e.w AS w",
+        "SELECT src AS a, t, w FROM e WHERE t > {x}", None),
+    "window_without_edges": (
+        "MATCH (a)-[e]->(b) RETURN a, b, e.w AS w",
+        "SELECT src AS a, dst AS b, w FROM e WHERE t >= {x} AND t < 100",
+        ("{x}", 100)),
+    "empty_build_side": (
+        "MATCH (a)-[e]->(b)-[f]->(c) WHERE f.t > {x} "
+        "RETURN a, c, e.t AS t, f.w AS w",
+        "SELECT e1.src AS a, e2.dst AS c, e1.t AS t, e2.w AS w FROM e e1 "
+        "JOIN e e2 ON e1.dst = e2.src WHERE e2.t > {x}", None),
+    "left_outer_vs_empty": (
+        "MATCH (a)-[e]->(b) OPTIONAL MATCH (b)-[f]->(c) WHERE f.t > {x} "
+        "RETURN a, b, c, f.w AS fw",
+        "SELECT e1.src AS a, e1.dst AS b, f.dst AS c, f.w AS fw FROM e e1 "
+        "LEFT JOIN (SELECT * FROM e WHERE t > {x}) f ON e1.dst = f.src",
+        None),
+    "grouped_return_over_no_rows": (
+        "MATCH (a)-[e]->(b) WHERE e.t > {x} "
+        "RETURN a, count(*) AS c, min(e.w) AS mw, collect(b) AS bs",
+        "SELECT src AS a, count(*) AS c, min(w) AS mw, "
+        "list(dst ORDER BY dst) AS bs FROM e WHERE t > {x} GROUP BY src",
+        None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_CASES))
+def test_empty_results_keep_their_types(ray_session, case):
+    """A scan emptied by WHERE, a window without edges, an empty build
+    side, a LEFT OUTER join against an empty side and a grouped RETURN
+    over no rows each give the column names and types of the same query
+    over rows, and DuckDB's rows."""
+    from raphtory_ray.query import cypher
+    gf, edges, verts = _gf()
+    cy, sql, window = EMPTY_CASES[case]
+    schemas = []
+    for x in (1000, 50):
+        g = gf if window is None else gf.window(
+            *[x if w == "{x}" else w for w in window])
+        ds = cypher(g, cy.format(x=x))
+        want = _sql(edges, verts, sql.format(x=x)).to_pylist()
+        assert sorted(ds.take_all(), key=repr) == sorted(want, key=repr)
+        schema = ds.schema()
+        schemas.append(list(zip(schema.names, schema.types)))
+    assert schemas[0] == schemas[1]
 
 
 def test_three_hop_chain(ray_session):

@@ -2,7 +2,8 @@
 driver queries — run on core/aggregate's group_agg or a core/exchange
 route_fanout task. Over an all-empty input each returns a result with
 the column names and types it has over a non-empty input. (The training
-pipeline query's keep set is exact_dedup's.)"""
+pipeline query's keep set is exact_dedup's; pack_documents, its last
+stage, groups nothing but is checked here too.)"""
 
 from __future__ import annotations
 
@@ -99,6 +100,11 @@ def _load_nodes(empty, _tmp):
                       metadata_cols=["kind"]).vertices
 
 
+def _pack_documents(empty, _tmp):
+    from raphtory_ray.data.text import pack_documents
+    return pack_documents(_ds(DOCS, empty), budget=64)
+
+
 def _load_edge_props(empty, _tmp):
     from raphtory_ray.sources.loaders import load_edge_props
     return load_edge_props(_ds(EDGE_META, empty), "a", "b", ["rel"])
@@ -116,6 +122,7 @@ SITES = {
     "doc_source_quality": _query("_q_doc_source_quality"),
     "doc_lang_counts": _query("_q_doc_lang_counts"),
     "doc_fingerprints": _query("_q_doc_fingerprints"),
+    "pack_documents": _pack_documents,
 }
 
 
@@ -135,3 +142,13 @@ def test_empty_input_keeps_the_output_types(ray_session, tmp_path, site):
     assert _rows(full) > 0
     assert _rows(empty) == 0
     assert _schema(empty) == _schema(full)
+
+
+def test_training_pipeline_over_no_documents(ray_session, tmp_path):
+    """The training pipeline query (dedup keep set, hash semi-join,
+    filters, packing) over an empty documents.parquet returns its typed
+    columns and no rows."""
+    out = _query("_q_doc_training_pipeline")(True, tmp_path)
+    assert _rows(out) == 0
+    assert _schema(out) == [("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+                            ("seq_id", pa.int64())]

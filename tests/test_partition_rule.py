@@ -97,6 +97,21 @@ def _cypher_two_hop():
     return sorted((r["a"], r["c"]) for r in rows)
 
 
+def _cypher_grouped():
+    from raphtory_ray.query import cypher
+    rows = cypher(_gf(), "MATCH (a)-[e]->(b) RETURN a, count(*) AS c") \
+        .take_all()
+    return sorted((r["a"], r["c"]) for r in rows)
+
+
+def _cypher_optional():
+    from raphtory_ray.query import cypher
+    rows = cypher(_gf(), "MATCH (a)-[e]->(b) WHERE e.t < 10 "
+                  "OPTIONAL MATCH (b)-[f]->(c) WHERE f.t > 40 "
+                  "RETURN a, b, c").take_all()
+    return sorted(((r["a"], r["b"], r["c"]) for r in rows), key=repr)
+
+
 def _group_count():
     from raphtory_ray.core.aggregate import group_count
     t = pa.Table.from_pylist(group_count(_gf().edges, ["src", "dst"])
@@ -248,6 +263,8 @@ CASES = {
     "exact_hash_split": _exact_split,
     "paragraph_dedup": _paragraphs,
     "cypher_two_hop": _cypher_two_hop,
+    "cypher_grouped": _cypher_grouped,
+    "cypher_optional": _cypher_optional,
     "group_count": _group_count,
     "sessionize": _sessionize,
     "exact_dedup": _exact_dedup,
