@@ -176,10 +176,13 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     _, queries["sssp_delta"] = best2(
         lambda: sssp_delta_stepping(gf, 0))      # unit weights
 
-    from raphtory_ray.algorithms.motifs import global_temporal_three_node_motif
+    from raphtory_ray.algorithms.motifs import (
+        global_temporal_three_node_motif, local_temporal_three_node_motif)
     from raphtory_ray.sources.corpus import T_STEP
     _, queries["temporal_motifs"] = best2(
         lambda: global_temporal_three_node_motif(gf, 24 * T_STEP))
+    _, queries["temporal_local_motifs"] = best2(
+        lambda: local_temporal_three_node_motif(gf, 24 * T_STEP))
 
     # Cypher surface: time-respecting two-hop count = two distributed
     # hash joins + global aggregate over the link graph

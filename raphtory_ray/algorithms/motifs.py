@@ -1,25 +1,36 @@
-"""Temporal three-node motifs (Paranjape et al., WSDM 2017) — global counts.
+"""Temporal three-node motifs (Paranjape et al., WSDM 2017): global counts
+and per-node (local) counts from one engine.
 
 Reference semantics: algorithms/motifs/global_temporal_three_node_motifs.rs
 (star_motif_count :27-78, twonode_motif_count :80-119, triangle_motifs
-:124-254, temporal_three_node_motif_multi :272-330) with the sliding-window
-counters of three_node_motifs.rs (TwoNodeCounter :28-61, StarCounter
-:85-177, TriangleCounter :223-341). Output: one 40-vector per delta —
-[0..24) star (pre/mid/post × 8 dir-triples, two-node-excluded),
-[24..32) two-node (counted from both endpoints, hence doubled — reference
-keeps the doubling), [32..40) triangle.
+:124-254, temporal_three_node_motif_multi :272-330) and
+local_temporal_three_node_motifs.rs, with the sliding-window counters of
+three_node_motifs.rs (TwoNodeCounter :28-61, StarCounter :85-177,
+TriangleCounter :223-341). Output: a 40-vector per delta, for the whole
+graph or per node — [0..24) star (pre/mid/post × 8 dir-triples,
+two-node-excluded), [24..32) two-node (counted from both endpoints, hence
+doubled — reference keeps the doubling), [32..40) triangle.
 
-Ray decomposition:
+Ray decomposition (one orchestration, ``_motif_counts``):
 - STAR phase: every non-self edge event is routed to BOTH endpoints'
   owner partition (hash shuffle); each partition runs the per-node
-  counters over its nodes' time-sorted incident events. Driver combines
-  P fixed-size (len(deltas)×32) partials.
+  counters over its nodes' time-sorted incident events, giving per-node
+  star and two-node counts.
 - TRIANGLE phase: k-core(2) subgraph → triangle triples via the engine's
   partitioned wedge semi-join (no global edge pull); pair event lists are
   hash-partitioned by unordered pair; each triple partition receives ONLY
   the pair lists its triangles touch (per-partition semi-join subsets) and
-  runs the reference TriangleCounter per triangle. Driver combines Q
-  (len(deltas)×8) partials.
+  runs the reference TriangleCounter once per triangle, giving one
+  8-vector per triangle.
+
+For global counts each task sums its per-node or per-triangle counts, so
+the driver combines fixed-size (len(deltas)×32 and ×8) partials. For local
+counts each task returns its star counts per node and scatters every
+triangle's 8-vector to the triangle's three members. That scatter is exact
+because a triangle's 8-vector is the same whichever member the events are
+tagged from: the local reference tags them from the counting node, the
+global one from the middle id, and both give the triangle the same slot
+(tests/test_motifs.py checks this against a per-member reference).
 
 The per-entity counters are sequential sliding windows (as in the
 reference, which parallelises across nodes/edges exactly the same way);
@@ -263,8 +274,7 @@ def _grouped_window_starts(gid, t_rel, M, delta):
     return L
 
 
-def _two_node_group_counts(node, nbr, dr, t, e, deltas,
-                           per_node: bool = False):
+def _two_node_group_counts(node, nbr, dr, t, e, deltas):
     """Vectorized TwoNodeCounter over every (node, nbr) event group.
 
     Exact reformulation of _two_node_count's sliding window: the
@@ -281,12 +291,11 @@ def _two_node_group_counts(node, nbr, dr, t, e, deltas,
     Replaces the per-neighbour boolean-mask loop (O(deg*m) per node) and
     the per-group Python loop with O(rows) numpy passes.
 
-    Returns (D, 8) global totals, or (vids, (nv, D, 8)) when per_node.
+    Returns (vids, (nv, D, 8)): the sorted nodes and their counts.
     """
     D = len(deltas)
     if len(node) == 0:
-        return (np.empty(0, np.int64), np.zeros((0, D, 8), np.int64)) \
-            if per_node else np.zeros((D, 8), np.int64)
+        return np.empty(0, np.int64), np.zeros((0, D, 8), np.int64)
     order = np.lexsort((e, t, nbr, node))
     nd = node[order]
     nb = nbr[order]
@@ -314,15 +323,9 @@ def _two_node_group_counts(node, nbr, dr, t, e, deltas,
             inc = np.where(d == d2, c[d1], 0)
             q = np.cumsum(inc) - inc
             Q[(d1, d2)] = q
-    if per_node:
-        first_n = np.empty(rows, bool)
-        first_n[0] = True
-        first_n[1:] = nd[1:] != nd[:-1]
-        nrun = np.cumsum(first_n) - 1
-        vids = nd[first_n]
-        out = np.zeros((len(vids), D, 8), np.int64)
-    else:
-        out = np.zeros((D, 8), np.int64)
+    nstart = np.r_[0, np.flatnonzero(nd[1:] != nd[:-1]) + 1]
+    vids = nd[nstart]
+    out = np.empty((len(vids), D, 8), np.int64)
     m1 = d == 1
     for di, delta in enumerate(deltas):
         L = _grouped_window_starts(gid, t_rel, M, int(delta))
@@ -332,17 +335,11 @@ def _two_node_group_counts(node, nbr, dr, t, e, deltas,
                 q = Q[(d1, d2)]
                 wp = q - q[L] - cbL * (c[d2] - c[d2][L])
                 base = 4 * d1 + 2 * d2
-                if per_node:
-                    out[:, di, base + 1] += np.bincount(
-                        nrun[m1], weights=wp[m1],
-                        minlength=len(vids)).astype(np.int64)
-                    out[:, di, base] += np.bincount(
-                        nrun[~m1], weights=wp[~m1],
-                        minlength=len(vids)).astype(np.int64)
-                else:
-                    out[di, base + 1] += int(wp[m1].sum())
-                    out[di, base] += int(wp[~m1].sum())
-    return (vids, out) if per_node else out
+                out[:, di, base + 1] = np.add.reduceat(
+                    np.where(m1, wp, 0), nstart)
+                out[:, di, base] = np.add.reduceat(
+                    np.where(m1, 0, wp), nstart)
+    return vids, out
 
 
 def _node_codes_and_order(node, nbr, dr, t, e):
@@ -371,13 +368,12 @@ def _node_codes_and_order(node, nbr, dr, t, e):
     return order2, codes, starts, degs
 
 
-@ray.remote
-def _star_split(block: pa.Table, P: int):
-    """Route every non-self event to BOTH endpoints' owner partitions as
-    (node, nbr, dir, t, eid); dir=1 when node is the source."""
+def _events(block: pa.Table):
+    """(src, dst, t, event_id) int64 arrays of a block's non-self events,
+    or None when the block has no edges. A missing t reads as 0 and a
+    missing event_id as the row number."""
     if block.num_rows == 0 or "src" not in block.column_names:
-        z = np.empty(0, np.int64)
-        return returns([(z, z, np.empty(0, np.int8), z, z)] * P)
+        return None
     s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     d = block["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
     t = block["t"].to_numpy(zero_copy_only=False).astype(np.int64) \
@@ -385,7 +381,18 @@ def _star_split(block: pa.Table, P: int):
     e = block["event_id"].to_numpy(zero_copy_only=False).astype(np.int64) \
         if "event_id" in block.column_names else np.arange(len(s))
     m = s != d
-    s, d, t, e = s[m], d[m], t[m], e[m]
+    return s[m], d[m], t[m], e[m]
+
+
+@ray.remote
+def _star_split(block: pa.Table, P: int):
+    """Route every non-self event to BOTH endpoints' owner partitions as
+    (node, nbr, dir, t, eid); dir=1 when node is the source."""
+    ev = _events(block)
+    if ev is None:
+        z = np.empty(0, np.int64)
+        return returns([(z, z, np.empty(0, np.int8), z, z)] * P)
+    s, d, t, e = ev
     node = np.concatenate([s, d])
     nbr = np.concatenate([d, s])
     dr = np.concatenate([np.ones(len(s), np.int8), np.zeros(len(s), np.int8)])
@@ -395,53 +402,49 @@ def _star_split(block: pa.Table, P: int):
 
 
 @ray.remote
-def _star_partial(deltas: tuple, *pieces) -> np.ndarray:
+def _star_partial(deltas: tuple, per_node: bool, *pieces):
     """One node partition: per node, star + two-node counts over its
-    time-sorted incident events → (len(deltas), 32) partial. Two-node
-    counts come from the vectorized group counter (global totals suffice:
-    the per-node star24 - tile(two) corrections sum to
-    Σstar24 - tile(Σtwo)); the star counter runs per node over dense
-    neighbour codes (no per-node np.unique / mask loop)."""
+    time-sorted incident events (local_temporal_three_node_motifs.rs:
+    348-390 star_motif_step) -- star counts less the node's two-node
+    counts tiled ×3, then the two-node counts. Returns (vids, counts[nv,
+    len(deltas), 32]) per node, or their (len(deltas), 32) sum. The star
+    counter runs per node over dense neighbour codes (no per-node
+    np.unique / mask loop)."""
     node = np.concatenate([p[0] for p in pieces])
-    res = np.zeros((len(deltas), 32), np.int64)
-    if len(node) == 0:
-        return res
-    nbr = np.concatenate([p[1] for p in pieces])
-    dr = np.concatenate([p[2] for p in pieces]).astype(np.int64)
-    t = np.concatenate([p[3] for p in pieces])
-    e = np.concatenate([p[4] for p in pieces])
-    two_tot = _two_node_group_counts(node, nbr, dr, t, e, deltas)
-    order2, codes, starts, degs = _node_codes_and_order(node, nbr, dr, t, e)
-    nd2, cd2, dr2, t2 = node[order2], codes[order2], dr[order2], t[order2]
-    for i in range(len(starts) - 1):
-        lo, hi = starts[i], starts[i + 1]
-        for j, delta in enumerate(deltas):
-            res[j, :24] += _star_count(cd2[lo:hi], dr2[lo:hi], t2[lo:hi],
-                                       int(degs[i]), delta)
-    for j in range(len(deltas)):
-        res[j, :24] -= np.tile(two_tot[j], 3)
-        res[j, 24:] += two_tot[j]
-    return res
+    vids = np.empty(0, np.int64)
+    out = np.zeros((0, len(deltas), 32), np.int64)
+    if len(node):
+        nbr = np.concatenate([p[1] for p in pieces])
+        dr = np.concatenate([p[2] for p in pieces]).astype(np.int64)
+        t = np.concatenate([p[3] for p in pieces])
+        e = np.concatenate([p[4] for p in pieces])
+        vids, two = _two_node_group_counts(node, nbr, dr, t, e, deltas)
+        order2, codes, starts, degs = _node_codes_and_order(node, nbr, dr,
+                                                            t, e)
+        cd2, dr2, t2 = codes[order2], dr[order2], t[order2]
+        out = np.empty((len(vids), len(deltas), 32), np.int64)
+        for i in range(len(vids)):
+            lo, hi = starts[i], starts[i + 1]
+            for j, delta in enumerate(deltas):
+                out[i, j, :24] = _star_count(cd2[lo:hi], dr2[lo:hi],
+                                             t2[lo:hi], int(degs[i]), delta)
+        out[:, :, :24] -= np.tile(two, 3)
+        out[:, :, 24:] = two
+    return (vids, out) if per_node else out.sum(axis=0)
 
 
 # ----------------------------------------------------------- triangle phase
 
 @ray.remote
-def _pair_split(block: pa.Table, P: int, n: int, member_ref):
+def _pair_split(block: pa.Table, P: int, n: int, member: np.ndarray):
     """Non-self events between k-core members, keyed by unordered pair
     pk = min*n + max, routed by hash(pk)."""
-    if block.num_rows == 0 or "src" not in block.column_names:
+    ev = _events(block)
+    if ev is None:
         z = np.empty(0, np.int64)
         return returns([(z, np.empty(0, np.int8), z, z)] * P)
-    member = ray.get(member_ref) if isinstance(member_ref, ray.ObjectRef) \
-        else member_ref
-    s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-    d = block["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-    t = block["t"].to_numpy(zero_copy_only=False).astype(np.int64) \
-        if "t" in block.column_names else np.zeros(len(s), np.int64)
-    e = block["event_id"].to_numpy(zero_copy_only=False).astype(np.int64) \
-        if "event_id" in block.column_names else np.arange(len(s))
-    m = (s != d) & member[s] & member[d]
+    s, d, t, e = ev
+    m = member[s] & member[d]
     s, d, t, e = s[m], d[m], t[m], e[m]
     lo = np.minimum(s, d)
     hi = np.maximum(s, d)
@@ -469,73 +472,60 @@ def _split_triples(triples, R: int):
     return returns([(x[r::R], y[r::R], z[r::R]) for r in range(R)])
 
 
+def _ragged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(a[i], b[i]) over every i, in one pass."""
+    cnt = b - a
+    shift = np.repeat(a - (np.cumsum(cnt) - cnt), cnt)
+    return np.arange(len(shift), dtype=np.int64) + shift
+
+
 @ray.remote
-def _pair_subset_n(pair_part, n: int, *triple_pieces):
+def _pair_subset_n(pair_part, n: int, triples):
     """Ship ONLY the pair rows this triple partition's triangles touch
     (sorted-key range selection — the distributed semi-join)."""
     pk, sl, t, e = pair_part
-    if len(pk) == 0:
-        z = np.empty(0, np.int64)
-        return (z, z.astype(np.int8), z, z)
-    keys = []
-    for p in triple_pieces:
-        x, y, zz = p
-        if len(x):
-            keys += [x * n + y, x * n + zz, y * n + zz]
-    if not keys:
-        z = np.empty(0, np.int64)
-        return (z, z.astype(np.int8), z, z)
-    need = np.unique(np.concatenate(keys))
-    lo = np.searchsorted(pk, need, side="left")
-    hi = np.searchsorted(pk, need, side="right")
-    take = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]) \
-        if len(need) else np.empty(0, np.int64)
-    take = take.astype(np.int64)
+    x, y, z = triples
+    need = np.unique(np.concatenate([x * n + y, x * n + z, y * n + z]))
+    take = _ragged(np.searchsorted(pk, need, side="left"),
+                   np.searchsorted(pk, need, side="right"))
     return (pk[take], sl[take], t[take], e[take])
 
 
-@ray.remote
-def _triple_motifs(deltas: tuple, n: int, triples, *subsets) -> np.ndarray:
-    """One triple partition: merge its pair subsets, run the reference
-    TriangleCounter per triangle → (len(deltas), 8) partial. Per-triangle
-    event assembly is fully vectorized (one batched searchsorted over all
-    3T pair keys, one ragged-arange gather, one global (triangle, t, e)
-    lexsort, vectorized dir/uorv tagging) — only the O(m) reference
-    counter itself runs per triangle."""
-    res = np.zeros((len(deltas), 8), np.int64)
-    x, y, z = triples
-    if len(x) == 0:
-        return res
+def _triangle_vectors(deltas: tuple, n: int, x, y, z,
+                      subsets) -> np.ndarray:
+    """(T, len(deltas), 8): the reference TriangleCounter of every triangle
+    (x < y < z) over its events in the merged pair subsets. Event assembly
+    is fully vectorized (one batched searchsorted over all 3T pair keys,
+    one ragged gather, one global (triangle, t, e) lexsort, vectorized
+    dir/uorv tagging) — only the O(m) reference counter itself runs per
+    triangle."""
+    T = len(x)
+    vec = np.zeros((T, len(deltas), 8), np.int64)
+    if T == 0:
+        return vec
     pk = np.concatenate([s[0] for s in subsets])
     sl = np.concatenate([s[1] for s in subsets]).astype(np.int64)
     t = np.concatenate([s[2] for s in subsets])
     e = np.concatenate([s[3] for s in subsets])
     order = np.lexsort((e, t, pk))
     pk, sl, t, e = pk[order], sl[order], t[order], e[order]
-    T = len(x)
-    xi = x.astype(np.int64)
-    yi = y.astype(np.int64)
-    zi = z.astype(np.int64)
     # reference mapping: w = largest (z), u = middle (y), v = smallest (x)
     keys = np.empty(3 * T, np.int64)
-    keys[0::3] = xi * n + yi
-    keys[1::3] = xi * n + zi
-    keys[2::3] = yi * n + zi
+    keys[0::3] = x * n + y
+    keys[1::3] = x * n + z
+    keys[2::3] = y * n + z
     a = np.searchsorted(pk, keys, side="left")
-    b = np.searchsorted(pk, keys, side="right")
-    cnt = b - a
+    cnt = np.searchsorted(pk, keys, side="right") - a
     total = int(cnt.sum())
     if total == 0:
-        return res
-    offs = np.cumsum(cnt) - cnt
-    idx = np.arange(total, dtype=np.int64) - np.repeat(offs, cnt) \
-        + np.repeat(a, cnt)
+        return vec
+    idx = _ragged(a, a + cnt)
     trow = np.repeat(np.repeat(np.arange(T, dtype=np.int64), 3), cnt)
     kk, ss, tt, ee = pk[idx], sl[idx], t[idx], e[idx]
     order2 = np.lexsort((ee, tt, trow))
     kk, ss, tt, trow = kk[order2], ss[order2], tt[order2], trow[order2]
-    yr, zr = yi[trow], zi[trow]
-    kxy = xi[trow] * n + yr
+    yr, zr = y[trow], z[trow]
+    kxy = x[trow] * n + yr
     lo_n = kk // n
     hi_n = kk % n
     src = np.where(ss == 1, lo_n, hi_n)
@@ -563,17 +553,35 @@ def _triple_motifs(deltas: tuple, n: int, triples, *subsets) -> np.ndarray:
         lo, hi = int(starts[i]), int(starts[i + 1])
         if hi - lo < 3:
             continue
+        r = trow[lo]
         for j, delta in enumerate(deltas):
-            res[j] += _triangle_count8(uv_l[lo:hi], s_l[lo:hi],
-                                       d_l[lo:hi], t_l[lo:hi], delta)
-    return res
+            vec[r, j] = _triangle_count8(uv_l[lo:hi], s_l[lo:hi],
+                                         d_l[lo:hi], t_l[lo:hi], delta)
+    return vec
+
+
+@ray.remote
+def _triple_motifs(deltas: tuple, n: int, per_node: bool, triples,
+                   *subsets):
+    """One triple partition: its triangles' 8-vectors, summed to a
+    (len(deltas), 8) partial, or scattered to each triangle's three
+    members as (vids, counts[nv, len(deltas), 8])."""
+    x, y, z = (a.astype(np.int64) for a in triples)
+    vec = _triangle_vectors(deltas, n, x, y, z, subsets)
+    if not per_node:
+        return vec.sum(axis=0)
+    vids, inv = np.unique(np.concatenate([x, y, z]), return_inverse=True)
+    out = np.zeros((len(vids), len(deltas), 8), np.int64)
+    np.add.at(out, inv, np.concatenate([vec, vec, vec]))
+    return vids, out
 
 
 # ------------------------------------------------------------- entry points
 
-def temporal_three_node_motif_multi(gf, deltas) -> np.ndarray:
-    """Global 40-vector per delta (temporal_three_node_motif_multi,
-    global_temporal_three_node_motifs.rs:272-330)."""
+def _motif_counts(gf, deltas, per_node: bool) -> np.ndarray:
+    """The 40 motif counts of every delta: (len(deltas), 40) for the
+    whole graph, or (n, len(deltas), 40) per node when ``per_node``. Only
+    the two public entry points below set ``per_node``."""
     from raphtory_ray.algorithms import _bsp
     deltas = tuple(int(d) for d in deltas)
     mat = gf.edges.materialize()
@@ -581,35 +589,42 @@ def temporal_three_node_motif_multi(gf, deltas) -> np.ndarray:
     P = num_partitions(mat.count())
 
     # ---- star phase
-    star_futs = [_star_partial.remote(deltas, *col)
+    star_futs = [_star_partial.remote(deltas, per_node, *col)
                  for col in shuffle(_star_split, refs, P)]
 
     # ---- triangle phase
     g = _bsp(gf)           # reuses gf._bsp when built
-    core = g.kcore_set(2)
     member = np.zeros(gf.n, dtype=bool)
-    member[core] = True
-    triples = _triangles_of(g, member)        # list of per-partition refs
+    member[g.kcore_set(2)] = True
     member_ref = ray.put(member)
+    triples = _triangles_of(g, member_ref, gf.n)  # per-partition refs
     # pair partitions stay at P: an A/B at sf0.1 measured Pp=4 at 17.5s vs
     # Pp=32 at 6.3s — smaller pair partitions serialize the subset scans
-    Pp = P
     pair_parts = [_pair_merge.remote(*col) for col in
-                  shuffle(_pair_split, refs, Pp, gf.n, member_ref)]
+                  shuffle(_pair_split, refs, P, gf.n, member_ref)]
     # fan triple blocks out to ~32 count tasks regardless of the (adaptive)
     # wedge grid size — the per-triangle counting loop is the hot part
     R = max(1, 32 // max(len(triples), 1))
-    tchunks = sum(shuffle(_split_triples, triples, R), [])
-    Q = len(tchunks)
-    subs = [[_pair_subset_n.remote(pair_parts[p], gf.n, tchunks[q])
-             for p in range(Pp)] for q in range(Q)]
-    tri_futs = [_triple_motifs.remote(deltas, gf.n, tchunks[q], *subs[q])
-                for q in range(Q)]
+    tri_futs = [_triple_motifs.remote(
+        deltas, gf.n, per_node, tc,
+        *[_pair_subset_n.remote(pp, gf.n, tc) for pp in pair_parts])
+        for tc in sum(shuffle(_split_triples, triples, R), [])]
 
-    star = np.sum(ray.get(star_futs), axis=0)
-    tri = np.sum(ray.get(tri_futs), axis=0) if tri_futs else \
-        np.zeros((len(deltas), 8), np.int64)
-    return np.concatenate([star, tri], axis=1)
+    if not per_node:
+        return np.concatenate([np.sum(ray.get(star_futs), axis=0),
+                               np.sum(ray.get(tri_futs), axis=0)], axis=1)
+    out = np.zeros((gf.n, len(deltas), 40), np.int64)
+    for vids, counts in ray.get(star_futs):
+        out[vids, :, :32] += counts
+    for vids, counts in ray.get(tri_futs):
+        out[vids, :, 32:] += counts
+    return out
+
+
+def temporal_three_node_motif_multi(gf, deltas) -> np.ndarray:
+    """Global 40-vector per delta (temporal_three_node_motif_multi,
+    global_temporal_three_node_motifs.rs:272-330)."""
+    return _motif_counts(gf, deltas, per_node=False)
 
 
 def global_temporal_three_node_motif(gf, delta: int) -> np.ndarray:
@@ -618,130 +633,10 @@ def global_temporal_three_node_motif(gf, delta: int) -> np.ndarray:
     return temporal_three_node_motif_multi(gf, [delta])[0]
 
 
-@ray.remote
-def _star_partial_local(deltas: tuple, *pieces):
-    """Per-node star/two-node counts: (vids, counts[nv, len(deltas), 32])
-    (local_temporal_three_node_motifs.rs:348-390 star_motif_step)."""
-    node = np.concatenate([p[0] for p in pieces])
-    if len(node) == 0:
-        return (np.empty(0, np.int64),
-                np.zeros((0, len(deltas), 32), np.int64))
-    nbr = np.concatenate([p[1] for p in pieces])
-    dr = np.concatenate([p[2] for p in pieces]).astype(np.int64)
-    t = np.concatenate([p[3] for p in pieces])
-    e = np.concatenate([p[4] for p in pieces])
-    vids, two_pn = _two_node_group_counts(node, nbr, dr, t, e, deltas,
-                                          per_node=True)
-    order2, codes, starts, degs = _node_codes_and_order(node, nbr, dr, t, e)
-    nd2, cd2, dr2, t2 = node[order2], codes[order2], dr[order2], t[order2]
-    assert np.array_equal(vids, nd2[starts[:-1]])
-    out = np.zeros((len(vids), len(deltas), 32), np.int64)
-    for i in range(len(starts) - 1):
-        lo, hi = starts[i], starts[i + 1]
-        for j, delta in enumerate(deltas):
-            star24 = _star_count(cd2[lo:hi], dr2[lo:hi], t2[lo:hi],
-                                 int(degs[i]), delta)
-            out[i, j, :24] = star24 - np.tile(two_pn[i, j], 3)
-            out[i, j, 24:] = two_pn[i, j]
-    return vids, out
-
-
-@ray.remote
-def _triple_motifs_local(deltas: tuple, n: int, triples, *subsets):
-    """Per-MEMBER triangle counts: each triangle contributes an 8-vector to
-    each of its three nodes, tagged from that node's perspective
-    (local_temporal_three_node_motifs.rs:182-330: uid = the counting node,
-    v = the smaller / w = the larger of the other two)."""
-    x, y, z = triples
-    acc: dict[int, np.ndarray] = {}
-    if len(x) == 0:
-        return (np.empty(0, np.int64),
-                np.zeros((0, len(deltas), 8), np.int64))
-    pk = np.concatenate([s[0] for s in subsets])
-    sl = np.concatenate([s[1] for s in subsets]).astype(np.int64)
-    t = np.concatenate([s[2] for s in subsets])
-    e = np.concatenate([s[3] for s in subsets])
-    order = np.lexsort((e, t, pk))
-    pk, sl, t, e = pk[order], sl[order], t[order], e[order]
-    for i in range(len(x)):
-        tri = sorted((int(x[i]), int(y[i]), int(z[i])))
-        keys = (tri[0] * n + tri[1], tri[0] * n + tri[2],
-                tri[1] * n + tri[2])
-        segs = []
-        for key in keys:
-            a = np.searchsorted(pk, key, side="left")
-            b = np.searchsorted(pk, key, side="right")
-            if b > a:
-                segs.append(np.arange(a, b))
-        if not segs:
-            continue
-        idx = np.concatenate(segs)
-        idx = idx[np.lexsort((e[idx], t[idx]))]
-        kk, ss, tt = pk[idx], sl[idx], t[idx]
-        lo_n = kk // n
-        hi_n = kk % n
-        src = np.where(ss == 1, lo_n, hi_n)
-        dst = np.where(ss == 1, hi_n, lo_n)
-        for u in tri:
-            others = [m for m in tri if m != u]
-            v, w = min(others), max(others)
-            uv = (((src == u) & (dst == v)) | ((src == v) & (dst == u)))
-            dirs = np.zeros(len(kk), np.int64)
-            uorv = np.zeros(len(kk), np.int64)
-            is_w_src = src == w
-            is_w_dst = dst == w
-            uorv[is_w_src] = np.where(dst[is_w_src] == u, 0, 1)
-            dirs[is_w_src] = 0
-            uorv[is_w_dst] = np.where(src[is_w_dst] == u, 0, 1)
-            dirs[is_w_dst] = 1
-            dirs[uv] = np.where(src[uv] == u, 1, 0)
-            uorv[uv] = np.where(src[uv] == u, 1, 0)
-            slot = acc.setdefault(u, np.zeros((len(deltas), 8), np.int64))
-            for j, delta in enumerate(deltas):
-                slot[j] += _triangle_count8(uv, uorv, dirs, tt, delta)
-    vids = np.array(sorted(acc), dtype=np.int64)
-    out = np.stack([acc[v] for v in vids]) if len(vids) else \
-        np.zeros((0, len(deltas), 8), np.int64)
-    return vids, out
-
-
 def local_temporal_three_node_motifs(gf, deltas) -> np.ndarray:
     """(n, len(deltas), 40) per-node motif counts
-    (local_temporal_three_node_motifs.rs temporal_three_node_motif). Same
-    distribution as the global variant; partials land per node."""
-    from raphtory_ray.algorithms import _bsp
-    deltas = tuple(int(d) for d in deltas)
-    mat = gf.edges.materialize()
-    refs = mat.to_arrow_refs()
-    P = num_partitions(mat.count())
-    star_futs = [_star_partial_local.remote(deltas, *col)
-                 for col in shuffle(_star_split, refs, P)]
-
-    g = _bsp(gf)           # reuses gf._bsp when built
-    core = g.kcore_set(2)
-    member = np.zeros(gf.n, dtype=bool)
-    member[core] = True
-    triples = _triangles_of(g, member)
-    member_ref = ray.put(member)
-    # pair partitions stay at P: an A/B at sf0.1 measured Pp=4 at 17.5s vs
-    # Pp=32 at 6.3s — smaller pair partitions serialize the subset scans
-    Pp = P
-    pair_parts = [_pair_merge.remote(*col) for col in
-                  shuffle(_pair_split, refs, Pp, gf.n, member_ref)]
-    R = max(1, 32 // max(len(triples), 1))
-    tchunks = sum(shuffle(_split_triples, triples, R), [])
-    Q = len(tchunks)
-    subs = [[_pair_subset_n.remote(pair_parts[p], gf.n, tchunks[q])
-             for p in range(Pp)] for q in range(Q)]
-    tri_futs = [_triple_motifs_local.remote(deltas, gf.n, tchunks[q],
-                                            *subs[q]) for q in range(Q)]
-
-    out = np.zeros((gf.n, len(deltas), 40), np.int64)
-    for vids, counts in ray.get(star_futs):
-        out[vids, :, :32] += counts
-    for vids, counts in ray.get(tri_futs):
-        out[vids, :, 32:] += counts
-    return out
+    (local_temporal_three_node_motifs.rs temporal_three_node_motif)."""
+    return _motif_counts(gf, deltas, per_node=True)
 
 
 def local_temporal_three_node_motif(gf, delta: int) -> np.ndarray:
@@ -826,12 +721,12 @@ def _probe_triples(Sq: pa.Table, n: int, *wedge_pieces: pa.Table):
             np.concatenate([o[2] for o in outs]))
 
 
-def _triangles_of(g, member: np.ndarray) -> list:
-    """Triangle triples (x<y<z) of the node-induced subgraph, one ref per
-    probe partition — reuses the BspGraph wedge semi-join (shards.py
-    triangle_counts) with a triple-returning probe."""
+def _triangles_of(g, member_ref, n: int) -> list:
+    """Triangle triples (x<y<z) of the subgraph induced by the member mask
+    in ``member_ref``, one ref per probe partition — reuses the BspGraph
+    wedge semi-join (shards.py triangle_counts) with a triple-returning
+    probe."""
     from raphtory_ray.state import shards as S
-    member_ref = ray.put(member)
     sub_refs = [_subgraph_und.remote(r, member_ref) for r in g.und_refs]
     # adaptive task grid, as in BspGraph.triangle_counts
     P = num_partitions(g.num_edges, per=MOTIF_EDGES_PER_PARTITION)
@@ -840,13 +735,12 @@ def _triangles_of(g, member: np.ndarray) -> list:
                       for key in ("src", "dst")]
     wparts = columns([S._wedge_split.options(num_returns=P).remote(
         Dsplit[p], Ssplit[p], P, 262_144) for p in range(P)], P)
-    return [_probe_triples.remote(Ssplit[q], len(member), *wparts[q])
+    return [_probe_triples.remote(Ssplit[q], n, *wparts[q])
             for q in range(P)]
 
 
 @ray.remote
-def _subgraph_und(block: pa.Table, member) -> pa.Table:
-    member = ray.get(member) if isinstance(member, ray.ObjectRef) else member
+def _subgraph_und(block: pa.Table, member: np.ndarray) -> pa.Table:
     s = block["src"].to_numpy(zero_copy_only=False).astype(np.int64)
     d = block["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
     m = member[s] & member[d]

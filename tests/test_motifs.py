@@ -95,6 +95,82 @@ def test_local_sums_to_global(ray_session):
     assert loc[32:].tolist() == (glob[32:] * 3).tolist()
 
 
+def _random_edges(seed: int, n: int = 9, m: int = 80) -> list:
+    """Seeded (t, src, dst) events over few nodes and few timestamps:
+    self-loops, tied t and (one in five) repeated events."""
+    rng = np.random.default_rng(seed)
+    ev = list(zip(rng.integers(0, 12, m).tolist(),
+                  rng.integers(0, n, m).tolist(),
+                  rng.integers(0, n, m).tolist()))
+    return ev + ev[::5]
+
+
+# events on a star around node 0, both ways, plus a self-loop: no triangle
+STAR_EDGES = [(i % 4, 0, 1 + i % 5) for i in range(20)] + \
+    [(i % 3, 1 + i % 5, 0) for i in range(12)] + [(2, 3, 3)]
+
+
+def _local_triangles(edges: list, n: int, deltas: list) -> np.ndarray:
+    """(n, len(deltas), 8) triangle counts the per-member way
+    (local_temporal_three_node_motifs.rs:182-330): every triangle's events,
+    in (t, event) order, are tagged once from each member u — v and w the
+    smaller and larger other member — and run through TriangleCounter."""
+    from itertools import combinations
+    from raphtory_ray.algorithms.motifs import _triangle_count8
+    t, s, d = np.array(edges, np.int64).reshape(-1, 3).T
+    pairs = {frozenset(p) for p in zip(s.tolist(), d.tolist())}
+    out = np.zeros((n, len(deltas), 8), np.int64)
+    for tri in combinations(range(n), 3):
+        if any(frozenset(p) not in pairs for p in combinations(tri, 2)):
+            continue
+        idx = np.flatnonzero((s != d) & np.isin(s, tri) & np.isin(d, tri))
+        idx = idx[np.argsort(t[idx], kind="stable")]
+        src, dst, tt = s[idx], d[idx], t[idx]
+        for u in tri:
+            v, w = (x for x in tri if x != u)
+            uv = ((src == u) & (dst == v)) | ((src == v) & (dst == u))
+            dirs = np.where(uv, src == u, dst == w).astype(np.int64)
+            uorv = np.where(uv, src == u, np.where(src == w, dst != u,
+                                                   src != u)).astype(np.int64)
+            for j, delta in enumerate(deltas):
+                out[u, j] += _triangle_count8(uv, uorv, dirs, tt, delta)
+    return out
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["p1", "p_many"])
+def test_local_triangles_match_per_member_reference(ray_session, monkeypatch,
+                                                    many):
+    """Each triangle's one 8-vector, scattered to its three members, equals
+    the per-member counting of the local reference; and Σ local = global
+    with the triangle slots ×3. Seeded random graphs, a graph with no
+    triangle and an empty window, deltas 0/3/10/60, at one partition and
+    (with test_partition_rule's shrunk sizes) at many."""
+    from raphtory_ray.algorithms.motifs import (
+        local_temporal_three_node_motifs, temporal_three_node_motif_multi)
+    if many:
+        from test_partition_rule import _shrink
+        _shrink(monkeypatch)
+    deltas = [0, 3, 10, 60]
+    graphs = [_random_edges(seed) for seed in (1, 2, 3)] + [STAR_EDGES]
+    cases = [(_frame(ray_session, ev), ev) for ev in graphs]
+    empty = cases[0][0].window(100, 200)
+    empty.edges = empty.edges.materialize()
+    cases.append((empty, []))
+    seen = 0
+    for gf, ev in cases:
+        loc = local_temporal_three_node_motifs(gf, deltas)
+        glob = temporal_three_node_motif_multi(gf, deltas)
+        want = _local_triangles(ev, gf.n, deltas)
+        seen += int(want.sum())
+        assert loc.dtype == glob.dtype == np.int64
+        assert loc.shape == (gf.n, len(deltas), 40)
+        assert np.array_equal(loc[:, :, 32:], want)
+        total = loc.sum(axis=0)
+        assert np.array_equal(total[:, :32], glob[:, :32])
+        assert np.array_equal(total[:, 32:], glob[:, 32:] * 3)
+    assert seen > 0
+
+
 RICH_CLUB_EDGES = [
     (1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4),
     (1, 4, 5), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 3, 4), (2, 2, 6),

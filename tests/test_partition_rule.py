@@ -215,6 +215,12 @@ def _motifs():
     return temporal_three_node_motif_multi(_gf(3), [1, 10, 100]).tolist()
 
 
+def _local_motifs():
+    from raphtory_ray.algorithms.motifs import \
+        local_temporal_three_node_motifs
+    return local_temporal_three_node_motifs(_gf(3), [1, 10, 100])
+
+
 def _filter_edges():
     from raphtory_ray.graph.filter import Prop
     out = _gf(4).filter_edges(Prop("int_prop") > 4, "latest").edges
@@ -277,6 +283,7 @@ CASES = {
     "load_edge_props": _load_edge_props,
     "louvain": _louvain,
     "temporal_motifs": _motifs,
+    "local_temporal_motifs": _local_motifs,
     "filter_edges": _filter_edges,
     "persistent": _persistent,
     "sampling": _sampling,
